@@ -36,6 +36,7 @@ print()
 print("=== the flux-vanishing slope ===")
 nu2 = profiles.find_nu2(tol=1e-8)
 print(f"nu2 = {nu2:.6f}   (reference 1.575)")
+print(f"quarter period at nu2: {profiles.quarter_period(nu2):.10f}  (pi/2 = {np.pi / 2:.10f})")
 flux = profiles.integrate_profile(nu2).category.limit_flux
 print(f"endpoint flux at nu2: {flux:.2e}")
 

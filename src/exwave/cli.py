@@ -86,36 +86,22 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _table_text(rows, summary) -> str:
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-exwave-")
-    os.close(fd)
-    try:
-        verify.table_to_csv(rows, summary, tmp)
-        with open(tmp, encoding="utf-8") as fh:
-            return fh.read()
-    finally:
-        os.unlink(tmp)
-
-
 def _cmd_table1(args) -> int:
     rows, summary, _ = verify.build_table1(ode_tol=args.tol, quad_tol=args.tol)
-    _emit(_table_text(rows, summary), args.out)
+    _emit(verify.table_to_csv(rows, summary), args.out)
     _info(f"total={summary.total:.9g} g_minus={summary.g_minus:.9g} "
           f"margin={summary.total - summary.g_minus:.9g}")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    report = verify.run_all(ode_tol=args.tol, quad_tol=args.tol,
-                            nu0=args.nu0, jobs=args.jobs)
+    report = verify.run_all(ode_tol=args.tol, quad_tol=args.tol, nu0=args.nu0)
     _emit(report.to_json(), args.out)
     if args.table is not None:
-        try:
-            rows, summary, _ = verify.build_table1(ode_tol=args.tol, quad_tol=args.tol,
-                                                   nu0=args.nu0)
-            _atomic_write(args.table, _table_text(rows, summary))
-        except Exception as exc:  # report already emitted; record and move on
-            _info(f"table not written: {exc}")
+        if report.table is None:  # the report records the failure; not fatal
+            _info(f"table not written: {report.table_error}")
+        else:
+            _atomic_write(args.table, verify.table_to_csv(*report.table))
     n_pass = sum(1 for i in report.items if i.passed)
     _info(f"{n_pass}/{len(report.items)} checks passed; overall "
           + ("PASS" if report.overall else "FAIL"))
@@ -307,7 +293,6 @@ def _build_parser():
     vf.add_argument("--tol", type=float, default=verify.ODE_TOL)
     vf.add_argument("--out")
     vf.add_argument("--table", help="also write the table CSV here")
-    vf.add_argument("--jobs", type=int, default=1)
     vf.add_argument("--nu0", type=float, default=verify.NU0,
                     help="profile slope for the pipeline (sensitivity probe)")
     vf.set_defaults(fn=_cmd_verify)

@@ -17,6 +17,7 @@ closed form, after which the whole grid is usable.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -66,6 +67,8 @@ class SimConfig:
     blowup_guard: float = 1e12
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.r_min, self.r_max, self.dr, self.T, self.cfl))):
+            raise ValueError("r_min, r_max, dr, T and cfl must be finite")
         if not (0.0 < self.r_min < self.r_max):
             raise ValueError("need 0 < r_min < r_max")
         if self.dr <= 0 or self.T <= 0:

@@ -16,7 +16,8 @@ done in theta; the quantity
     H(y) = (1/2)(1-y^2) phi'(y)^2 + (9/8) phi^2 - (3/10)|phi|^(10/3)
          = (1/2) phi_theta^2 + (9/8) phi^2 - (3/10)|phi|^(10/3)
 
-is conserved and equals nu^2/2, which is the main accuracy diagnostic.
+is conserved and equals nu^2/2, which is the main accuracy diagnostic and
+gives the flux-vanishing slope nu2 by a period integral (:func:`find_nu2`).
 
 Two outcomes are possible: |phi| escapes to infinity at some y_plus <= 1
 (blow-up) or phi and the flux (1-y^2) phi'(y)^2 have limits as y -> 1
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._ode import IntegrationFailure, solve_dopri5
+from .quadrature import integrate_adaptive
 
 __all__ = [
     "BlowUp",
@@ -47,6 +49,7 @@ __all__ = [
     "conserved_energy",
     "inverse_phi",
     "find_nu2",
+    "quarter_period",
     "wronskian_compare",
     "phi_star_exact",
     "profile_to_csv",
@@ -95,8 +98,7 @@ class Global:
     ``limit_flux`` is signed: it equals s*|s| where s = lim phi_theta at
     theta = pi/2, so |limit_flux| is the flux lim (1-y^2) phi'(y)^2 and the
     sign records whether the profile is still rising (+) or already falling
-    (-) at the endpoint.  The sign is what makes the flux a usable bisection
-    target for :func:`find_nu2`.
+    (-) at the endpoint, so it changes sign at :func:`find_nu2`'s slope.
     """
 
     limit_phi: float
@@ -210,6 +212,11 @@ def _limits(sol):
     return float(limit_phi), float(slope)
 
 
+def _check_tol(tol):
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
+
+
 def integrate_profile(nu: float, tol: float = 1e-12, y_stop: float = 1.0) -> SelfSimilarProfile:
     """Integrate the self-similar ODE from y = 0 toward ``y_stop`` <= 1.
 
@@ -218,10 +225,9 @@ def integrate_profile(nu: float, tol: float = 1e-12, y_stop: float = 1.0) -> Sel
     the Richardson-extrapolated endpoint limits; truncated runs without
     blow-up get ``category=None`` since classification needs the endpoint.
     """
-    if nu < 0:
-        raise ValueError("nu must be nonnegative (negative nu is the odd reflection)")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(nu) and nu >= 0):
+        raise ValueError("nu must be finite and nonnegative (negative nu is the odd reflection)")
+    _check_tol(tol)
     if not (0.0 < y_stop <= 1.0):
         raise ValueError("y_stop must lie in (0, 1]")
     theta_stop = math.pi / 2 if y_stop == 1.0 else math.asin(y_stop)
@@ -249,8 +255,7 @@ def integrate_linear_profile(tol: float = 1e-12) -> LinearProfile:
 
     Must agree pointwise with the closed form (2/3) sin((3/2) arcsin y).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     try:
         res = solve_dopri5(_rhs_linear, 0.0, math.pi / 2, [0.0, 1.0],
                            rtol=tol, atol=tol, max_step=_MAX_STEP)
@@ -322,32 +327,87 @@ def inverse_phi(p: _ProfileBase, z: float, tol: float = 1e-14) -> float:
     return float(unique[0])
 
 
-def find_nu2(tol: float = 1e-8, bracket=(1.0, 1.86), ode_tol: float = 1e-12) -> float:
-    """The slope nu at which the endpoint flux of the profile vanishes.
+_PHI_STAR = 2.25 ** 0.75   # maximum of V = (9/8) phi^2 - (3/10) phi^(10/3)
 
-    Bisects the signed endpoint slope (see :class:`Global`) over ``bracket``;
-    the slope is negative below the root (the profile has already turned) and
-    positive above it (still rising at y = 1).
-    """
-    def slope(nu):
-        prof = integrate_profile(nu, ode_tol)
-        if not isinstance(prof.category, Global):
-            raise ProfileError(f"profile nu={nu} blew up; flux undefined")
-        lf = prof.category.limit_flux
-        return math.copysign(math.sqrt(abs(lf)), lf)
 
-    lo, hi = bracket
-    s_lo, s_hi = slope(lo), slope(hi)
-    if s_lo * s_hi > 0.0:
-        scan = [(lo, s_lo), (hi, s_hi)]
-        raise BracketingError("endpoint flux does not change sign on the bracket", scan)
-    while hi - lo > tol:
+def _bisect(f, lo, hi, f_lo, width):
+    """Shrink [lo, hi], across which f changes sign (f(lo) = f_lo), to at
+    most ``width`` or to adjacent floats, in at most 200 halvings."""
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
-        s_mid = slope(mid)
-        if s_lo * s_mid <= 0.0:
+        if hi - lo <= width or mid in (lo, hi):
+            break
+        f_mid = f(mid)
+        if f_lo * f_mid <= 0.0:
             hi = mid
         else:
-            lo, s_lo = mid, s_mid
+            lo, f_lo = mid, f_mid
+    return lo, hi
+
+
+def _turning_point(nu):
+    """First positive root of nu^2 - 2 V(phi), or None when nu^2 >= 2 V(phi*)."""
+    def radicand(phi):
+        return nu * nu - 2.25 * phi * phi + 0.6 * phi ** (10.0 / 3.0)
+
+    if radicand(_PHI_STAR) >= 0.0:
+        return None
+    # the radicand decreases on (0, phi*)
+    return _bisect(radicand, 0.0, _PHI_STAR, nu * nu, 0.0)[0]
+
+
+def quarter_period(nu: float) -> float:
+    """Oscillator time theta from phi = 0 to the first turning point.
+
+    The period integral (Landau & Lifshitz, Mechanics, section 11) of the
+    theta-oscillator at energy H = nu^2 / 2, to absolute accuracy 1e-12:
+
+        T(nu) = int_0^{phi_t} dphi / sqrt(nu^2 - (9/4) phi^2 + (3/5) phi^(10/3)).
+
+    With phi = phi_t u, u = w^3, the radicand is (1 - u) Q(u), where
+    Q(u) = (9/4) phi_t^2 (1 + u) - (3/5) phi_t^(10/3) (1 + w + ... + w^9) / (1 + w + w^2)
+    is positive on [0, 1]; u = 1 - tau^2 then leaves the smooth integrand
+    2 phi_t / sqrt(Q).  T -> pi/3 as nu -> 0 and T grows without bound as nu
+    approaches the separatrix sqrt(2 V(phi*)); above it the trajectory never
+    turns and T is infinite.
+    """
+    if not (math.isfinite(nu) and nu > 0.0):
+        raise ValueError("nu must be finite and positive")
+    phi_t = _turning_point(nu)
+    if phi_t is None:
+        return math.inf
+    a = 2.25 * phi_t * phi_t
+    b = 0.6 * phi_t ** (10.0 / 3.0)
+
+    def integrand(tau):
+        u = 1.0 - tau * tau
+        w = np.cbrt(u)
+        ratio = np.polyval(np.ones(10), w) / np.polyval(np.ones(3), w)
+        return 2.0 * phi_t / np.sqrt(a * (1.0 + u) - b * ratio)
+
+    return integrate_adaptive(integrand, 0.0, 1.0, 1e-12)
+
+
+def find_nu2(tol: float = 1e-8, bracket=(1.0, 1.86)) -> float:
+    """The slope nu at which the endpoint flux of the profile vanishes.
+
+    The flux vanishes when the profile turns exactly at y = 1, i.e. when the
+    quarter period (see :func:`quarter_period`) equals pi/2.  Bisects
+    T(nu) - pi/2 over ``bracket`` to width ``tol``: it is negative below the
+    root (the profile has already turned) and positive above it (still
+    rising at y = 1, or never turning).
+    """
+    _check_tol(tol)
+
+    def excess(nu):
+        return quarter_period(nu) - 0.5 * math.pi
+
+    lo, hi = bracket
+    s_lo, s_hi = excess(lo), excess(hi)
+    if s_lo * s_hi > 0.0:
+        scan = [(lo, s_lo), (hi, s_hi)]
+        raise BracketingError("quarter period does not cross pi/2 on the bracket", scan)
+    lo, hi = _bisect(excess, lo, hi, s_lo, tol)
     return 0.5 * (lo + hi)
 
 

@@ -17,6 +17,7 @@ give bit-identical outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,6 +30,11 @@ __all__ = [
     "integrate_sqrt_singular",
     "integrate_tail",
 ]
+
+# Panel evaluations allowed per integral (QUADPACK's ``limit``).  The
+# package's integrals take at most a few hundred panels; the budget only
+# stops integrands that cannot converge, within about a second.
+_MAX_PANELS = 50_000
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1].
 _XK = np.array([
@@ -65,8 +71,9 @@ _GIDX = np.arange(1, 15, 2)                               # Gauss nodes sit at o
 _WGF = np.concatenate([_WG[:-1], _WG[::-1]])
 
 
-class QuadratureError(Exception):
-    """Tolerance not reached after the maximum number of subdivisions.
+class QuadratureError(RuntimeError):
+    """Tolerance not reached within the subdivision budget, or the integrand
+    returned a non-finite value.
 
     Attributes ``best`` and ``err_bound`` carry the best available estimate
     and its error bound.
@@ -116,13 +123,16 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10,
 
     Bisects any panel whose Kronrod/Gauss discrepancy exceeds its
     length-proportional share of ``tol``.  Raises :class:`QuadratureError`
-    carrying the best estimate when the depth limit is hit and the global
-    error bound still exceeds the tolerance.
+    carrying the best estimate when the depth limit or the budget of
+    ``_MAX_PANELS`` panel evaluations is hit and the global error bound still
+    exceeds the tolerance, and at once when a panel estimate is not finite.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     a = float(a)
     b = float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("integration limits must be finite")
     if a == b:
         return 0.0
     if a > b:
@@ -132,16 +142,23 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10,
     total = 0.0
     err_total = 0.0
     capped = False
+    panels = 0
     stack = [(a, b, 0)]
     while stack:
         lo, hi, depth = stack.pop()
         k, e = _gk15(fn, lo, hi)
+        panels += 1
+        if not (math.isfinite(k) and math.isfinite(e)):
+            raise QuadratureError(f"non-finite integrand on [{lo!r}, {hi!r}]",
+                                  total, math.inf)
         share = tol * (hi - lo) / length
         width_floor = (hi - lo) <= 16.0 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0)
         if e <= share or width_floor:
             total += k
             err_total += e
-        elif depth >= max_depth:
+        elif depth >= max_depth or panels >= _MAX_PANELS:
+            # past the budget the pending panels (at most one per depth
+            # level) are accepted as they are, to form the best estimate
             total += k
             err_total += e
             capped = True
@@ -150,7 +167,9 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10,
             stack.append((lo, mid, depth + 1))
             stack.append((mid, hi, depth + 1))
     if capped and err_total > tol:
-        raise QuadratureError("max subdivision depth reached", total, err_total)
+        reason = ("panel budget exhausted" if panels >= _MAX_PANELS
+                  else "max subdivision depth reached")
+        raise QuadratureError(reason, total, err_total)
     return total
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .nonlinearity import SIGMA4, ground_state
 from .quadrature import integrate_adaptive, integrate_tail
@@ -49,6 +48,14 @@ __all__ = [
 
 _QTOL = 1e-11          # absolute tolerance for moment quadratures
 _SPLINE_N = 4097       # samples for the fast moment engine of smooth profiles
+
+
+def _cubic_spline(x, y):
+    """scipy's CubicSpline, imported on first use: importing scipy.interpolate
+    costs more than everything but the radiation commands compute."""
+    from scipy.interpolate import CubicSpline
+
+    return CubicSpline(x, y)
 
 
 class RadiationProfile:
@@ -82,13 +89,13 @@ class RadiationProfile:
         elif smooth:
             lo, hi = self.support
             s = np.linspace(lo, hi, _SPLINE_N)
-            self._install_moments(CubicSpline(s, self._fn(s)))
+            self._install_moments(_cubic_spline(s, self._fn(s)))
 
     def _install_moments(self, spline):
         s = spline.x
         self._m0 = spline.antiderivative()
-        self._m1 = CubicSpline(s, s * spline(s)).antiderivative()
-        self._m2 = CubicSpline(s, spline(s) ** 2).antiderivative()
+        self._m1 = _cubic_spline(s, s * spline(s)).antiderivative()
+        self._m2 = _cubic_spline(s, spline(s) ** 2).antiderivative()
 
     @classmethod
     def from_function(cls, fn, support=None, decay=None, smooth=False, breakpoints=()):
@@ -101,7 +108,7 @@ class RadiationProfile:
         values = np.asarray(values, dtype=float)
         if s.ndim != 1 or np.any(np.diff(s) <= 0):
             raise ValueError("sample grid must be strictly increasing")
-        spline = CubicSpline(s, values)
+        spline = _cubic_spline(s, values)
         lo, hi = float(s[0]), float(s[-1])
 
         def fn(x):
@@ -293,8 +300,8 @@ class RadialData:
         u1_vals = np.asarray(u1_vals, dtype=float)
         if r.ndim != 1 or np.any(np.diff(r) <= 0):
             raise ValueError("sample grid must be strictly increasing")
-        s0 = CubicSpline(r, u0_vals)
-        s1 = CubicSpline(r, u1_vals)
+        s0 = _cubic_spline(r, u0_vals)
+        s1 = _cubic_spline(r, u1_vals)
         d0 = s0.derivative()
         lo, hi = float(r[0]), float(r[-1])
 

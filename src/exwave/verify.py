@@ -12,7 +12,6 @@ real regression from rounding.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import math
 from dataclasses import dataclass, field
@@ -126,7 +125,13 @@ class ReportItem:
 
 @dataclass
 class VerificationReport:
+    """Report items in a fixed order.  ``table`` keeps the (rows, summary) of
+    the table block, or ``table_error`` why it failed; neither enters the
+    JSON."""
+
     items: list = field(default_factory=list)
+    table: tuple | None = None
+    table_error: str = ""
 
     @property
     def overall(self):
@@ -335,8 +340,8 @@ def _item_g_constants():
     )
 
 
-def _item_nu2(ode_tol):
-    nu2 = profiles.find_nu2(tol=1e-8, ode_tol=min(ode_tol, 1e-10))
+def _item_nu2():
+    nu2 = profiles.find_nu2(tol=1e-8)
     return ReportItem(
         name="nu2", computed=nu2, target=REFERENCE_NU2, tolerance=5e-3,
         passed=bool(abs(nu2 - REFERENCE_NU2) <= 5e-3),
@@ -350,13 +355,19 @@ def _item_profile_drift(prof):
     )
 
 
-def run_all(ode_tol: float = ODE_TOL, quad_tol: float = QUAD_TOL, nu0: float = NU0,
-            jobs: int = 1) -> VerificationReport:
+def run_all(ode_tol: float = ODE_TOL, quad_tol: float = QUAD_TOL,
+            nu0: float = NU0) -> VerificationReport:
     """Run every check and assemble the report in a fixed deterministic order.
 
-    Sub-failures (for instance an injected nu0 for which the table cannot be
-    built) are recorded as failing items; nothing raises out of here.
+    Non-finite or nonpositive tolerances and a non-finite nu0 raise
+    ValueError.  Sub-failures (for instance an injected nu0 for which the
+    table cannot be built) are recorded as failing items; nothing else
+    raises out of here.
     """
+    if not all(math.isfinite(t) and t > 0 for t in (ode_tol, quad_tol)):
+        raise ValueError("tolerances must be finite and positive")
+    if not math.isfinite(nu0):
+        raise ValueError("nu0 must be finite")
     report = VerificationReport()
 
     def guarded(fn, *names):
@@ -369,7 +380,12 @@ def run_all(ode_tol: float = ODE_TOL, quad_tol: float = QUAD_TOL, nu0: float = N
                     for n in names]
 
     def table_block():
-        rows, summary, prof = build_table1(ode_tol, quad_tol, nu0=nu0)
+        try:
+            rows, summary, prof = build_table1(ode_tol, quad_tol, nu0=nu0)
+        except Exception as exc:
+            report.table_error = str(exc)
+            raise
+        report.table = (rows, summary)
         items = [_item_table_cells(rows, summary), _item_table_footer(summary),
                  check_main_inequality(rows, summary)]
         items += list(check_C1(rows, summary))
@@ -387,24 +403,25 @@ def run_all(ode_tol: float = ODE_TOL, quad_tol: float = QUAD_TOL, nu0: float = N
         (lambda: check_pushup(ode_tol, quad_tol),
          ("pushup_integral", "pushup_factor", "pushup_closed_form_agreement")),
         (_item_g_constants, ("g_closed_form_constants",)),
-        (lambda: _item_nu2(ode_tol), ("nu2",)),
+        (_item_nu2, ("nu2",)),
     ]
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(guarded, fn, *names) for fn, names in blocks]
-            for fut in futures:
-                report.items.extend(fut.result())
-    else:
-        for fn, names in blocks:
-            report.items.extend(guarded(fn, *names))
+    for fn, names in blocks:
+        report.items.extend(guarded(fn, *names))
     return report
 
 
-def table_to_csv(rows, summary, path) -> None:
-    """CSV with columns exactly: k, range, y_k, lambda_k, min_g, product, contribution."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k,range,y_k,lambda_k,min_g,product,contribution\n")
-        for row in rows:
-            rng = f"{row.z_lo:g}-{row.z_hi:.6g}"
-            cells = (row.y_k, row.lambda_k, row.min_g, row.product_k, row.contribution_k)
-            fh.write(f"{row.k},{rng}," + ",".join(f"{v:.12g}" for v in cells) + "\n")
+def table_to_csv(rows, summary, path=None) -> str:
+    """CSV with columns exactly: k, range, y_k, lambda_k, min_g, product, contribution.
+
+    Returns the text and also writes it to ``path`` when one is given.
+    """
+    lines = ["k,range,y_k,lambda_k,min_g,product,contribution"]
+    for row in rows:
+        rng = f"{row.z_lo:g}-{row.z_hi:.6g}"
+        cells = (row.y_k, row.lambda_k, row.min_g, row.product_k, row.contribution_k)
+        lines.append(f"{row.k},{rng}," + ",".join(f"{v:.12g}" for v in cells))
+    text = "\n".join(lines) + "\n"
+    if path is not None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return text

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -57,6 +59,54 @@ def test_verify_negative_control_exit_code(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["overall"] is False
     assert not table.exists()  # unbuildable table is reported, not fatal
+
+
+def _python_with_exwave(code):
+    import exwave
+    src = os.path.dirname(os.path.dirname(os.path.abspath(exwave.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+_SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
+def test_cli_import_loads_no_scipy():
+    proc = _python_with_exwave("import sys, exwave.cli\n" + _SCIPY_LOADED)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_verify_loads_no_scipy(tmp_path):
+    out = tmp_path / "report.json"
+    proc = _python_with_exwave(
+        "import sys\nfrom exwave.cli import main\n"
+        f"assert main(['verify', '--out', {str(out)!r}]) == 0\n" + _SCIPY_LOADED)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_verify_table_matches_table1(tmp_path):
+    via_verify = tmp_path / "verify.csv"
+    via_table1 = tmp_path / "table1.csv"
+    assert run_cli(["verify", "--out", str(tmp_path / "r.json"),
+                    "--table", str(via_verify)]) == 0
+    assert run_cli(["table1", "--out", str(via_table1)]) == 0
+    assert via_verify.read_bytes() == via_table1.read_bytes()
+
+
+def test_profile_non_finite_slope_exits_1(capsys):
+    assert run_cli(["profile", "--nu", "nan"]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
+def test_verify_non_finite_tolerance_exits_1(tmp_path):
+    start = time.perf_counter()
+    assert run_cli(["verify", "--tol", "nan", "--out", str(tmp_path / "r.json")]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_unknown_flag_exits_2():

@@ -55,3 +55,30 @@ def test_ground_state_energy_against_scipy_quad():
     ref, est = quad(dens, 0.0, np.inf, epsabs=1e-12, limit=400)
     # scipy's infinite-range error estimate is conservative; bound by it
     assert abs(ground_state_energy() - SIGMA4 * ref) <= SIGMA4 * est + 1e-9
+
+
+def _nu2_by_endpoint_flux(tol=1e-8, bracket=(1.0, 1.86), ode_tol=1e-10):
+    """nu2 the long way: bisect the signed endpoint slope of full ODE solves
+    (negative once the profile has turned before y = 1, positive while it
+    still rises there)."""
+    def slope(nu):
+        flux = profiles.integrate_profile(nu, ode_tol).category.limit_flux
+        return np.copysign(np.sqrt(abs(flux)), flux)
+
+    lo, hi = bracket
+    s_lo = slope(lo)
+    assert s_lo * slope(hi) < 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        s_mid = slope(mid)
+        if s_lo * s_mid <= 0.0:
+            hi = mid
+        else:
+            lo, s_lo = mid, s_mid
+    return 0.5 * (lo + hi)
+
+
+def test_nu2_period_integral_against_ode_flux_bisection():
+    nu2 = profiles.find_nu2(tol=1e-8)
+    assert abs(nu2 - _nu2_by_endpoint_flux()) <= 1e-8
+    assert abs(profiles.integrate_profile(nu2, 1e-12).category.limit_flux) < 1e-7

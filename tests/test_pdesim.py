@@ -43,6 +43,13 @@ def test_config_validation():
         pdesim.SimConfig(r_min=1.0, r_max=2.0, dr=0.1, T=1.0, boundary="dirichlet-exact")
 
 
+def test_config_rejects_non_finite_numbers():
+    with pytest.raises(ValueError, match="finite"):
+        pdesim.SimConfig(r_min=1.0, r_max=2.0, dr=float("nan"), T=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        pdesim.SimConfig(r_min=1.0, r_max=2.0, dr=0.1, T=float("inf"))
+
+
 def test_ground_state_is_stationary():
     d, cfg = ground_state_setup(dr=0.02, T=2.0)
     tr = pdesim.simulate(d, cfg)

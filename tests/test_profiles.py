@@ -8,7 +8,7 @@ from exwave import profiles
 from exwave.profiles import (AmbiguousRootError, BlowUp, Global, NoSolutionError,
                              conserved_energy, find_nu2, integrate_linear_profile,
                              integrate_profile, inverse_phi, phi_star_exact,
-                             profile_to_csv, wronskian_compare)
+                             profile_to_csv, quarter_period, wronskian_compare)
 
 
 def test_grid_anchoring_invariants():
@@ -130,6 +130,37 @@ def test_find_nu2():
 def test_find_nu2_bracketing_failure():
     with pytest.raises(profiles.BracketingError):
         find_nu2(tol=1e-6, bracket=(1.7, 1.74))
+
+
+def test_quarter_period_harmonic_limit():
+    # small oscillations of V ~ (9/8) phi^2 have frequency 3/2; the quartic
+    # softening adds a correction of order phi_t^(4/3) ~ nu^(4/3)
+    for nu in (1e-3, 1e-5):
+        gap = quarter_period(nu) - math.pi / 3.0
+        assert 0.0 < gap < 0.2 * nu ** (4.0 / 3.0)
+    assert quarter_period(1e-9) == pytest.approx(math.pi / 3.0, abs=1e-11)
+
+
+def test_quarter_period_grows_to_the_separatrix():
+    nu_sep = math.sqrt(2.0 * 0.45 * 2.25 ** 1.5)   # sqrt(2 V(phi*)) ~ 1.74284
+    values = [quarter_period(nu) for nu in (0.5, 1.0, 1.5, 1.7, 1.74)]
+    assert values == sorted(values)
+    assert quarter_period(nu_sep * (1.0 + 1e-12)) == math.inf
+    assert quarter_period(1.86) == math.inf
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_profiles_reject_non_finite_input(bad):
+    with pytest.raises(ValueError):
+        integrate_profile(bad)
+    with pytest.raises(ValueError):
+        integrate_profile(1.0, tol=bad)
+    with pytest.raises(ValueError):
+        integrate_linear_profile(tol=bad)
+    with pytest.raises(ValueError):
+        quarter_period(bad)
+    with pytest.raises(ValueError):
+        find_nu2(tol=bad)
 
 
 def test_wronskian_comparison():

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -133,3 +135,39 @@ def test_nonconvergence_carries_best_estimate():
         integrate_adaptive(f, 0.0, 1.0, 1e-13, max_depth=12)
     assert np.isfinite(info.value.best)
     assert info.value.err_bound > 0
+
+
+def test_non_finite_integrand_raises_at_once():
+    start = time.perf_counter()
+    with pytest.raises(QuadratureError, match="non-finite"):
+        integrate_adaptive(lambda x: np.where(x > 0.5, np.nan, x), 0.0, 1.0)
+    with pytest.raises(QuadratureError, match="non-finite"):
+        integrate_sqrt_singular(lambda y: np.full_like(y, np.inf), 0.0, 1.0)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10])
+def test_tolerance_must_be_finite_and_positive(tol):
+    with pytest.raises(ValueError):
+        integrate_adaptive(np.sin, 0.0, 1.0, tol)
+
+
+def test_limits_must_be_finite():
+    with pytest.raises(ValueError):
+        integrate_adaptive(np.sin, 0.0, np.inf)
+    with pytest.raises(ValueError):
+        integrate_adaptive(np.sin, np.nan, 1.0)
+
+
+def test_panel_budget_stops_a_nonconvergent_integral():
+    # the oscillation is unresolved until panels shrink to ~1e-8: far more
+    # panels than any budget, so the budget decides, with a best estimate
+    def f(x):
+        return np.sin(1e8 * x)
+
+    start = time.perf_counter()
+    with pytest.raises(QuadratureError, match="panel budget") as info:
+        integrate_adaptive(f, 0.0, 1.0, 1e-12)
+    assert time.perf_counter() - start < 10.0
+    assert np.isfinite(info.value.best)
+    assert info.value.err_bound > 1e-12
