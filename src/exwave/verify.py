@@ -410,18 +410,11 @@ def run_all(ode_tol: float = ODE_TOL, quad_tol: float = QUAD_TOL,
     return report
 
 
-def table_to_csv(rows, summary, path=None) -> str:
-    """CSV with columns exactly: k, range, y_k, lambda_k, min_g, product, contribution.
-
-    Returns the text and also writes it to ``path`` when one is given.
-    """
+def table_to_csv(rows, summary) -> str:
+    """CSV text with columns exactly: k, range, y_k, lambda_k, min_g, product, contribution."""
     lines = ["k,range,y_k,lambda_k,min_g,product,contribution"]
     for row in rows:
         rng = f"{row.z_lo:g}-{row.z_hi:.6g}"
         cells = (row.y_k, row.lambda_k, row.min_g, row.product_k, row.contribution_k)
         lines.append(f"{row.k},{rng}," + ",".join(f"{v:.12g}" for v in cells))
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(lines) + "\n"

@@ -144,11 +144,9 @@ def test_report_json_deterministic():
     assert all(isinstance(item["computed"], float) for item in payload["items"])
 
 
-def test_table_csv_format(tmp_path, table):
+def test_table_csv_format(table):
     rows, summary, _ = table
-    path = tmp_path / "table.csv"
-    verify.table_to_csv(rows, summary, path)
-    lines = path.read_text().splitlines()
+    lines = verify.table_to_csv(rows, summary).splitlines()
     assert lines[0] == "k,range,y_k,lambda_k,min_g,product,contribution"
     assert len(lines) == 17
     cells = lines[8].split(",")
