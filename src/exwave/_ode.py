@@ -3,16 +3,18 @@
 Small, dependency-free and fully deterministic: identical inputs give
 bit-identical trajectories, which the golden-file tests rely on.  Supports a
 single terminal event located by bisection on the dense interpolant.
+:func:`bisect` is the package's one bisection loop; every root finder uses it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["IntegrationFailure", "DenseSolution", "OdeResult", "solve_dopri5"]
+__all__ = ["IntegrationFailure", "DenseSolution", "OdeResult", "bisect", "solve_dopri5"]
 
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = [
@@ -45,7 +47,8 @@ _MAX_FACTOR = 10.0
 
 
 class IntegrationFailure(RuntimeError):
-    """Step-size underflow or step budget exhausted; carries diagnostics."""
+    """Step-size underflow, step budget exhausted or a non-finite step;
+    carries diagnostics."""
 
     def __init__(self, message, t, y, h, nsteps):
         super().__init__(f"{message} at t={t!r} (h={h!r}, steps={nsteps})")
@@ -87,6 +90,21 @@ class DenseSolution:
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return out[0]
         return out
+
+
+def bisect(f, lo, hi, f_lo, width):
+    """Shrink [lo, hi], across which f changes sign (f(lo) = f_lo), to at
+    most ``width`` or to adjacent floats, in at most 200 halvings."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= width or mid in (lo, hi):
+            break
+        f_mid = f(mid)
+        if f_lo * f_mid <= 0.0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return lo, hi
 
 
 @dataclass
@@ -152,6 +170,9 @@ def solve_dopri5(f: Callable, t0: float, t1: float, y0, rtol: float, atol: float
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         err = np.sqrt(np.mean((err_vec / scale) ** 2))
         nsteps += 1
+        if not (math.isfinite(err) and np.isfinite(y_new).all()):
+            # NaN compares False with everything, so it would pass as accepted
+            raise IntegrationFailure("non-finite step", t, y, h_step, nsteps)
         if err > 1.0:
             h = h_step * max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
             continue
@@ -164,18 +185,8 @@ def solve_dopri5(f: Callable, t0: float, t1: float, y0, rtol: float, atol: float
             g_new = float(event(t_new, y_new))
             if g_prev is not None and g_prev * g_new < 0.0:
                 sol = DenseSolution(ts, ys, qs)
-                lo, hi = t, t_new
-                glo = g_prev
-                for _ in range(128):
-                    mid = 0.5 * (lo + hi)
-                    gm = float(event(mid, sol(mid)))
-                    if glo * gm <= 0.0:
-                        hi = mid
-                    else:
-                        lo = mid
-                        glo = gm
-                    if hi - lo <= 4.0 * np.finfo(float).eps * max(abs(hi), 1.0):
-                        break
+                lo, hi = bisect(lambda s: float(event(s, sol(s))), t, t_new, g_prev,
+                                4.0 * eps * max(abs(t_new), 1.0))
                 te = 0.5 * (lo + hi)
                 return OdeResult("event", te, sol(te), te, sol, nsteps)
             g_prev = g_new

@@ -4,8 +4,9 @@ Subcommands: constants, profile, table1, verify, radiation, simulate.
 Machine-readable output (CSV with 12 significant digits or raw-number JSON)
 goes to --out or stdout; a short human summary goes to stderr.  Output files
 are written to a temporary name and renamed on success, so a failed run never
-leaves a partial file.  Exit codes: 0 success, 1 computation failure,
-2 usage error, 3 verification failure.
+leaves a partial file; an existing target that is not a regular file (a
+device or a FIFO) is written in place instead.  Exit codes: 0 success,
+1 computation failure, 2 usage error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ __all__ = ["main", "entry"]
 
 
 def _atomic_write(path: str, text: str) -> None:
+    if os.path.exists(path) and not os.path.isfile(path):
+        # a device or FIFO: renaming over it would replace it with a file
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-exwave-")
     try:
@@ -76,11 +82,7 @@ def _cmd_constants(args) -> int:
 
 def _cmd_profile(args) -> int:
     prof = profiles.integrate_profile(args.nu, args.tol)
-    lines = ["y,phi,dphi,H"]
-    h = prof.energy_at(prof.grid)
-    for row in zip(prof.grid, prof.phi, prof.dphi, h):
-        lines.append(",".join(f"{v:.12g}" for v in row))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(profiles.profile_to_csv(prof), args.out)
     _info(f"nu={args.nu}: category={prof.category}, sup_phi={prof.sup_phi:.9g}, "
           f"drift={prof.energy_drift:.3g}")
     return 0

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import Integrand, integrate_tail
+from .quadrature import integrate_tail
 
 __all__ = [
     "SIGMA4",
@@ -103,7 +103,7 @@ def ground_state_energy(tol: float = 1e-10) -> float:
         w, dw = ground_state(rho)
         return (0.5 * dw * dw - 0.3 * w ** (10.0 / 3.0)) * rho ** 4
 
-    return SIGMA4 * integrate_tail(Integrand(density, decay=4.0), 0.0, tol)
+    return SIGMA4 * integrate_tail(density, 0.0, tol, decay=4.0)
 
 
 def m_k(z_lo: float, z_hi: float) -> float:

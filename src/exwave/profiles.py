@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ode import IntegrationFailure, solve_dopri5
+from ._ode import IntegrationFailure, bisect, solve_dopri5
 from .quadrature import integrate_adaptive
 
 __all__ = [
@@ -117,11 +117,22 @@ def _richardson(hs, vals):
 
 
 class _ProfileBase:
-    """Shared dense-output plumbing for nonlinear and linear profiles."""
+    """Shared dense-output plumbing for nonlinear and linear profiles.
+
+    ``grid``, ``phi`` and ``dphi`` hold the accepted steps up to
+    ``_THETA_CAP``, mapped from theta to y.
+    """
 
     def __init__(self, sol, theta_end):
         self._sol = sol
         self._theta_end = theta_end  # solution valid on [0, theta_end]
+        keep = sol.ts <= min(theta_end, _THETA_CAP)
+        theta = sol.ts[keep]
+        states = sol.ys[keep]
+        self.grid = np.sin(theta)
+        self.phi = states[:, 0].copy()
+        self._phi_theta = states[:, 1]
+        self.dphi = self._phi_theta / np.cos(theta)
 
     @property
     def y_max(self):
@@ -161,20 +172,13 @@ class SelfSimilarProfile(_ProfileBase):
         self.nu = nu
         self.tol = tol
         self.category = category
-        keep = sol.ts <= min(theta_end, _THETA_CAP)
-        theta = sol.ts[keep]
-        states = sol.ys[keep]
-        self.grid = np.sin(theta)
-        self.phi = states[:, 0].copy()
-        cos = np.cos(theta)
-        self.dphi = states[:, 1] / cos
         sup = float(self.phi.max(initial=0.0))
         if isinstance(category, Global):
             sup = max(sup, category.limit_phi)
         self.sup_phi = sup
-        h = (0.5 * states[:, 1] ** 2 + 1.125 * states[:, 0] ** 2
-             - 0.3 * np.abs(states[:, 0]) ** (10.0 / 3.0))
-        mask = np.abs(states[:, 0]) <= _DRIFT_PHI_CAP
+        h = (0.5 * self._phi_theta ** 2 + 1.125 * self.phi ** 2
+             - 0.3 * np.abs(self.phi) ** (10.0 / 3.0))
+        mask = np.abs(self.phi) <= _DRIFT_PHI_CAP
         drift = np.abs(h[mask] - 0.5 * nu * nu)
         self.energy_drift = float(drift.max(initial=0.0))
 
@@ -185,13 +189,7 @@ class LinearProfile(_ProfileBase):
     def __init__(self, tol, sol, theta_end):
         super().__init__(sol, theta_end)
         self.tol = tol
-        keep = sol.ts <= min(theta_end, _THETA_CAP)
-        theta = sol.ts[keep]
-        states = sol.ys[keep]
-        self.grid = np.sin(theta)
-        self.phi = states[:, 0].copy()
-        self.dphi = states[:, 1] / np.cos(theta)
-        h = 0.5 * states[:, 1] ** 2 + 1.125 * states[:, 0] ** 2
+        h = 0.5 * self._phi_theta ** 2 + 1.125 * self.phi ** 2
         self.energy_drift = float(np.abs(h - 0.5).max(initial=0.0))
 
 
@@ -303,17 +301,8 @@ def inverse_phi(p: _ProfileBase, z: float, tol: float = 1e-14) -> float:
         raise NoSolutionError(f"phi never attains z={z} on the computed range")
 
     def refine(lo, hi):
-        flo = p.phi_at(lo) - z
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = p.phi_at(mid) - z
-            if flo * fm <= 0.0:
-                hi = mid
-            else:
-                lo = mid
-                flo = fm
-            if hi - lo <= max(tol, 4.0 * np.finfo(float).eps):
-                break
+        lo, hi = bisect(lambda y: p.phi_at(y) - z, lo, hi, p.phi_at(lo) - z,
+                        max(tol, 4.0 * np.finfo(float).eps))
         return 0.5 * (lo + hi)
 
     roots = [refine(lo, hi) for lo, hi in brackets]
@@ -330,21 +319,6 @@ def inverse_phi(p: _ProfileBase, z: float, tol: float = 1e-14) -> float:
 _PHI_STAR = 2.25 ** 0.75   # maximum of V = (9/8) phi^2 - (3/10) phi^(10/3)
 
 
-def _bisect(f, lo, hi, f_lo, width):
-    """Shrink [lo, hi], across which f changes sign (f(lo) = f_lo), to at
-    most ``width`` or to adjacent floats, in at most 200 halvings."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= width or mid in (lo, hi):
-            break
-        f_mid = f(mid)
-        if f_lo * f_mid <= 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return lo, hi
-
-
 def _turning_point(nu):
     """First positive root of nu^2 - 2 V(phi), or None when nu^2 >= 2 V(phi*)."""
     def radicand(phi):
@@ -353,7 +327,7 @@ def _turning_point(nu):
     if radicand(_PHI_STAR) >= 0.0:
         return None
     # the radicand decreases on (0, phi*)
-    return _bisect(radicand, 0.0, _PHI_STAR, nu * nu, 0.0)[0]
+    return bisect(radicand, 0.0, _PHI_STAR, nu * nu, 0.0)[0]
 
 
 def quarter_period(nu: float) -> float:
@@ -407,7 +381,7 @@ def find_nu2(tol: float = 1e-8, bracket=(1.0, 1.86)) -> float:
     if s_lo * s_hi > 0.0:
         scan = [(lo, s_lo), (hi, s_hi)]
         raise BracketingError("quarter period does not cross pi/2 on the bracket", scan)
-    lo, hi = _bisect(excess, lo, hi, s_lo, tol)
+    lo, hi = bisect(excess, lo, hi, s_lo, tol)
     return 0.5 * (lo + hi)
 
 
@@ -425,10 +399,9 @@ def wronskian_compare(c: float, y: float, tol: float = 1e-12):
     return prof.phi_at(y), c * phi_star_exact(y)
 
 
-def profile_to_csv(p: _ProfileBase, path) -> None:
-    """Write the profile grid as CSV with columns y, phi, dphi, H."""
-    h = p.energy_at(p.grid)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("y,phi,dphi,H\n")
-        for row in zip(p.grid, p.phi, p.dphi, h):
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+def profile_to_csv(p: _ProfileBase) -> str:
+    """CSV text of the profile grid with columns y, phi, dphi, H."""
+    lines = ["y,phi,dphi,H"]
+    for row in zip(p.grid, p.phi, p.dphi, p.energy_at(p.grid)):
+        lines.append(",".join(f"{v:.12g}" for v in row))
+    return "\n".join(lines) + "\n"

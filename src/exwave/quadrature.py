@@ -7,9 +7,9 @@ three kinds of integrals that occur:
 * ``integrate_adaptive``     -- smooth integrand on a finite interval,
 * ``integrate_sqrt_singular``-- weight (1-y)^(-1/2) with the singular endpoint
                                 at or left of y = 1, removed by y = 1 - tau^2,
-* ``integrate_tail``         -- integral to infinity; the integrand must carry
-                                an explicit compact support or decay
-                                declaration (no sniffing).
+* ``integrate_tail``         -- integral to infinity; the caller must declare
+                                a compact ``support=`` or a ``decay=``
+                                exponent (no sniffing).
 
 Integrands must accept numpy arrays.  All routines are pure: identical inputs
 give bit-identical outputs.
@@ -18,13 +18,10 @@ give bit-identical outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "Integrand",
     "QuadratureError",
     "integrate_adaptive",
     "integrate_sqrt_singular",
@@ -85,28 +82,6 @@ class QuadratureError(RuntimeError):
         self.err_bound = err_bound
 
 
-@dataclass(frozen=True)
-class Integrand:
-    """Integrand handle with the hints the tail rule needs.
-
-    ``fn`` must be vectorized over numpy arrays.  ``support`` declares that
-    the function vanishes outside the closed interval; ``decay`` declares
-    |f(r)| = O(r**-decay) for large r.  Exactly the hints are trusted --
-    nothing is inferred from samples.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    support: tuple[float, float] | None = None
-    decay: float | None = None
-
-    def __call__(self, x):
-        return self.fn(x)
-
-
-def _as_fn(f):
-    return f.fn if isinstance(f, Integrand) else f
-
-
 def _gk15(fn, a, b):
     """One Gauss-Kronrod panel: returns (kronrod, |kronrod - gauss|)."""
     c = 0.5 * (a + b)
@@ -137,7 +112,6 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10,
         return 0.0
     if a > b:
         raise ValueError("integration interval must satisfy a < b")
-    fn = _as_fn(f)
     length = b - a
     total = 0.0
     err_total = 0.0
@@ -146,7 +120,7 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10,
     stack = [(a, b, 0)]
     while stack:
         lo, hi, depth = stack.pop()
-        k, e = _gk15(fn, lo, hi)
+        k, e = _gk15(f, lo, hi)
         panels += 1
         if not (math.isfinite(k) and math.isfinite(e)):
             raise QuadratureError(f"non-finite integrand on [{lo!r}, {hi!r}]",
@@ -187,12 +161,11 @@ def integrate_sqrt_singular(f, a: float, b: float, tol: float = 1e-10,
         if a == b:
             return 0.0
         raise ValueError("integration interval must satisfy a < b")
-    fn = _as_fn(f)
     t_lo = np.sqrt(max(1.0 - b, 0.0))
     t_hi = np.sqrt(1.0 - a)
 
     def sub(tau):
-        return 2.0 * np.asarray(fn(1.0 - tau * tau), dtype=float)
+        return 2.0 * np.asarray(f(1.0 - tau * tau), dtype=float)
 
     return integrate_adaptive(sub, t_lo, t_hi, tol, max_depth=max_depth)
 
@@ -204,27 +177,25 @@ def integrate_tail(f, a: float, tol: float = 1e-10, *,
     """Integral of ``f`` over [a, infinity).
 
     ``f`` must either vanish outside a declared compact ``support`` (then the
-    integral is taken exactly to the support bound) or carry a declared decay
-    exponent > 1 (then the cutoff is doubled until successive values differ by
-    less than ``tol``).  An undeclared or too-slow decay is rejected.
+    integral is taken exactly to the support bound) or carry a declared
+    ``decay`` exponent > 1, |f(r)| = O(r**-decay) (then the cutoff is doubled
+    until successive values differ by less than ``tol``).  Exactly the hints
+    are trusted; nothing is inferred from samples.  An undeclared or too-slow
+    decay is rejected.
     """
-    if isinstance(f, Integrand):
-        support = f.support if support is None else support
-        decay = f.decay if decay is None else decay
-    fn = _as_fn(f)
     a = float(a)
     if support is not None:
         hi = float(support[1])
         lo = max(a, float(support[0]))
         if hi <= lo:
             return 0.0
-        return integrate_adaptive(fn, lo, hi, tol)
+        return integrate_adaptive(f, lo, hi, tol)
     if decay is None or decay <= 1.0:
         raise ValueError("tail integration requires compact support or a declared decay exponent > 1")
     b = max(2.0 * abs(a), a + 1.0, 1.0)
-    total = integrate_adaptive(fn, a, b, tol)
+    total = integrate_adaptive(f, a, b, tol)
     for _ in range(max_doublings):
-        piece = integrate_adaptive(fn, b, 2.0 * b, tol)
+        piece = integrate_adaptive(f, b, 2.0 * b, tol)
         total += piece
         b *= 2.0
         if abs(piece) < tol:

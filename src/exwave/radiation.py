@@ -24,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._ode import bisect
 from .nonlinearity import SIGMA4, ground_state
 from .quadrature import integrate_adaptive, integrate_tail
 
@@ -50,6 +51,7 @@ __all__ = [
 
 _QTOL = 1e-11          # absolute tolerance for moment quadratures
 _SPLINE_N = 4097       # samples for the fast moment engine of smooth profiles
+_DU0_STEP = 1e-5       # relative step of the centered-difference fallback for u0'
 
 
 def _cubic_spline(x, y):
@@ -58,6 +60,13 @@ def _cubic_spline(x, y):
     from scipy.interpolate import CubicSpline
 
     return CubicSpline(x, y)
+
+
+def _piecewise(fn, a, b, knots, tol):
+    """int_a^b fn, cut at the knots inside (a, b) so that every quadrature
+    panel sees a smooth piece; each piece is integrated to ``tol``."""
+    cuts = [a] + [x for x in sorted(knots) if a < x < b] + [b]
+    return sum(integrate_adaptive(fn, lo, hi, tol) for lo, hi in zip(cuts[:-1], cuts[1:]))
 
 
 class RadiationProfile:
@@ -137,57 +146,45 @@ class RadiationProfile:
     def __call__(self, s):
         return self.value(s)
 
-    def _clip(self, a, b):
-        if self.support is None:
-            return a, b
-        lo, hi = self.support
-        return max(a, lo), min(b, hi)
-
     # -- moments ------------------------------------------------------------
 
-    def _pieces(self, a, b):
-        """Subintervals of [a, b] cut at the declared breakpoints."""
-        knots = [a] + [x for x in self.breakpoints if a < x < b] + [b]
-        return zip(knots[:-1], knots[1:])
-
-    def _piecewise(self, fn, a, b):
-        tol = _QTOL * max(1.0, b - a)
-        return sum(integrate_adaptive(fn, lo, hi, tol) for lo, hi in self._pieces(a, b))
+    def _moment(self, k, a, b):
+        """int_a^b s^k G(s) ds for k = 0, 1, elementwise over array endpoints
+        and 0 where b <= a: a spline difference when the fast engine is on,
+        else a quadrature per element split at the breakpoints."""
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        if self.support is not None:
+            lo, hi = self.support
+            a = np.clip(a, lo, hi)
+            b = np.clip(b, a, hi)   # b >= a, so an empty interval gives 0
+        antiderivative = self._m1 if k else self._m0
+        if antiderivative is not None:
+            return antiderivative(b) - antiderivative(a)
+        fn = (lambda s: s * self._fn(s)) if k else self._fn
+        a, b = np.broadcast_arrays(a, b)
+        out = np.zeros(a.shape)
+        for i in np.ndindex(a.shape):
+            if b[i] > a[i]:
+                out[i] = _piecewise(fn, a[i], b[i], self.breakpoints,
+                                    _QTOL * max(1.0, b[i] - a[i]))
+        return out
 
     def moment0(self, a, b):
         """int_a^b G(s) ds on a finite interval."""
-        a, b = self._clip(a, b)
-        if b <= a:
-            return 0.0
-        if self._m0 is not None:
-            return float(self._m0(b) - self._m0(a))
-        return self._piecewise(self._fn, a, b)
+        return float(self._moment(0, a, b))
 
     def moment1(self, a, b):
         """int_a^b s G(s) ds on a finite interval."""
-        a, b = self._clip(a, b)
-        if b <= a:
-            return 0.0
-        if self._m1 is not None:
-            return float(self._m1(b) - self._m1(a))
-        return self._piecewise(lambda s: s * self._fn(s), a, b)
+        return float(self._moment(1, a, b))
 
     def moment0_vec(self, a, b):
-        """Vectorized moment0 over array endpoints (fast engine only)."""
-        if self._m0 is None:
-            return np.array([self.moment0(x, y) for x, y in zip(np.atleast_1d(a), np.atleast_1d(b))])
-        lo, hi = self.support
-        a = np.clip(np.asarray(a, dtype=float), lo, hi)
-        b = np.clip(np.asarray(b, dtype=float), lo, hi)
-        return self._m0(b) - self._m0(a)
+        """moment0 elementwise over array endpoints, in the shape of the input."""
+        return self._moment(0, a, b)
 
     def moment1_vec(self, a, b):
-        if self._m1 is None:
-            return np.array([self.moment1(x, y) for x, y in zip(np.atleast_1d(a), np.atleast_1d(b))])
-        lo, hi = self.support
-        a = np.clip(np.asarray(a, dtype=float), lo, hi)
-        b = np.clip(np.asarray(b, dtype=float), lo, hi)
-        return self._m1(b) - self._m1(a)
+        """moment1 elementwise over array endpoints, in the shape of the input."""
+        return self._moment(1, a, b)
 
     def _full_moment(self, which, tol=1e-10):
         """Limit of int_{-r}^{r} (s^which) G ds as r grows."""
@@ -225,9 +222,9 @@ class RadiationProfile:
             lo, hi = self.support
             out = 0.0
             if -R > lo:
-                out += self._piecewise(sq, lo, -R)
+                out += _piecewise(sq, lo, -R, self.breakpoints, _QTOL * max(1.0, -R - lo))
             if R < hi:
-                out += self._piecewise(sq, R, hi)
+                out += _piecewise(sq, R, hi, self.breakpoints, _QTOL * max(1.0, hi - R))
             return out
         if self.decay is None or 2.0 * self.decay <= 1.0:
             raise ValueError("L2 tail needs compact support or declared decay")
@@ -275,15 +272,11 @@ class RadialData:
     u0: Callable
     u1: Callable
     du0: Callable | None = None
-    exterior_radius: float = 0.0
     compact_support_bound: float | None = None
     decay: float | None = None
     tail_radius: float | None = None
     tail_c0: float = 0.0
     tail_c1: float = 0.0
-    grid: np.ndarray | None = None
-    u0_samples: np.ndarray | None = None
-    u1_samples: np.ndarray | None = None
     du0_reduced_accuracy: bool = False
     breakpoints: tuple = ()   # radii where u0/u1 may jump or kink
 
@@ -322,7 +315,7 @@ class RadialData:
             return cls(u0=extended(s0, c0, -3.0), u1=extended(s1, c1, -3.0),
                        du0=extended(d0, -3.0 * c0, -4.0),
                        tail_radius=hi, tail_c0=c0, tail_c1=c1, decay=3.0,
-                       grid=r, du0_reduced_accuracy=True)
+                       du0_reduced_accuracy=True)
         if tail != "none":
             raise ValueError("tail must be 'none' or 'r3'")
 
@@ -334,7 +327,7 @@ class RadialData:
 
         bound = hi if compact_support_bound is None else compact_support_bound
         return cls(u0=clamped(s0), u1=clamped(s1), du0=clamped(d0),
-                   compact_support_bound=bound, grid=r, du0_reduced_accuracy=True)
+                   compact_support_bound=bound, du0_reduced_accuracy=True)
 
 
 @dataclass(frozen=True)
@@ -404,31 +397,20 @@ def positive_propagator(u1, r: float, t: float, support=None) -> float:
 # -- profile <-> data ----------------------------------------------------------
 
 
-def data_from_profile(G: RadiationProfile, r_grid=None) -> RadialData:
+def data_from_profile(G: RadiationProfile) -> RadialData:
     """Initial data of the free wave with incoming profile G:
 
         u0(r) = r^-3 int_{-r}^{r} s G ds,
         u1(r) = r^-2 [G(r) + G(-r)] - r^-3 int_{-r}^{r} G ds.
     """
-    fast = G._m0 is not None
-
     def u0(r):
         r_arr = np.asarray(r, dtype=float)
-        if fast:
-            m1 = G.moment1_vec(-r_arr, r_arr)
-        else:
-            m1 = np.array([G.moment1(-x, x) for x in np.atleast_1d(r_arr)])
-            m1 = m1.reshape(r_arr.shape) if r_arr.ndim else m1[0]
-        out = m1 / r_arr ** 3
+        out = G.moment1_vec(-r_arr, r_arr) / r_arr ** 3
         return out if np.ndim(r) else float(out)
 
     def u1(r):
         r_arr = np.asarray(r, dtype=float)
-        if fast:
-            m0 = G.moment0_vec(-r_arr, r_arr)
-        else:
-            m0 = np.array([G.moment0(-x, x) for x in np.atleast_1d(r_arr)])
-            m0 = m0.reshape(r_arr.shape) if r_arr.ndim else m0[0]
+        m0 = G.moment0_vec(-r_arr, r_arr)
         out = (G.value(r_arr) + G.value(-r_arr)) / r_arr ** 2 - m0 / r_arr ** 3
         return out if np.ndim(r) else float(out)
 
@@ -443,21 +425,10 @@ def data_from_profile(G: RadiationProfile, r_grid=None) -> RadialData:
         tail_radius = max(S, 1e-12)
         tail_c0 = G.moment1(-S, S)       # alpha_2
         tail_c1 = -G.moment0(-S, S)      # alpha_1
-    grid = u0_samples = u1_samples = None
-    if r_grid is not None:
-        grid = np.asarray(r_grid, dtype=float)
-        u0_samples = np.asarray(u0(grid), dtype=float)
-        u1_samples = np.asarray(u1(grid), dtype=float)
     return RadialData(u0=u0, u1=u1, du0=du0, decay=3.0,
                       tail_radius=tail_radius,
                       tail_c0=0.0 if tail_c0 is None else tail_c0,
-                      tail_c1=0.0 if tail_c1 is None else tail_c1,
-                      grid=grid, u0_samples=u0_samples, u1_samples=u1_samples)
-
-
-def _split_integral(fn, a, b, knots, tol=_QTOL):
-    cuts = [a] + [x for x in sorted(knots) if a < x < b] + [b]
-    return sum(integrate_adaptive(fn, lo, hi, tol) for lo, hi in zip(cuts[:-1], cuts[1:]))
+                      tail_c1=0.0 if tail_c1 is None else tail_c1)
 
 
 def _u1_tail_integral(d: RadialData, s: float) -> float:
@@ -469,19 +440,19 @@ def _u1_tail_integral(d: RadialData, s: float) -> float:
         S = d.tail_radius
         if s >= S:
             return d.tail_c1 / s
-        return _split_integral(integrand, s, S, d.breakpoints) + d.tail_c1 / S
+        return _piecewise(integrand, s, S, d.breakpoints, _QTOL) + d.tail_c1 / S
     if d.compact_support_bound is not None:
         B = d.compact_support_bound
         if s >= B:
             return 0.0
-        return _split_integral(integrand, s, B, d.breakpoints)
+        return _piecewise(integrand, s, B, d.breakpoints, _QTOL)
     if d.decay is not None and d.decay > 2.0:
         return integrate_tail(integrand, s, _QTOL, decay=d.decay - 1.0)
     raise ValueError("profile recovery needs a compact support bound, an exact tail, "
                      "or a declared decay exponent > 2")
 
 
-def profile_from_data(d: RadialData, du0_step: float = 1e-5) -> RadiationProfile:
+def profile_from_data(d: RadialData) -> RadiationProfile:
     """Incoming radiation profile of the data pair (u0, u1).
 
     The velocity part inverts through the outgoing-profile formula for
@@ -503,7 +474,7 @@ def profile_from_data(d: RadialData, du0_step: float = 1e-5) -> RadiationProfile
 
         def du0(r):
             r_arr = np.asarray(r, dtype=float)
-            h = du0_step * np.maximum(1.0, np.abs(r_arr))
+            h = _DU0_STEP * np.maximum(1.0, np.abs(r_arr))
             return (np.asarray(u0(r_arr + h)) - np.asarray(u0(r_arr - h))) / (2.0 * h)
 
     def g_odd(s):
@@ -705,18 +676,12 @@ def compute_c2(rho: float) -> float:
     peak = tau2_of_ground_state(r_peak)
     if not (0.0 < rho < peak):
         raise ValueError(f"rho must lie in (0, {peak}) to meet the decreasing branch")
-    lo = r_peak
     hi = 2.0 * r_peak
     while tau2_of_ground_state(hi) > rho:
         hi *= 2.0
         if hi > 1e18:
             raise ValueError("failed to bracket the residue radius")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if tau2_of_ground_state(mid) > rho:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 4.0 * np.finfo(float).eps * hi:
-            break
+    # hi < 2 c2 here, so the width stays below 4 eps c2
+    lo, hi = bisect(lambda r: tau2_of_ground_state(r) - rho, r_peak, hi, peak - rho,
+                    2.0 * np.finfo(float).eps * hi)
     return 0.5 * (lo + hi)

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -7,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from exwave import cli
+from exwave import cli, profiles
 
 
 def run_cli(args):
@@ -29,6 +30,27 @@ def test_profile_csv(tmp_path):
     assert lines[0] == "y,phi,dphi,H"
     data = np.loadtxt(out, delimiter=",", skiprows=1)
     assert data[0, 3] == pytest.approx(0.5 * 1.86 ** 2, abs=1e-10)
+
+
+def test_profile_stdout_is_profile_to_csv(capsys):
+    assert run_cli(["profile", "--nu", "1.86"]) == 0
+    want = profiles.profile_to_csv(profiles.integrate_profile(1.86, 1e-12))
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_output_to_a_fifo_is_written_in_place(tmp_path):
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run_cli(["constants", "--out", str(fifo)]) == 0
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        payload = json.loads(os.read(reader, 1 << 16))
+    finally:
+        os.close(reader)
+    assert payload["z0"] == pytest.approx(1.681792830, abs=1e-8)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.fifo"]
 
 
 def test_table1_csv(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from exwave.nonlinearity import (SIGMA4, F, dg, g, g_constants, ground_state,
                                  ground_state_energy, ground_state_residual, m_k)
-from exwave.quadrature import Integrand, integrate_tail
+from exwave.quadrature import integrate_tail
 
 
 def test_g_zero_points():
@@ -79,8 +79,8 @@ def _pohozaev_pieces(tol=1e-10):
         w, _ = ground_state(rho)
         return w ** (10.0 / 3.0) * rho ** 4
 
-    a = SIGMA4 * integrate_tail(Integrand(grad_piece, decay=4.0), 0.0, tol)
-    b = SIGMA4 * integrate_tail(Integrand(pot_piece, decay=6.0), 0.0, tol)
+    a = SIGMA4 * integrate_tail(grad_piece, 0.0, tol, decay=4.0)
+    b = SIGMA4 * integrate_tail(pot_piece, 0.0, tol, decay=6.0)
     return a, b
 
 

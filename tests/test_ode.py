@@ -1,0 +1,35 @@
+import time
+
+import numpy as np
+import pytest
+
+from exwave._ode import IntegrationFailure, bisect, solve_dopri5
+
+
+def test_bisect_zero_width_stops_at_adjacent_floats():
+    lo, hi = bisect(lambda x: x - 0.3, 0.0, 1.0, -0.3, 0.0)
+    assert lo < 0.3 <= hi
+    assert np.nextafter(lo, np.inf) == hi
+
+
+def test_bisect_budget_on_a_step_over_a_huge_bracket():
+    calls = []
+
+    def step(x):
+        calls.append(x)
+        return -1.0 if x < 1.0 else 1.0
+
+    lo, hi = bisect(step, 0.0, 1e300, -1.0, 0.0)
+    assert len(calls) <= 200
+    assert lo < 1.0 <= hi
+
+
+def test_non_finite_step_raises_at_once():
+    start = time.perf_counter()
+    with pytest.raises(IntegrationFailure, match="non-finite") as info:
+        solve_dopri5(lambda t, y: np.array([np.nan if t > 0.5 else 1.0]),
+                     0.0, 1.0, [0.0], 1e-8, 1e-8)
+    assert time.perf_counter() - start < 1.0
+    exc = info.value
+    assert exc.t < 0.5
+    assert exc.h > 0.0 and exc.nsteps >= 1

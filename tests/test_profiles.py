@@ -190,7 +190,7 @@ def test_truncated_run_has_no_category():
 def test_csv_export(tmp_path):
     p = integrate_profile(1.0, 1e-10)
     path = tmp_path / "phi.csv"
-    profile_to_csv(p, path)
+    path.write_text(profile_to_csv(p))
     lines = path.read_text().splitlines()
     assert lines[0] == "y,phi,dphi,H"
     first = [float(x) for x in lines[1].split(",")]

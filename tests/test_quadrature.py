@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from exwave.nonlinearity import g, g_constants, ground_state
-from exwave.quadrature import (Integrand, QuadratureError, integrate_adaptive,
-                               integrate_sqrt_singular, integrate_tail)
+from exwave.quadrature import (QuadratureError, integrate_adaptive, integrate_sqrt_singular,
+                               integrate_tail)
 from exwave import profiles
 
 
@@ -61,25 +61,23 @@ def test_sqrt_singular_rejects_b_above_one():
 
 
 def test_tail_zero_function():
-    zero = Integrand(lambda r: np.zeros_like(r), decay=2.0)
-    assert integrate_tail(zero, 0.0, 1e-12) == 0.0
+    assert integrate_tail(lambda r: np.zeros_like(r), 0.0, 1e-12, decay=2.0) == 0.0
 
 
 def test_tail_compact_support():
-    f = Integrand(lambda r: np.asarray(r, dtype=float), support=(1.0, 2.0))
-    assert integrate_tail(f, 0.0, 1e-12) == pytest.approx(1.5, abs=1e-12)
+    f = lambda r: np.asarray(r, dtype=float)
+    assert integrate_tail(f, 0.0, 1e-12, support=(1.0, 2.0)) == pytest.approx(1.5, abs=1e-12)
 
 
 def test_tail_algebraic_decay():
-    f = Integrand(lambda r: r ** -3.0, decay=3.0)
-    assert integrate_tail(f, 1.0, 1e-10) == pytest.approx(0.5, abs=1e-8)
+    assert integrate_tail(lambda r: r ** -3.0, 1.0, 1e-10, decay=3.0) == pytest.approx(0.5, abs=1e-8)
 
 
 def test_tail_rejects_undeclared_decay():
     with pytest.raises(ValueError):
         integrate_tail(lambda r: r ** -3.0, 1.0, 1e-10)
     with pytest.raises(ValueError):
-        integrate_tail(Integrand(lambda r: r ** -0.5, decay=0.5), 1.0, 1e-10)
+        integrate_tail(lambda r: r ** -0.5, 1.0, 1e-10, decay=0.5)
 
 
 def test_linearity_on_random_polynomials(rng):
@@ -121,8 +119,8 @@ def test_determinism():
     a = integrate_adaptive(f, 0.0, 5.0, 1e-11)
     b = integrate_adaptive(f, 0.0, 5.0, 1e-11)
     assert a == b
-    t1 = integrate_tail(Integrand(lambda r: r ** -2.5, decay=2.5), 1.0, 1e-9)
-    t2 = integrate_tail(Integrand(lambda r: r ** -2.5, decay=2.5), 1.0, 1e-9)
+    t1 = integrate_tail(lambda r: r ** -2.5, 1.0, 1e-9, decay=2.5)
+    t2 = integrate_tail(lambda r: r ** -2.5, 1.0, 1e-9, decay=2.5)
     assert t1 == t2
 
 

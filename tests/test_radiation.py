@@ -139,12 +139,35 @@ def test_data_from_zero_profile():
     assert d.u0(2.0) == 0.0 and d.u1(2.0) == 0.0
 
 
-def test_data_sampled_on_configured_grid():
-    grid = np.linspace(0.5, 4.0, 8)
-    d = rad.data_from_profile(box_profile(), r_grid=grid)
-    assert np.array_equal(d.grid, grid)
-    assert d.u0_samples.shape == grid.shape
-    assert d.u1_samples[-1] == pytest.approx(-2.0 / 4.0 ** 3, abs=1e-13)
+def _kinked_box():
+    # 1 + s up to the breakpoint 0.3, then -0.5: the quadrature moment path
+    def fn(s):
+        s = np.asarray(s, dtype=float)
+        inside = (s >= -1.0) & (s <= 1.0)
+        return np.where(s < 0.3, 1.0 + s, -0.5) * inside
+    return rad.RadiationProfile.from_function(fn, support=(-1.0, 1.0), breakpoints=(0.3,))
+
+
+def _smooth_bump():
+    def fn(s):
+        s = np.asarray(s, dtype=float)
+        return np.where(np.abs(s) < 1.0, (1.0 - s * s) ** 3 * (1.0 + 0.5 * s), 0.0)
+    return rad.RadiationProfile.from_function(fn, support=(-1.0, 1.0), smooth=True)
+
+
+@pytest.mark.parametrize("make", [_kinked_box, _smooth_bump])
+def test_vector_moments_keep_shape_and_match_scalar(make):
+    G = make()
+    a = np.array([[-2.0, -0.5, 0.1], [0.3, 0.8, 2.0]])
+    b = np.array([[2.0, 0.5, 0.9], [0.7, 0.2, 3.0]])   # (0.8, 0.2) is empty
+    for vec, scalar in ((G.moment0_vec, G.moment0), (G.moment1_vec, G.moment1)):
+        out = vec(a, b)
+        assert out.shape == a.shape
+        for i in np.ndindex(a.shape):
+            assert out[i] == scalar(a[i], b[i])
+        assert out[1, 1] == 0.0
+        assert np.ndim(vec(-0.5, 0.5)) == 0
+        assert vec(-0.5, 0.5) == scalar(-0.5, 0.5)
 
 
 def test_profile_from_box_velocity_data():
