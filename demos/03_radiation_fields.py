@@ -59,5 +59,5 @@ print("\n=== time translation of the asymptotic numbers ===")
 a1, a2 = rad.asymptotic_numbers(G)
 print(f"alpha = ({a1:.6f}, {a2:.6f})")
 for t0 in (-3.0, 0.7, 10.0):
-    b1, b2 = rad.asymptotic_numbers(rad.shift_profile(G, t0))
+    b1, b2 = rad.asymptotic_numbers(G.shifted(t0))
     print(f"t0 = {t0:5}: ({b1:.6f}, {b2:.6f})   expected ({a1:.6f}, {a2 + a1 * t0:.6f})")

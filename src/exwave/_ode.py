@@ -44,6 +44,7 @@ _ALPHA = 0.17
 _BETA = 0.04
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
+_MAX_STEPS = 1_000_000    # attempted steps per solve
 
 
 class IntegrationFailure(RuntimeError):
@@ -65,14 +66,6 @@ class DenseSolution:
         self.ts = np.asarray(ts)
         self.ys = np.asarray(ys)
         self.qs = qs  # list of (dim, 4) arrays, one per step
-
-    @property
-    def t_min(self):
-        return self.ts[0]
-
-    @property
-    def t_max(self):
-        return self.ts[-1]
 
     def __call__(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -117,13 +110,17 @@ class OdeResult:
     nsteps: int
 
 
-def _initial_step(f, t0, y0, f0, direction, rtol, atol, max_step):
-    scale = atol + rtol * np.abs(y0)
-    d0 = np.sqrt(np.mean((y0 / scale) ** 2))
-    d1 = np.sqrt(np.mean((f0 / scale) ** 2))
+def _initial_step(f, t0, y0, f0, tol, max_step):
+    scale = tol + tol * np.abs(y0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d0 = np.sqrt(np.mean((y0 / scale) ** 2))
+        d1 = np.sqrt(np.mean((f0 / scale) ** 2))
+    if not (math.isfinite(d0) and math.isfinite(d1)):
+        raise ValueError(f"tol={tol!r} is too small for the initial state: "
+                         "its scaled norm overflows")
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    y1 = y0 + h0 * direction * f0
-    f1 = f(t0 + h0 * direction, y1)
+    y1 = y0 + h0 * f0
+    f1 = f(t0 + h0, y1)
     d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -132,10 +129,10 @@ def _initial_step(f, t0, y0, f0, direction, rtol, atol, max_step):
     return min(100 * h0, h1, max_step)
 
 
-def solve_dopri5(f: Callable, t0: float, t1: float, y0, rtol: float, atol: float,
-                 max_step: float = np.inf, event: Callable | None = None,
-                 max_steps: int = 1_000_000) -> OdeResult:
-    """Integrate y' = f(t, y) from t0 to t1 (t1 > t0).
+def solve_dopri5(f: Callable, t0: float, t1: float, y0, tol: float,
+                 max_step: float = np.inf, event: Callable | None = None) -> OdeResult:
+    """Integrate y' = f(t, y) from t0 to t1 (t1 > t0), with ``tol`` as both
+    the relative and the absolute error tolerance.
 
     ``event(t, y)`` terminates the run at its first sign change, located to
     machine precision on the dense interpolant.
@@ -143,7 +140,7 @@ def solve_dopri5(f: Callable, t0: float, t1: float, y0, rtol: float, atol: float
     y = np.asarray(y0, dtype=float).copy()
     t = float(t0)
     k1 = np.asarray(f(t, y), dtype=float)
-    h = _initial_step(f, t, y, k1, 1.0, rtol, atol, max_step)
+    h = _initial_step(f, t, y, k1, tol, max_step)
     err_old = 1e-4
     ts = [t]
     ys = [y.copy()]
@@ -156,7 +153,7 @@ def solve_dopri5(f: Callable, t0: float, t1: float, y0, rtol: float, atol: float
         if t1 - t <= 16.0 * eps * max(abs(t1), 1.0):
             t = t1  # reached the endpoint to roundoff; the sliver is extrapolated
             break
-        if nsteps >= max_steps:
+        if nsteps >= _MAX_STEPS:
             raise IntegrationFailure("step budget exhausted", t, y, h, nsteps)
         if h < 16.0 * eps * max(abs(t), 1.0):
             raise IntegrationFailure("step size underflow", t, y, h, nsteps)
@@ -167,7 +164,7 @@ def solve_dopri5(f: Callable, t0: float, t1: float, y0, rtol: float, atol: float
             K[i] = f(t + _C[i] * h_step, yi)
         y_new = y + h_step * (_B @ K)
         err_vec = h_step * (_E @ K)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
         err = np.sqrt(np.mean((err_vec / scale) ** 2))
         nsteps += 1
         if not (math.isfinite(err) and np.isfinite(y_new).all()):

@@ -5,7 +5,9 @@ Machine-readable output (CSV with 12 significant digits or raw-number JSON)
 goes to --out or stdout; a short human summary goes to stderr.  Output files
 are written to a temporary name and renamed on success, so a failed run never
 leaves a partial file; an existing target that is not a regular file (a
-device or a FIFO) is written in place instead.  Exit codes: 0 success,
+device or a FIFO) is written in place instead.  A symlinked target is
+resolved first, so the link stays and its target is replaced, and the file
+gets the mode a plain open() would give it.  Exit codes: 0 success,
 1 computation failure, 2 usage error, 3 verification failure.
 """
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 import tempfile
 
@@ -26,15 +29,22 @@ __all__ = ["main", "entry"]
 
 
 def _atomic_write(path: str, text: str) -> None:
+    path = os.path.realpath(path)
     if os.path.exists(path) and not os.path.isfile(path):
         # a device or FIFO: renaming over it would replace it with a file
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-exwave-")
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:  # a new file gets what open() gives under the umask
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-exwave-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fh.fileno(), mode)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -89,7 +99,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    rows, summary, _ = verify.build_table1(ode_tol=args.tol, quad_tol=args.tol)
+    rows, summary, _ = verify.build_table1(args.tol)
     _emit(verify.table_to_csv(rows, summary), args.out)
     _info(f"total={summary.total:.9g} g_minus={summary.g_minus:.9g} "
           f"margin={summary.total - summary.g_minus:.9g}")
@@ -97,7 +107,7 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = verify.run_all(ode_tol=args.tol, quad_tol=args.tol, nu0=args.nu0)
+    report = verify.run_all(args.tol, nu0=args.nu0)
     _emit(report.to_json(), args.out)
     if args.table is not None:
         if report.table is None:  # the report records the failure; not fatal
@@ -319,12 +329,12 @@ def _build_parser():
     pr.set_defaults(fn=_cmd_profile)
 
     tb = sub.add_parser("table1", help="build the verification table as CSV")
-    tb.add_argument("--tol", type=float, default=verify.ODE_TOL)
+    tb.add_argument("--tol", type=float, default=verify.TOL)
     tb.add_argument("--out")
     tb.set_defaults(fn=_cmd_table1)
 
     vf = sub.add_parser("verify", help="run every check; exit 0 iff all pass")
-    vf.add_argument("--tol", type=float, default=verify.ODE_TOL)
+    vf.add_argument("--tol", type=float, default=verify.TOL)
     vf.add_argument("--out")
     vf.add_argument("--table", help="also write the table CSV here")
     vf.add_argument("--nu0", type=float, default=verify.NU0,

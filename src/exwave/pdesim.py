@@ -46,6 +46,8 @@ __all__ = [
 # 10^10 point-steps take a few minutes.
 MAX_STEPS = 1_000_000
 MAX_POINT_STEPS = 10 ** 10
+# |w| = r^2 |u| past this value (or non-finite) truncates the run as blow-up.
+BLOWUP_GUARD = 1e12
 
 
 class ConeCoverageError(RuntimeError):
@@ -72,7 +74,6 @@ class SimConfig:
     nonlinearity: str = "focusing"            # "focusing" or "linear"
     boundary: str = "domain-of-dependence"    # or "dirichlet-exact"
     boundary_values: Callable | None = None   # u(r, t) for dirichlet-exact
-    blowup_guard: float = 1e12
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.r_min, self.r_max, self.dr, self.T, self.cfl))):
@@ -277,7 +278,7 @@ def simulate(d, cfg: SimConfig, levels=None) -> Trajectory:
         np.add(nxt, lap, out=nxt)
         boundary_fill(w_next, w_curr, times[n + 1])
         peak = np.abs(w_next, out=mag).max()
-        if not np.isfinite(peak) or peak > cfg.blowup_guard:
+        if not np.isfinite(peak) or peak > BLOWUP_GUARD:
             loc = int(np.argmax(mag))
             blowup = BlowUpTruncation(time=float(times[n + 1]), radius=float(r[loc]))
             n_levels = n + 1

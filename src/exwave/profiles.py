@@ -46,7 +46,6 @@ __all__ = [
     "BracketingError",
     "integrate_profile",
     "integrate_linear_profile",
-    "conserved_energy",
     "inverse_phi",
     "find_nu2",
     "quarter_period",
@@ -143,22 +142,15 @@ class _ProfileBase:
         if np.any(y_arr < 0.0) or np.any(y_arr > self.y_max + 1e-15):
             raise ValueError(f"y outside the computed range [0, {self.y_max}]")
         theta = np.arcsin(np.clip(y_arr, 0.0, 1.0))
-        return self._sol(theta), y_arr
+        return self._sol(theta)
 
     def phi_at(self, y):
-        states, y_arr = self._states(y)
-        out = states[:, 0]
-        return out if np.ndim(y) else float(out[0])
-
-    def dphi_at(self, y):
-        """phi'(y) = phi_theta / cos(theta); grows without bound as y -> 1."""
-        states, y_arr = self._states(y)
-        cos = np.sqrt(np.maximum(1.0 - y_arr * y_arr, 0.0))
-        out = states[:, 1] / cos
+        out = self._states(y)[:, 0]
         return out if np.ndim(y) else float(out[0])
 
     def energy_at(self, y):
-        states, _ = self._states(y)
+        """H(y); constant and equal to nu^2/2 when exact."""
+        states = self._states(y)
         phi, dphi_t = states[:, 0], states[:, 1]
         h = 0.5 * dphi_t ** 2 + 1.125 * phi ** 2 - 0.3 * np.abs(phi) ** (10.0 / 3.0)
         return h if np.ndim(y) else float(h[0])
@@ -215,36 +207,30 @@ def _check_tol(tol):
         raise ValueError("tol must be finite and positive")
 
 
-def integrate_profile(nu: float, tol: float = 1e-12, y_stop: float = 1.0) -> SelfSimilarProfile:
-    """Integrate the self-similar ODE from y = 0 toward ``y_stop`` <= 1.
+def integrate_profile(nu: float, tol: float = 1e-12) -> SelfSimilarProfile:
+    """Integrate the self-similar ODE from y = 0 toward y = 1.
 
     Stops early with a :class:`BlowUp` category when |phi| crosses
-    ``PHI_BLOWUP``.  For full-range runs the :class:`Global` category carries
-    the Richardson-extrapolated endpoint limits; truncated runs without
-    blow-up get ``category=None`` since classification needs the endpoint.
+    ``PHI_BLOWUP``; otherwise the :class:`Global` category carries the
+    Richardson-extrapolated endpoint limits.
     """
     if not (math.isfinite(nu) and nu >= 0):
         raise ValueError("nu must be finite and nonnegative (negative nu is the odd reflection)")
     _check_tol(tol)
-    if not (0.0 < y_stop <= 1.0):
-        raise ValueError("y_stop must lie in (0, 1]")
-    theta_stop = math.pi / 2 if y_stop == 1.0 else math.asin(y_stop)
 
     def hit_blowup(theta, y):
         return PHI_BLOWUP - abs(y[0])
 
     try:
-        res = solve_dopri5(_rhs_nonlinear, 0.0, theta_stop, [0.0, nu],
-                           rtol=tol, atol=tol, max_step=_MAX_STEP, event=hit_blowup)
+        res = solve_dopri5(_rhs_nonlinear, 0.0, math.pi / 2, [0.0, nu], tol,
+                           max_step=_MAX_STEP, event=hit_blowup)
     except IntegrationFailure as exc:
         raise ProfileError(f"profile integration failed for nu={nu}: {exc}") from exc
     if res.status == "event":
         category = BlowUp(y_plus=math.sin(min(res.t_event, math.pi / 2)))
-    elif y_stop == 1.0:
+    else:
         limit_phi, slope = _limits(res.sol)
         category = Global(limit_phi=limit_phi, limit_flux=slope * abs(slope))
-    else:
-        category = None
     return SelfSimilarProfile(nu, tol, res.sol, res.t, category)
 
 
@@ -255,8 +241,8 @@ def integrate_linear_profile(tol: float = 1e-12) -> LinearProfile:
     """
     _check_tol(tol)
     try:
-        res = solve_dopri5(_rhs_linear, 0.0, math.pi / 2, [0.0, 1.0],
-                           rtol=tol, atol=tol, max_step=_MAX_STEP)
+        res = solve_dopri5(_rhs_linear, 0.0, math.pi / 2, [0.0, 1.0], tol,
+                           max_step=_MAX_STEP)
     except IntegrationFailure as exc:
         raise ProfileError(f"linear profile integration failed: {exc}") from exc
     return LinearProfile(tol, res.sol, res.t)
@@ -267,11 +253,6 @@ def phi_star_exact(y):
     y = np.asarray(y, dtype=float)
     out = (2.0 / 3.0) * np.sin(1.5 * np.arcsin(y))
     return out if out.ndim else float(out)
-
-
-def conserved_energy(p: _ProfileBase, y: float) -> float:
-    """H(y) for a computed profile; constant and equal to nu^2/2 when exact."""
-    return p.energy_at(y)
 
 
 def inverse_phi(p: _ProfileBase, z: float, tol: float = 1e-14) -> float:

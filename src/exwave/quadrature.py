@@ -8,8 +8,7 @@ three kinds of integrals that occur:
 * ``integrate_sqrt_singular``-- weight (1-y)^(-1/2) with the singular endpoint
                                 at or left of y = 1, removed by y = 1 - tau^2,
 * ``integrate_tail``         -- integral to infinity; the caller must declare
-                                a compact ``support=`` or a ``decay=``
-                                exponent (no sniffing).
+                                a ``decay=`` exponent (no sniffing).
 
 Integrands must accept numpy arrays.  All routines are pure: identical inputs
 give bit-identical outputs.
@@ -32,6 +31,8 @@ __all__ = [
 # package's integrals take at most a few hundred panels; the budget only
 # stops integrands that cannot converge, within about a second.
 _MAX_PANELS = 50_000
+_MAX_DEPTH = 60          # bisections of one panel
+_MAX_DOUBLINGS = 60      # cutoff doublings of one tail integral
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1].
 _XK = np.array([
@@ -92,15 +93,15 @@ def _gk15(fn, a, b):
     return k, abs(k - g)
 
 
-def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10,
-                       max_depth: int = 60) -> float:
+def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10) -> float:
     """Integral of ``f`` over [a, b] to absolute tolerance ``tol``.
 
     Bisects any panel whose Kronrod/Gauss discrepancy exceeds its
     length-proportional share of ``tol``.  Raises :class:`QuadratureError`
-    carrying the best estimate when the depth limit or the budget of
-    ``_MAX_PANELS`` panel evaluations is hit and the global error bound still
-    exceeds the tolerance, and at once when a panel estimate is not finite.
+    carrying the best estimate when a panel over its share reaches the
+    depth limit or the width floor of a few ulps, or the budget of
+    ``_MAX_PANELS`` panel evaluations is hit, and the global error bound still
+    exceeds the tolerance; and at once when a panel estimate is not finite.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
@@ -127,12 +128,13 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10,
                                   total, math.inf)
         share = tol * (hi - lo) / length
         width_floor = (hi - lo) <= 16.0 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0)
-        if e <= share or width_floor:
+        if e <= share:
             total += k
             err_total += e
-        elif depth >= max_depth or panels >= _MAX_PANELS:
-            # past the budget the pending panels (at most one per depth
-            # level) are accepted as they are, to form the best estimate
+        elif width_floor or depth >= _MAX_DEPTH or panels >= _MAX_PANELS:
+            # a panel that cannot be split is accepted as it is, and so are
+            # the pending panels past the budget (at most one per depth
+            # level), to form the best estimate
             total += k
             err_total += e
             capped = True
@@ -142,13 +144,12 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10,
             stack.append((mid, hi, depth + 1))
     if capped and err_total > tol:
         reason = ("panel budget exhausted" if panels >= _MAX_PANELS
-                  else "max subdivision depth reached")
+                  else "max subdivision depth or panel width floor reached")
         raise QuadratureError(reason, total, err_total)
     return total
 
 
-def integrate_sqrt_singular(f, a: float, b: float, tol: float = 1e-10,
-                            max_depth: int = 60) -> float:
+def integrate_sqrt_singular(f, a: float, b: float, tol: float = 1e-10) -> float:
     """Integral of f(y) * (1-y)^(-1/2) over [a, b] with b <= 1.
 
     The substitution y = 1 - tau^2 turns the weighted integral into
@@ -167,34 +168,23 @@ def integrate_sqrt_singular(f, a: float, b: float, tol: float = 1e-10,
     def sub(tau):
         return 2.0 * np.asarray(f(1.0 - tau * tau), dtype=float)
 
-    return integrate_adaptive(sub, t_lo, t_hi, tol, max_depth=max_depth)
+    return integrate_adaptive(sub, t_lo, t_hi, tol)
 
 
-def integrate_tail(f, a: float, tol: float = 1e-10, *,
-                   support: tuple[float, float] | None = None,
-                   decay: float | None = None,
-                   max_doublings: int = 60) -> float:
+def integrate_tail(f, a: float, tol: float = 1e-10, *, decay: float | None = None) -> float:
     """Integral of ``f`` over [a, infinity).
 
-    ``f`` must either vanish outside a declared compact ``support`` (then the
-    integral is taken exactly to the support bound) or carry a declared
-    ``decay`` exponent > 1, |f(r)| = O(r**-decay) (then the cutoff is doubled
-    until successive values differ by less than ``tol``).  Exactly the hints
-    are trusted; nothing is inferred from samples.  An undeclared or too-slow
-    decay is rejected.
+    ``f`` must carry a declared ``decay`` exponent > 1, |f(r)| = O(r**-decay);
+    the cutoff is doubled until successive values differ by less than
+    ``tol``.  Exactly the hint is trusted; nothing is inferred from samples.
+    An undeclared or too-slow decay is rejected.
     """
     a = float(a)
-    if support is not None:
-        hi = float(support[1])
-        lo = max(a, float(support[0]))
-        if hi <= lo:
-            return 0.0
-        return integrate_adaptive(f, lo, hi, tol)
     if decay is None or decay <= 1.0:
-        raise ValueError("tail integration requires compact support or a declared decay exponent > 1")
+        raise ValueError("tail integration requires a declared decay exponent > 1")
     b = max(2.0 * abs(a), a + 1.0, 1.0)
     total = integrate_adaptive(f, a, b, tol)
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         piece = integrate_adaptive(f, b, 2.0 * b, tol)
         total += piece
         b *= 2.0

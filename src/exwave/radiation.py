@@ -44,12 +44,12 @@ __all__ = [
     "residues",
     "residue_flow",
     "asymptotic_numbers",
-    "shift_profile",
     "nonlinear_profile_shift",
     "compute_c2",
 ]
 
 _QTOL = 1e-11          # absolute tolerance for moment quadratures
+_LIMIT_TOL = 1e-10     # convergence of the asymptotic moments under cutoff doubling
 _SPLINE_N = 4097       # samples for the fast moment engine of smooth profiles
 _DU0_STEP = 1e-5       # relative step of the centered-difference fallback for u0'
 
@@ -186,7 +186,7 @@ class RadiationProfile:
         """moment1 elementwise over array endpoints, in the shape of the input."""
         return self._moment(1, a, b)
 
-    def _full_moment(self, which, tol=1e-10):
+    def _full_moment(self, which):
         """Limit of int_{-r}^{r} (s^which) G ds as r grows."""
         mom = self.moment0 if which == 0 else self.moment1
         if self.support is not None:
@@ -199,7 +199,7 @@ class RadiationProfile:
         for _ in range(60):
             r *= 2.0
             cur = mom(-r, r)
-            if abs(cur - prev) < tol:
+            if abs(cur - prev) < _LIMIT_TOL:
                 return cur
             prev = cur
         raise ValueError("asymptotic moment did not converge under cutoff doubling")
@@ -248,7 +248,9 @@ class RadiationProfile:
                                 breakpoints=tuple(-b for b in self.breakpoints))
 
     def shifted(self, t0):
-        """Profile of the time-translated wave u(., . + t0): s -> G(s + t0)."""
+        """Profile of the time-translated wave u(., . + t0): s -> G(s + t0).
+
+        The asymptotic numbers map to (alpha1, alpha2 + alpha1 * t0)."""
         fn = self._fn
         sup = None if self.support is None else (self.support[0] - t0, self.support[1] - t0)
         return RadiationProfile(lambda s: fn(np.asarray(s, dtype=float) + t0),
@@ -594,15 +596,9 @@ def residue_flow(G_minus: RadiationProfile, G_plus: RadiationProfile, r: float):
     return float(d1), float(d2)
 
 
-def asymptotic_numbers(G: RadiationProfile, tol: float = 1e-10):
+def asymptotic_numbers(G: RadiationProfile):
     """alpha1 = -lim int_{-r}^{r} G,  alpha2 = lim int_{-r}^{r} s G."""
-    return -G._full_moment(0, tol), G._full_moment(1, tol)
-
-
-def shift_profile(G: RadiationProfile, t0: float) -> RadiationProfile:
-    """Profile of the time-translated wave; asymptotic numbers map to
-    (alpha1, alpha2 + alpha1 * t0)."""
-    return G.shifted(t0)
+    return -G._full_moment(0), G._full_moment(1)
 
 
 # -- nonlinear profile shift ---------------------------------------------------

@@ -44,9 +44,10 @@ NU0 = 1.86
 NU1 = 0.05
 
 # default tolerance ladder: ODE and quadrature at 1e-10, comparisons at 5e-5
-ODE_TOL = 1e-10
-QUAD_TOL = 1e-10
+TOL = 1e-10
 CELL_TOL = 5e-5
+# the total of the contributions must exceed g_minus by more than this
+MARGIN_FLOOR = 0.25
 
 # Reference values the pipeline must reproduce (six printed decimals each):
 # per row (z_lo, z_hi): y_k, lambda_k, min g, cumulative product, contribution.
@@ -150,8 +151,7 @@ def _z_ladder():
     return z  # z[0] = z0, z[k] = 1.7 - k/10 for k = 1..16
 
 
-def build_table1(ode_tol: float = ODE_TOL, quad_tol: float = QUAD_TOL,
-                 nu0: float = NU0, n_rows: int = 16):
+def build_table1(tol: float = TOL, nu0: float = NU0):
     """Build the verification table for the profile with initial slope nu0.
 
     Returns (rows, summary, profile).  Per row k:
@@ -161,7 +161,7 @@ def build_table1(ode_tol: float = ODE_TOL, quad_tol: float = QUAD_TOL,
     the product column telescopes (2 lambda_j - z_j)/(2 lambda_j - z_{j-1}),
     and the contribution is min_g times the product increment.
     """
-    prof = profiles.integrate_profile(nu0, ode_tol)
+    prof = profiles.integrate_profile(nu0, tol)
     if not isinstance(prof.category, profiles.Global):
         raise profiles.ProfileError(f"profile nu={nu0} is not global; table undefined")
     sup_phi = prof.sup_phi
@@ -172,7 +172,7 @@ def build_table1(ode_tol: float = ODE_TOL, quad_tol: float = QUAD_TOL,
     rows = []
     product = 1.0
     total = 0.0
-    for k in range(1, n_rows + 1):
+    for k in range(1, len(z)):
         z_hi, z_lo = z[k - 1], z[k]
         y_k = profiles.inverse_phi(prof, z_lo)
         lam = nu0 / math.sqrt(1.0 + y_k) + kappa0 * g_minus
@@ -189,20 +189,20 @@ def build_table1(ode_tol: float = ODE_TOL, quad_tol: float = QUAD_TOL,
     return rows, summary, prof
 
 
-def check_main_inequality(rows, summary, margin_target: float = 0.25) -> ReportItem:
+def check_main_inequality(rows, summary) -> ReportItem:
     """Total of the contributions must exceed g_minus by a definite margin."""
     margin = summary.total - summary.g_minus
     return ReportItem(
         name="main_inequality_margin",
         computed=margin,
-        target=margin_target,
+        target=MARGIN_FLOOR,
         tolerance=0.0,
-        passed=bool(summary.total > summary.g_minus and margin > margin_target),
+        passed=bool(summary.total > summary.g_minus and margin > MARGIN_FLOOR),
         note="total - g_minus; reference values give ~0.256543",
     )
 
 
-def check_upper_integral(prof, quad_tol: float = QUAD_TOL):
+def check_upper_integral(prof, tol: float = TOL):
     """The capped ray integral int_0^1 g(min(phi, z_max)) (1-y)^(-1/2) dy.
 
     Must land on the reference 1.85024 and stay strictly below nu0 = 1.86.
@@ -215,7 +215,7 @@ def check_upper_integral(prof, quad_tol: float = QUAD_TOL):
     def integrand(y):
         return nl.g(np.minimum(prof.phi_at(np.asarray(y)), gc.z_max))
 
-    inner = integrate_sqrt_singular(integrand, 0.0, y_cross, quad_tol)
+    inner = integrate_sqrt_singular(integrand, 0.0, y_cross, tol)
     outer = 2.0 * gc.g_max * math.sqrt(1.0 - y_cross)
     value = inner + outer
     item_value = ReportItem(
@@ -269,17 +269,17 @@ def check_C1(rows, summary):
     return item_c1, item_neut, item_third
 
 
-def check_pushup(ode_tol: float = ODE_TOL, quad_tol: float = QUAD_TOL):
+def check_pushup(tol: float = TOL):
     """Push-up integral I* = int_0^{8/9} (1-y)^(-1/2) phi_star(y) dy.
 
     Checks the value, the working bound (99/50) I* > 11/10, and agreement of
     the numerically integrated linear profile with its closed form.
     """
-    lp = profiles.integrate_linear_profile(ode_tol)
+    lp = profiles.integrate_linear_profile(tol)
     i_star = integrate_sqrt_singular(lambda y: lp.phi_at(np.asarray(y)),
-                                     0.0, 8.0 / 9.0, quad_tol)
+                                     0.0, 8.0 / 9.0, tol)
     i_exact = integrate_sqrt_singular(lambda y: profiles.phi_star_exact(np.asarray(y)),
-                                      0.0, 8.0 / 9.0, quad_tol)
+                                      0.0, 8.0 / 9.0, tol)
     oracle_gap = max(
         abs(i_star - i_exact),
         float(np.max(np.abs(lp.phi - profiles.phi_star_exact(lp.grid)))),
@@ -355,16 +355,15 @@ def _item_profile_drift(prof):
     )
 
 
-def run_all(ode_tol: float = ODE_TOL, quad_tol: float = QUAD_TOL,
-            nu0: float = NU0) -> VerificationReport:
+def run_all(tol: float = TOL, nu0: float = NU0) -> VerificationReport:
     """Run every check and assemble the report in a fixed deterministic order.
 
-    Non-finite or nonpositive tolerances and a non-finite nu0 raise
+    A non-finite or nonpositive tolerance or a non-finite nu0 raises
     ValueError.  Sub-failures (for instance an injected nu0 for which the
     table cannot be built) are recorded as failing items; nothing else
     raises out of here.
     """
-    if not all(math.isfinite(t) and t > 0 for t in (ode_tol, quad_tol)):
+    if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerances must be finite and positive")
     if not math.isfinite(nu0):
         raise ValueError("nu0 must be finite")
@@ -381,7 +380,7 @@ def run_all(ode_tol: float = ODE_TOL, quad_tol: float = QUAD_TOL,
 
     def table_block():
         try:
-            rows, summary, prof = build_table1(ode_tol, quad_tol, nu0=nu0)
+            rows, summary, prof = build_table1(tol, nu0=nu0)
         except Exception as exc:
             report.table_error = str(exc)
             raise
@@ -389,7 +388,7 @@ def run_all(ode_tol: float = ODE_TOL, quad_tol: float = QUAD_TOL,
         items = [_item_table_cells(rows, summary), _item_table_footer(summary),
                  check_main_inequality(rows, summary)]
         items += list(check_C1(rows, summary))
-        upper_items = guarded(lambda: check_upper_integral(prof, quad_tol)[:2],
+        upper_items = guarded(lambda: check_upper_integral(prof, tol)[:2],
                               "upper_integral_value", "upper_integral_below_nu0")
         items += upper_items
         items.append(_item_profile_drift(prof))
@@ -400,7 +399,7 @@ def run_all(ode_tol: float = ODE_TOL, quad_tol: float = QUAD_TOL,
                        "main_inequality_margin", "C1_value", "neutralization_rows_1_11",
                        "C1_over_3", "upper_integral_value", "upper_integral_below_nu0",
                        "profile_energy_drift")),
-        (lambda: check_pushup(ode_tol, quad_tol),
+        (lambda: check_pushup(tol),
          ("pushup_integral", "pushup_factor", "pushup_closed_form_agreement")),
         (_item_g_constants, ("g_closed_form_constants",)),
         (_item_nu2, ("nu2",)),

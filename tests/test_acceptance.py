@@ -145,7 +145,7 @@ def test_10_translation_law(rng):
         G = random_smooth_profile(rng)
         a1, a2 = rad.asymptotic_numbers(G)
         for t0 in (-3.0, 0.7, 10.0):
-            b1, b2 = rad.asymptotic_numbers(rad.shift_profile(G, t0))
+            b1, b2 = rad.asymptotic_numbers(G.shifted(t0))
             worst = max(worst, abs(b1 - a1), abs(b2 - (a2 + a1 * t0)))
     report("10 translation law", worst < 1e-9,
            f"(max deviation from (a1, a2 + a1 t0) = {worst:.2e} at t0 in {{-3, 0.7, 10}})")

@@ -53,6 +53,29 @@ def test_output_to_a_fifo_is_written_in_place(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.fifo"]
 
 
+def test_out_through_a_symlink_replaces_its_target(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("{}")
+    link.symlink_to(target)
+    assert run_cli(["constants", "--out", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert json.loads(target.read_text())["z0"] == pytest.approx(1.681792830, abs=1e-8)
+
+
+def test_out_file_gets_the_mode_open_would_give(tmp_path):
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("{}")
+    old.chmod(0o604)
+    umask = os.umask(0o027)
+    try:
+        assert run_cli(["constants", "--out", str(new)]) == 0
+        assert run_cli(["constants", "--out", str(old)]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o640
+    assert stat.S_IMODE(old.stat().st_mode) == 0o604
+
+
 def test_table1_csv(tmp_path):
     out = tmp_path / "table.csv"
     assert run_cli(["table1", "--out", str(out)]) == 0
@@ -125,6 +148,15 @@ def test_verify_table_matches_table1(tmp_path):
 def test_profile_non_finite_slope_exits_1(capsys):
     assert run_cli(["profile", "--nu", "nan"]) == 1
     assert "finite" in capsys.readouterr().err
+
+
+def test_profile_tolerance_too_small_exits_1_without_warnings():
+    proc = subprocess.run([sys.executable, "-m", "exwave.cli", "profile", "--nu", "1",
+                           "--tol", "1e-300"], capture_output=True, text=True,
+                          env=_env_with_exwave(), timeout=120)
+    assert proc.returncode == 1
+    assert "tol=1e-300" in proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 def test_verify_non_finite_tolerance_exits_1(tmp_path):

@@ -28,7 +28,7 @@ def test_non_finite_step_raises_at_once():
     start = time.perf_counter()
     with pytest.raises(IntegrationFailure, match="non-finite") as info:
         solve_dopri5(lambda t, y: np.array([np.nan if t > 0.5 else 1.0]),
-                     0.0, 1.0, [0.0], 1e-8, 1e-8)
+                     0.0, 1.0, [0.0], 1e-8)
     assert time.perf_counter() - start < 1.0
     exc = info.value
     assert exc.t < 0.5

@@ -167,7 +167,7 @@ def test_blowup_guard_truncates():
     d = rad.RadialData(u0=lambda r: 40.0 * smooth_bump((np.asarray(r) - 3.0) / 1.5),
                        du0=None, u1=zero_fn, compact_support_bound=4.5)
     cfg = pdesim.SimConfig(r_min=0.5, r_max=8.5, dr=0.02, T=4.0, cfl=1.0,
-                           nonlinearity="focusing", blowup_guard=1e9)
+                           nonlinearity="focusing")
     tr = pdesim.simulate(d, cfg)
     assert tr.blowup is not None
     assert np.all(np.isfinite(tr.w))

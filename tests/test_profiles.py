@@ -6,7 +6,7 @@ import pytest
 
 from exwave import profiles
 from exwave.profiles import (AmbiguousRootError, BlowUp, Global, NoSolutionError,
-                             conserved_energy, find_nu2, integrate_linear_profile,
+                             find_nu2, integrate_linear_profile,
                              integrate_profile, inverse_phi, phi_star_exact,
                              profile_to_csv, quarter_period, wronskian_compare)
 
@@ -51,15 +51,15 @@ def test_negative_slope_rejected():
         integrate_profile(-1.0)
 
 
-def test_conserved_energy_values():
+def test_energy_at_values():
     p1 = integrate_profile(1.0, 1e-12)
-    assert conserved_energy(p1, 0.3) == pytest.approx(0.5, abs=1e-10)
+    assert p1.energy_at(0.3) == pytest.approx(0.5, abs=1e-10)
     p186 = integrate_profile(1.86, 1e-12)
-    assert conserved_energy(p186, 0.0) == pytest.approx(0.5 * 1.86 ** 2, abs=1e-12)
+    assert p186.energy_at(0.0) == pytest.approx(0.5 * 1.86 ** 2, abs=1e-12)
     p005 = integrate_profile(0.05, 1e-12)
-    assert conserved_energy(p005, 0.5) == pytest.approx(0.00125, abs=1e-10)
+    assert p005.energy_at(0.5) == pytest.approx(0.00125, abs=1e-10)
     with pytest.raises(ValueError):
-        conserved_energy(p005, 1.5)
+        p005.energy_at(1.5)
 
 
 def test_energy_drift_across_slopes():
@@ -179,12 +179,6 @@ def test_step_halving_stability():
     sup1 = integrate_profile(1.86, 1e-8).sup_phi
     sup2 = integrate_profile(1.86, 5e-9).sup_phi
     assert abs(sup1 - sup2) < 1e-8
-
-
-def test_truncated_run_has_no_category():
-    p = integrate_profile(1.0, 1e-10, y_stop=0.5)
-    assert p.category is None
-    assert p.y_max == pytest.approx(0.5, abs=1e-12)
 
 
 def test_csv_export(tmp_path):

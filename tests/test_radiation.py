@@ -337,7 +337,7 @@ def test_asymptotic_numbers_reject_undeclared_decay():
 
 
 def test_translation_law_box():
-    shifted = rad.shift_profile(box_profile(), 3.0)
+    shifted = box_profile().shifted(3.0)
     a1, a2 = rad.asymptotic_numbers(shifted)
     assert a1 == pytest.approx(-2.0, abs=1e-12)
     assert a2 == pytest.approx(-6.0, abs=1e-12)
@@ -347,17 +347,17 @@ def test_translation_law_random(rng):
     G = random_smooth_profile(rng)
     a1, a2 = rad.asymptotic_numbers(G)
     for t0 in (-3.0, 0.7, 10.0):
-        b1, b2 = rad.asymptotic_numbers(rad.shift_profile(G, t0))
+        b1, b2 = rad.asymptotic_numbers(G.shifted(t0))
         assert abs(b1 - a1) < 1e-9
         assert abs(b2 - (a2 + a1 * t0)) < 1e-9
 
 
 def test_shift_round_trip(rng):
     G = random_smooth_profile(rng)
-    back = rad.shift_profile(rad.shift_profile(G, 1.3), -1.3)
+    back = G.shifted(1.3).shifted(-1.3)
     s = rng.uniform(-2.0, 2.0, size=50)
     assert np.max(np.abs(back.value(s) - G.value(s))) < 1e-12
-    same = rad.shift_profile(G, 0.0)
+    same = G.shifted(0.0)
     assert np.array_equal(same.value(s), G.value(s))
 
 

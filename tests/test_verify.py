@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -57,9 +58,11 @@ def test_main_inequality(table):
     assert item.computed == pytest.approx(0.256543, abs=1e-4)
 
 
-def test_main_inequality_fails_when_truncated():
-    rows, summary, _ = verify.build_table1(n_rows=11)
-    item = verify.check_main_inequality(rows, summary)
+def test_main_inequality_fails_when_truncated(table):
+    rows, summary, _ = table
+    summary = dataclasses.replace(
+        summary, total=sum(row.contribution_k for row in rows[:11]))
+    item = verify.check_main_inequality(rows[:11], summary)
     assert not item.passed  # the 11-row total clears g_minus but not the margin
     assert summary.total > summary.g_minus
 
@@ -112,7 +115,7 @@ def test_run_all_default_passes():
 
 
 def test_run_all_coarse_tolerance_still_passes():
-    report = verify.run_all(ode_tol=1e-2)
+    report = verify.run_all(tol=1e-2)
     assert report.overall
 
 
