@@ -52,7 +52,7 @@ class IntegrationFailure(RuntimeError):
     carries diagnostics."""
 
     def __init__(self, message, t, y, h, nsteps):
-        super().__init__(f"{message} at t={t!r} (h={h!r}, steps={nsteps})")
+        super().__init__(f"{message} at t={float(t)!r} (h={float(h)!r}, steps={nsteps})")
         self.t = t
         self.y = np.asarray(y)
         self.h = h

@@ -49,7 +49,6 @@ __all__ = [
 ]
 
 _QTOL = 1e-11          # absolute tolerance for moment quadratures
-_LIMIT_TOL = 1e-10     # convergence of the asymptotic moments under cutoff doubling
 _SPLINE_N = 4097       # samples for the fast moment engine of smooth profiles
 _DU0_STEP = 1e-5       # relative step of the centered-difference fallback for u0'
 
@@ -83,7 +82,13 @@ class RadiationProfile:
     def __init__(self, fn, support=None, decay=None, smooth=False, breakpoints=(),
                  _spline=None):
         self._fn = fn
-        self.support = None if support is None else (float(support[0]), float(support[1]))
+        if support is not None:
+            support = tuple(float(x) for x in support)
+            if len(support) != 2 or not -math.inf < support[0] <= support[1] < math.inf:
+                raise ValueError(f"support must be two finite numbers lo <= hi, got {support!r}")
+        if decay is not None and not math.isfinite(decay):
+            raise ValueError(f"decay must be finite, got {decay!r}")
+        self.support = support
         self.decay = decay
         if support is None and decay is None:
             raise ValueError("a profile needs a declared support or decay")
@@ -148,20 +153,25 @@ class RadiationProfile:
 
     # -- moments ------------------------------------------------------------
 
+    def _integrand(self, k):
+        """s^k G(s) for k = 0, 1 and G(s)^2 for k = 2."""
+        fn = self._fn
+        return (fn, lambda s: s * fn(s), lambda s: fn(s) ** 2)[k]
+
     def _moment(self, k, a, b):
-        """int_a^b s^k G(s) ds for k = 0, 1, elementwise over array endpoints
-        and 0 where b <= a: a spline difference when the fast engine is on,
-        else a quadrature per element split at the breakpoints."""
+        """int_a^b of the k-th integrand (G, s G, G^2), elementwise over array
+        endpoints and 0 where b <= a: a spline difference when the fast
+        engine is on, else a quadrature per element split at the breakpoints."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if self.support is not None:
             lo, hi = self.support
             a = np.clip(a, lo, hi)
             b = np.clip(b, a, hi)   # b >= a, so an empty interval gives 0
-        antiderivative = self._m1 if k else self._m0
+        antiderivative = (self._m0, self._m1, self._m2)[k]
         if antiderivative is not None:
             return antiderivative(b) - antiderivative(a)
-        fn = (lambda s: s * self._fn(s)) if k else self._fn
+        fn = self._integrand(k)
         a, b = np.broadcast_arrays(a, b)
         out = np.zeros(a.shape)
         for i in np.ndindex(a.shape):
@@ -169,6 +179,17 @@ class RadiationProfile:
                 out[i] = _piecewise(fn, a[i], b[i], self.breakpoints,
                                     _QTOL * max(1.0, b[i] - a[i]))
         return out
+
+    def _outside(self, k, R):
+        """int over |s| > R of the k-th integrand; a decaying profile
+        integrates each side to infinity in doubling shells."""
+        if self.support is not None:
+            lo, hi = self.support
+            return float(self._moment(k, lo, -R) + self._moment(k, R, hi))
+        fn = self._integrand(k)
+        decay = (self.decay, self.decay - 1.0, 2.0 * self.decay)[k]
+        return (integrate_tail(fn, R, _QTOL, decay=decay)
+                + integrate_tail(lambda s: fn(-s), R, _QTOL, decay=decay))
 
     def moment0(self, a, b):
         """int_a^b G(s) ds on a finite interval."""
@@ -186,50 +207,11 @@ class RadiationProfile:
         """moment1 elementwise over array endpoints, in the shape of the input."""
         return self._moment(1, a, b)
 
-    def _full_moment(self, which):
-        """Limit of int_{-r}^{r} (s^which) G ds as r grows."""
-        mom = self.moment0 if which == 0 else self.moment1
-        if self.support is not None:
-            r = max(abs(self.support[0]), abs(self.support[1]), 1.0)
-            return mom(-r, r)
-        if self.decay is None or self.decay <= 1.0:
-            raise ValueError("asymptotic moments need compact support or declared decay > 1")
-        r = 1.0
-        prev = mom(-r, r)
-        for _ in range(60):
-            r *= 2.0
-            cur = mom(-r, r)
-            if abs(cur - prev) < _LIMIT_TOL:
-                return cur
-            prev = cur
-        raise ValueError("asymptotic moment did not converge under cutoff doubling")
-
     # -- norms ---------------------------------------------------------------
 
     def l2_tail_sq(self, R):
         """int_{|s| > R} G(s)^2 ds."""
-        if self._m2 is not None:
-            lo, hi = self.support
-            left = float(self._m2(min(-R, hi)) - self._m2(lo)) if -R > lo else 0.0
-            right = float(self._m2(hi) - self._m2(max(R, lo))) if R < hi else 0.0
-            return left + right
-
-        def sq(s):
-            v = self.value(s)
-            return v * v
-
-        if self.support is not None:
-            lo, hi = self.support
-            out = 0.0
-            if -R > lo:
-                out += _piecewise(sq, lo, -R, self.breakpoints, _QTOL * max(1.0, -R - lo))
-            if R < hi:
-                out += _piecewise(sq, R, hi, self.breakpoints, _QTOL * max(1.0, hi - R))
-            return out
-        if self.decay is None or 2.0 * self.decay <= 1.0:
-            raise ValueError("L2 tail needs compact support or declared decay")
-        return (integrate_tail(sq, R, _QTOL, decay=2.0 * self.decay)
-                + integrate_tail(lambda s: sq(-s), R, _QTOL, decay=2.0 * self.decay))
+        return self._outside(2, R)
 
     @property
     def norm_l2(self):
@@ -421,37 +403,34 @@ def data_from_profile(G: RadiationProfile) -> RadialData:
         out = -3.0 * np.asarray(u0(r_arr)) / r_arr + (G.value(r_arr) - G.value(-r_arr)) / r_arr ** 2
         return out if np.ndim(r) else float(out)
 
-    tail_radius = tail_c0 = tail_c1 = None
+    tail_radius, tail_c0, tail_c1 = None, 0.0, 0.0
     if G.support is not None:
         S = max(abs(G.support[0]), abs(G.support[1]))
         tail_radius = max(S, 1e-12)
         tail_c0 = G.moment1(-S, S)       # alpha_2
         tail_c1 = -G.moment0(-S, S)      # alpha_1
-    return RadialData(u0=u0, u1=u1, du0=du0, decay=3.0,
-                      tail_radius=tail_radius,
-                      tail_c0=0.0 if tail_c0 is None else tail_c0,
-                      tail_c1=0.0 if tail_c1 is None else tail_c1)
+    return RadialData(u0=u0, u1=u1, du0=du0, decay=3.0, tail_radius=tail_radius,
+                      tail_c0=tail_c0, tail_c1=tail_c1)
+
+
+def _exterior_integral(d: RadialData, integrand, R: float, tail, decay) -> float:
+    """int_R^inf integrand, closed through the data's declared far field:
+    beyond ``tail_radius`` the exact r^-3 tail contributes ``tail(S)`` past
+    radius S, beyond ``compact_support_bound`` nothing, and otherwise the
+    integrand decays like r^-decay(d.decay)."""
+    if d.tail_radius is not None:
+        S = max(d.tail_radius, R)
+        return _piecewise(integrand, R, S, d.breakpoints, _QTOL) + tail(S)
+    if d.compact_support_bound is not None:
+        return _piecewise(integrand, R, max(d.compact_support_bound, R), d.breakpoints, _QTOL)
+    return integrate_tail(integrand, R, _QTOL,
+                          decay=None if d.decay is None else decay(d.decay))
 
 
 def _u1_tail_integral(d: RadialData, s: float) -> float:
     """int_s^inf rho u1(rho) drho with the declared tail closed in exact form."""
-    def integrand(rho):
-        return rho * np.asarray(d.u1(rho), dtype=float)
-
-    if d.tail_radius is not None:
-        S = d.tail_radius
-        if s >= S:
-            return d.tail_c1 / s
-        return _piecewise(integrand, s, S, d.breakpoints, _QTOL) + d.tail_c1 / S
-    if d.compact_support_bound is not None:
-        B = d.compact_support_bound
-        if s >= B:
-            return 0.0
-        return _piecewise(integrand, s, B, d.breakpoints, _QTOL)
-    if d.decay is not None and d.decay > 2.0:
-        return integrate_tail(integrand, s, _QTOL, decay=d.decay - 1.0)
-    raise ValueError("profile recovery needs a compact support bound, an exact tail, "
-                     "or a declared decay exponent > 2")
+    return _exterior_integral(d, lambda rho: rho * np.asarray(d.u1(rho), dtype=float), s,
+                              lambda S: d.tail_c1 / S, lambda p: p - 1.0)
 
 
 def profile_from_data(d: RadialData) -> RadiationProfile:
@@ -533,20 +512,9 @@ def exterior_energy(d: RadialData, R: float) -> float:
         v1 = np.asarray(d.u1(rho), dtype=float)
         return (dv * dv + v1 * v1) * rho ** 4
 
-    if d.tail_radius is not None:
-        S = max(d.tail_radius, R)
-        bulk = integrate_adaptive(density, R, S, _QTOL) if S > R else 0.0
-        # beyond S: u0 = c0 r^-3, u1 = c1 r^-3 exactly
-        tail = 3.0 * d.tail_c0 ** 2 / S ** 3 + d.tail_c1 ** 2 / S
-        return SIGMA4 * (bulk + tail)
-    if d.compact_support_bound is not None:
-        B = d.compact_support_bound
-        if B <= R:
-            return 0.0
-        return SIGMA4 * integrate_adaptive(density, R, B, _QTOL)
-    if d.decay is not None and d.decay > 1.5:
-        return SIGMA4 * integrate_tail(density, R, _QTOL, decay=2.0 * d.decay - 2.0)
-    raise ValueError("exterior energy needs a tail declaration")
+    # beyond S: u0 = c0 r^-3, u1 = c1 r^-3 exactly
+    tail = lambda S: 3.0 * d.tail_c0 ** 2 / S ** 3 + d.tail_c1 ** 2 / S
+    return SIGMA4 * _exterior_integral(d, density, R, tail, lambda p: 2.0 * p - 2.0)
 
 
 def exterior_energy_identity(G: RadiationProfile, R: float) -> float:
@@ -598,7 +566,10 @@ def residue_flow(G_minus: RadiationProfile, G_plus: RadiationProfile, r: float):
 
 def asymptotic_numbers(G: RadiationProfile):
     """alpha1 = -lim int_{-r}^{r} G,  alpha2 = lim int_{-r}^{r} s G."""
-    return -G._full_moment(0), G._full_moment(1)
+    if G.support is not None:
+        lo, hi = G.support
+        return -float(G._moment(0, lo, hi)), float(G._moment(1, lo, hi))
+    return -G._outside(0, 0.0), G._outside(1, 0.0)
 
 
 # -- nonlinear profile shift ---------------------------------------------------

@@ -159,6 +159,13 @@ def test_profile_tolerance_too_small_exits_1_without_warnings():
     assert "Warning" not in proc.stderr
 
 
+def test_integration_failure_prints_plain_floats(capsys):
+    assert run_cli(["profile", "--nu", "1", "--tol", "1e-150"]) == 1
+    err = capsys.readouterr().err
+    assert "step size underflow" in err
+    assert "np.float64(" not in err
+
+
 def test_verify_non_finite_tolerance_exits_1(tmp_path):
     start = time.perf_counter()
     assert run_cli(["verify", "--tol", "nan", "--out", str(tmp_path / "r.json")]) == 1

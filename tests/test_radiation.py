@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,15 @@ def test_exterior_energy_zero_profile():
     assert rad.exterior_energy_identity(rad.RadiationProfile.zero(), 2.0) == 0.0
 
 
+def test_exterior_energy_splits_at_breakpoints():
+    # u1 = 1 on [1, 2]: E(0.5) = sigma4 int_1^2 rho^4 drho
+    zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
+    u1 = lambda rho: ((np.asarray(rho) >= 1.0) & (np.asarray(rho) <= 2.0)).astype(float)
+    d = rad.RadialData(u0=zero, du0=zero, u1=u1, compact_support_bound=2.0,
+                       breakpoints=(1.0, 2.0))
+    assert rad.exterior_energy(d, 0.5) == pytest.approx(SIGMA4 * 31.0 / 5.0, abs=1e-12)
+
+
 def test_exterior_energy_identity_random(rng):
     for _ in range(3):
         G = random_smooth_profile(rng)
@@ -327,6 +338,30 @@ def test_asymptotic_numbers_examples():
     a1, a2 = rad.asymptotic_numbers(slope_profile())
     assert a1 == pytest.approx(0.0, abs=1e-12)
     assert a2 == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+
+def test_asymptotic_numbers_of_decaying_profiles():
+    even = rad.RadiationProfile.from_function(
+        lambda s: 1.0 / (1.0 + np.asarray(s, dtype=float) ** 2) ** 2, decay=4.0)
+    a1, a2 = rad.asymptotic_numbers(even)
+    assert a1 == pytest.approx(-np.pi / 2.0, abs=1e-10)
+    assert a2 == pytest.approx(0.0, abs=1e-10)
+    assert even.l2_tail_sq(0.0) == pytest.approx(5.0 * np.pi / 16.0, abs=1e-10)
+    odd = rad.RadiationProfile.from_function(
+        lambda s: np.asarray(s, dtype=float) / (1.0 + np.asarray(s, dtype=float) ** 2) ** 3,
+        decay=5.0)
+    a1, a2 = rad.asymptotic_numbers(odd)
+    assert a1 == pytest.approx(0.0, abs=1e-10)
+    assert a2 == pytest.approx(np.pi / 8.0, abs=1e-10)
+
+
+def test_asymptotic_numbers_reject_ground_state_profile():
+    # the recovered profile declares decay 2, so s G decays only like 1/s
+    G = rad.profile_from_data(ground_state_data())
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        rad.asymptotic_numbers(G)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_asymptotic_numbers_reject_undeclared_decay():
@@ -426,6 +461,20 @@ def test_sampled_profile_round_trip(rng):
     idx = np.searchsorted(s, probes)
     assert np.max(np.abs(G.value(s[idx]) - vals[idx])) < 1e-12
     assert G.moment0(-2.0, 2.0) == pytest.approx(np.trapezoid(vals, s), abs=1e-4)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"support": (1.0, -1.0)}, "support"),
+    ({"support": (float("nan"), 1.0)}, "support"),
+    ({"support": (-1.0, float("inf"))}, "support"),
+    ({"support": (-1.0, 0.0, 1.0)}, "support"),
+    ({"decay": float("nan")}, "decay"),
+    ({"decay": float("inf")}, "decay"),
+])
+def test_profile_rejects_bad_support_or_decay(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        rad.RadiationProfile.from_function(
+            lambda s: np.ones_like(np.asarray(s, dtype=float)), **kwargs)
 
 
 @pytest.mark.parametrize("R", [float("nan"), float("inf"), 0.0, -1.0])
