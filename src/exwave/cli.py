@@ -143,9 +143,8 @@ def _cmd_radiation(args) -> int:
         hi = max(abs(G.support[0]), abs(G.support[1]))
         r = np.linspace(args.rmin, max(2.0 * hi, args.rmin + 1.0), args.n)
         d = radiation.data_from_profile(G)
-        lines = ["r,u0,u1"]
-        for ri in r:
-            lines.append(f"{ri:.12g},{d.u0(ri):.12g},{d.u1(ri):.12g}")
+        lines = ["r,u0,u1"] + [f"{ri:.12g},{a:.12g},{b:.12g}"
+                               for ri, a, b in zip(r, d.u0(r), d.u1(r))]
         _emit("\n".join(lines) + "\n", args.out)
         _info(f"data written on {len(r)} radii")
         return 0
@@ -154,9 +153,7 @@ def _cmd_radiation(args) -> int:
         d = radiation.RadialData.from_samples(r, u0_vals, u1_vals, tail="r3")
         G = radiation.profile_from_data(d)
         s = np.linspace(G.support[0], G.support[1], args.n)
-        lines = ["s,G"]
-        for si in s:
-            lines.append(f"{si:.12g},{G.value(si):.12g}")
+        lines = ["s,G"] + [f"{si:.12g},{g:.12g}" for si, g in zip(s, G.value(s))]
         _emit("\n".join(lines) + "\n", args.out)
         _info(f"profile written on {len(s)} samples")
         return 0

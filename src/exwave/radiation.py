@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from ._ode import bisect
+from ._spline import cubic_spline, identity, product
 from .nonlinearity import SIGMA4, ground_state
 from .quadrature import integrate_adaptive, integrate_tail
 
@@ -53,19 +54,20 @@ _SPLINE_N = 4097       # samples for the fast moment engine of smooth profiles
 _DU0_STEP = 1e-5       # relative step of the centered-difference fallback for u0'
 
 
-def _cubic_spline(x, y):
-    """scipy's CubicSpline, imported on first use: importing scipy.interpolate
-    costs more than everything but the radiation commands compute."""
-    from scipy.interpolate import CubicSpline
-
-    return CubicSpline(x, y)
-
-
 def _piecewise(fn, a, b, knots, tol):
     """int_a^b fn, cut at the knots inside (a, b) so that every quadrature
     panel sees a smooth piece; each piece is integrated to ``tol``."""
     cuts = [a] + [x for x in sorted(knots) if a < x < b] + [b]
     return sum(integrate_adaptive(fn, lo, hi, tol) for lo, hi in zip(cuts[:-1], cuts[1:]))
+
+
+def _dyadic_radii(R):
+    """+-1, +-2, +-4, ... up to R.  Cut there, a wide window of a decaying
+    profile keeps panels near 0 that a single panel's nodes would miss."""
+    if not math.isfinite(R):
+        return ()   # the quadrature rejects the infinite limit
+    n = math.frexp(R)[1]   # 2^(n-1) <= R < 2^n
+    return tuple(x for k in range(max(n, 0)) for x in (-2.0 ** k, 2.0 ** k))
 
 
 class RadiationProfile:
@@ -105,13 +107,13 @@ class RadiationProfile:
         elif smooth:
             lo, hi = self.support
             s = np.linspace(lo, hi, _SPLINE_N)
-            self._install_moments(_cubic_spline(s, self._fn(s)))
+            self._install_moments(cubic_spline(s, self._fn(s)))
 
     def _install_moments(self, spline):
-        s = spline.x
+        """Exact antiderivatives of S, s S and S^2 for the spline S."""
         self._m0 = spline.antiderivative()
-        self._m1 = _cubic_spline(s, s * spline(s)).antiderivative()
-        self._m2 = _cubic_spline(s, spline(s) ** 2).antiderivative()
+        self._m1 = product(identity(spline.x), spline).antiderivative()
+        self._m2 = product(spline, spline).antiderivative()
 
     @classmethod
     def from_function(cls, fn, support=None, decay=None, smooth=False, breakpoints=()):
@@ -124,7 +126,7 @@ class RadiationProfile:
         values = np.asarray(values, dtype=float)
         if s.ndim != 1 or np.any(np.diff(s) <= 0):
             raise ValueError("sample grid must be strictly increasing")
-        spline = _cubic_spline(s, values)
+        spline = cubic_spline(s, values)
         lo, hi = float(s[0]), float(s[-1])
 
         def fn(x):
@@ -176,8 +178,10 @@ class RadiationProfile:
         out = np.zeros(a.shape)
         for i in np.ndindex(a.shape):
             if b[i] > a[i]:
-                out[i] = _piecewise(fn, a[i], b[i], self.breakpoints,
-                                    _QTOL * max(1.0, b[i] - a[i]))
+                knots = self.breakpoints
+                if self.support is None:
+                    knots += _dyadic_radii(max(-a[i], b[i]))
+                out[i] = _piecewise(fn, a[i], b[i], knots, _QTOL * max(1.0, b[i] - a[i]))
         return out
 
     def _outside(self, k, R):
@@ -250,7 +254,8 @@ class RadialData:
         u0(r) = tail_c0 * r^-3,   u1(r) = tail_c1 * r^-3   for r >= tail_radius,
 
     which is the generic far field of data with a compactly supported
-    profile; tail integrals then close in closed form.
+    profile; tail integrals then close in closed form.  ``u1_tail``, when
+    set, is s -> int_s^inf rho u1(rho) drho in closed form, elementwise.
     """
 
     u0: Callable
@@ -263,30 +268,47 @@ class RadialData:
     tail_c1: float = 0.0
     du0_reduced_accuracy: bool = False
     breakpoints: tuple = ()   # radii where u0/u1 may jump or kink
+    u1_tail: Callable | None = None
 
     @classmethod
     def from_samples(cls, r, u0_vals, u1_vals, compact_support_bound=None,
                      tail="none"):
-        """Sampled data; u0' comes from the interpolant and is flagged.
+        """Sampled data: not-a-knot cubic splines on the grid r[0] <= r <= r[-1];
+        u0' comes from the interpolant and is flagged.
 
-        ``tail="none"`` treats the data as zero beyond the grid (compact);
-        ``tail="r3"`` continues them with the generic far field c/r^3, the
-        coefficients read off the last sample.  Below the grid the
-        interpolant is extrapolated.
+        ``tail="none"`` gives zero outside the grid (compact data);
+        ``tail="r3"`` holds u0, u0' and u1 at their values at r[0] below the
+        grid and continues them beyond it with the generic far field c/r^3,
+        the coefficients read off the last sample.  Either way ``u1_tail``
+        integrates exactly these data: rho times the u1 spline is a
+        piecewise quartic.
         """
+        if tail not in ("none", "r3"):
+            raise ValueError("tail must be 'none' or 'r3'")
         r = np.asarray(r, dtype=float)
         u0_vals = np.asarray(u0_vals, dtype=float)
         u1_vals = np.asarray(u1_vals, dtype=float)
         if r.ndim != 1 or np.any(np.diff(r) <= 0):
             raise ValueError("sample grid must be strictly increasing")
-        s0 = _cubic_spline(r, u0_vals)
-        s1 = _cubic_spline(r, u1_vals)
+        s0 = cubic_spline(r, u0_vals)
+        s1 = cubic_spline(r, u1_vals)
         d0 = s0.derivative()
         lo, hi = float(r[0]), float(r[-1])
+        r3 = tail == "r3"
+        bound = hi if compact_support_bound is None else compact_support_bound
+        end = hi if r3 else min(hi, bound)
+        below = float(u1_vals[0]) if r3 else 0.0       # u1 on (0, lo)
+        c1 = float(hi ** 3 * u1_vals[-1]) if r3 else 0.0
+        rho_u1 = product(identity(r), s1).antiderivative()
+        rho_u1_end = rho_u1(end)
 
-        if tail == "r3":
+        def u1_tail(s):
+            s = np.asarray(s, dtype=float)
+            return (rho_u1_end - rho_u1(np.clip(s, lo, end))
+                    + 0.5 * below * (lo * lo - np.minimum(s, lo) ** 2) + c1 / np.maximum(s, end))
+
+        if r3:
             c0 = float(hi ** 3 * u0_vals[-1])
-            c1 = float(hi ** 3 * u1_vals[-1])
 
             def extended(f, coef, power):
                 def fn(x):
@@ -299,9 +321,7 @@ class RadialData:
             return cls(u0=extended(s0, c0, -3.0), u1=extended(s1, c1, -3.0),
                        du0=extended(d0, -3.0 * c0, -4.0),
                        tail_radius=hi, tail_c0=c0, tail_c1=c1, decay=3.0,
-                       du0_reduced_accuracy=True)
-        if tail != "none":
-            raise ValueError("tail must be 'none' or 'r3'")
+                       du0_reduced_accuracy=True, u1_tail=u1_tail)
 
         def clamped(f):
             def fn(x):
@@ -309,9 +329,8 @@ class RadialData:
                 return np.where((x >= lo) & (x <= hi), f(np.clip(x, lo, hi)), 0.0)
             return fn
 
-        bound = hi if compact_support_bound is None else compact_support_bound
         return cls(u0=clamped(s0), u1=clamped(s1), du0=clamped(d0),
-                   compact_support_bound=bound, du0_reduced_accuracy=True)
+                   compact_support_bound=bound, du0_reduced_accuracy=True, u1_tail=u1_tail)
 
 
 @dataclass(frozen=True)
@@ -427,10 +446,15 @@ def _exterior_integral(d: RadialData, integrand, R: float, tail, decay) -> float
                           decay=None if d.decay is None else decay(d.decay))
 
 
-def _u1_tail_integral(d: RadialData, s: float) -> float:
-    """int_s^inf rho u1(rho) drho with the declared tail closed in exact form."""
-    return _exterior_integral(d, lambda rho: rho * np.asarray(d.u1(rho), dtype=float), s,
-                              lambda S: d.tail_c1 / S, lambda p: p - 1.0)
+def _u1_tail_integral(d: RadialData, s):
+    """int_s^inf rho u1(rho) drho for each s of a 1-D array: the stored
+    closed form of sampled data, else one quadrature per point with the
+    declared tail closed in exact form."""
+    if d.u1_tail is not None:
+        return d.u1_tail(s)
+    integrand = lambda rho: rho * np.asarray(d.u1(rho), dtype=float)
+    return np.array([_exterior_integral(d, integrand, si, lambda S: d.tail_c1 / S,
+                                        lambda p: p - 1.0) for si in s])
 
 
 def profile_from_data(d: RadialData) -> RadiationProfile:
@@ -446,6 +470,7 @@ def profile_from_data(d: RadialData) -> RadiationProfile:
     G(-s) = -G_even(s) + G_odd(s).  (The labels record the time parity of the
     generating data, not the parity in s.)  When no derivative handle exists,
     u0' falls back to centered differences and the result is flagged.
+    Data with neither a support bound nor a declared decay > 2 are rejected.
     """
     du0 = d.du0
     reduced = d.du0_reduced_accuracy
@@ -458,21 +483,16 @@ def profile_from_data(d: RadialData) -> RadiationProfile:
             h = _DU0_STEP * np.maximum(1.0, np.abs(r_arr))
             return (np.asarray(u0(r_arr + h)) - np.asarray(u0(r_arr - h))) / (2.0 * h)
 
-    def g_odd(s):
-        return 0.5 * s * s * float(np.asarray(d.u1(s))) - 0.5 * _u1_tail_integral(d, s)
-
-    def g_even(s):
-        return 0.5 * (3.0 * s * float(np.asarray(d.u0(s))) + s * s * float(np.asarray(du0(s))))
-
     def fn(s):
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.empty_like(s_arr)
-        for i, si in enumerate(s_arr):
-            a = abs(si)
-            if a == 0.0:
-                out[i] = -0.5 * _u1_tail_integral(d, 0.0)  # limit of G_odd
-            else:
-                out[i] = g_even(a) + g_odd(a) if si > 0 else -g_even(a) + g_odd(a)
+        out = np.empty(s_arr.shape)
+        nonzero = s_arr != 0.0
+        a = np.abs(s_arr[nonzero])
+        g_even = 0.5 * (3.0 * a * np.asarray(d.u0(a)) + a * a * np.asarray(du0(a)))
+        g_odd = 0.5 * a * a * np.asarray(d.u1(a)) - 0.5 * _u1_tail_integral(d, a)
+        out[nonzero] = np.sign(s_arr[nonzero]) * g_even + g_odd
+        if not nonzero.all():   # the limit of G_odd; the data need not exist at 0
+            out[~nonzero] = -0.5 * _u1_tail_integral(d, np.zeros(1))[0]
         return out if np.ndim(s) else out[0]
 
     support = None
@@ -485,6 +505,8 @@ def profile_from_data(d: RadialData) -> RadiationProfile:
         # identically, so the support closes at the tail radius
         support = (-d.tail_radius, d.tail_radius)
     elif d.decay is not None:
+        if not d.decay > 2.0:
+            raise ValueError(f"profile recovery needs a declared data decay > 2, got decay={d.decay}")
         decay = d.decay - 1.0
     else:
         raise ValueError("profile recovery needs a support bound or declared decay")

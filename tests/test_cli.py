@@ -136,6 +136,39 @@ def test_verify_loads_no_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+_SIM = ["--rmin", "0.5", "--rmax", "4.5", "--dr", "0.05", "--T", "1"]
+_NO_SCIPY_RUNS = {
+    "constants": ["constants"],
+    "profile": ["profile", "--nu", "1.86"],
+    "table1": ["table1"],
+    "to-data": ["radiation", "to-data", "--in", "profile.csv", "--n", "51"],
+    "from-data": ["radiation", "from-data", "--in", "data.csv", "--n", "51"],
+    "residues": ["radiation", "residues", "--in", "profile.csv"],
+    "asymptotic": ["radiation", "asymptotic", "--in", "profile.csv"],
+    "simulate-data": ["simulate", "--data", "data.csv", *_SIM],
+    "simulate-bump": ["simulate", "--preset", "free-wave", "--gspec", "bump:-1:1:1", *_SIM],
+    "simulate-box": ["simulate", "--preset", "free-wave", "--gspec", "box:-1:1", *_SIM],
+    "simulate-ground-state": ["simulate", "--preset", "ground-state", *_SIM],
+    "simulate-self-similar": ["simulate", "--preset", "self-similar", *_SIM],
+}
+
+
+@pytest.mark.parametrize("argv", _NO_SCIPY_RUNS.values(), ids=_NO_SCIPY_RUNS.keys())
+def test_subcommand_loads_no_scipy(tmp_path, argv):
+    s = np.linspace(-1.0, 1.0, 101)
+    r = np.linspace(0.5, 3.0, 101)
+    bump = np.where(np.abs(r - 1.5) < 0.8, (1.0 - ((r - 1.5) / 0.8) ** 2) ** 3, 0.0)
+    for name, header, cols in (("profile.csv", "s,G", (s, (1.0 - s * s) ** 3)),
+                               ("data.csv", "r,u0,u1", (r, bump, 0.5 * bump))):
+        np.savetxt(tmp_path / name, np.column_stack(cols), delimiter=",", header=header,
+                   comments="")
+    proc = _python_with_exwave(
+        f"import os, sys\nos.chdir({str(tmp_path)!r})\nfrom exwave.cli import main\n"
+        f"assert main({[*argv, '--out', 'out.txt']!r}) == 0\n" + _SCIPY_LOADED)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_verify_table_matches_table1(tmp_path):
     via_verify = tmp_path / "verify.csv"
     via_table1 = tmp_path / "table1.csv"

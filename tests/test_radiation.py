@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -211,6 +212,17 @@ def test_profile_recovery_rejects_undeclared_tails():
                        u1=lambda r: np.zeros_like(np.asarray(r, dtype=float)))
     with pytest.raises(ValueError):
         rad.profile_from_data(d)
+
+
+def test_recovered_profile_array_matches_pointwise():
+    # one array evaluation, with s = 0 and both signs, equals the scalar calls
+    r = np.linspace(0.1, 3.0, 301)
+    sampled = rad.RadialData.from_samples(r, np.exp(-r) * np.cos(3.0 * r), np.sin(2.0 * r),
+                                          tail="r3")
+    s = np.array([-3.5, -1.7, -0.05, 0.0, 0.05, 1.7, 2.999, 3.5])
+    for d in (sampled, ground_state_data()):
+        G = rad.profile_from_data(d)
+        assert np.array_equal(G.value(s), [G.value(float(x)) for x in s])
 
 
 def test_ground_state_residue_profile():
@@ -483,3 +495,97 @@ def test_residues_reject_non_finite_or_non_positive_radius(R):
                                            support=(-1.0, 1.0))
     with pytest.raises(ValueError, match="radius"):
         rad.residues(G, R)
+
+
+# -- the numpy spline and the closed-form moments, against scipy -----------------------
+
+
+def _nonuniform_grid(n):
+    # strictly increasing, spacings varying by a factor of about 3
+    u = np.linspace(0.0, 1.0, n)
+    return -1.0 + 3.0 * u + 0.3 * np.sin(2.0 * np.pi * u) / np.pi
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 601])
+def test_spline_matches_scipy(n):
+    from scipy.interpolate import CubicSpline
+    from exwave import _spline
+
+    x = _nonuniform_grid(n)
+    y = np.cos(2.0 * x) + 0.3 * x
+    ours, theirs = _spline.cubic_spline(x, y), CubicSpline(x, y)
+    probes = np.concatenate([np.linspace(x[0] - 0.5, x[-1] + 0.5, 397), x])
+    for p, q in ((ours, theirs), (ours.derivative(), theirs.derivative()),
+                 (ours.antiderivative(), theirs.antiderivative())):
+        want = q(probes)
+        got = p(probes)
+        assert got.shape == probes.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        for v in probes[::13]:
+            scalar = p(float(v))
+            assert isinstance(scalar, float)
+            assert scalar == pytest.approx(float(q(v)), rel=1e-12, abs=1e-12)
+    assert np.array_equal(ours.x, x)
+
+
+def _knot_split_quad(f, a, b, knots):
+    """scipy's quad between the knots: f is a polynomial on each piece, which
+    the first 21-point Kronrod rule integrates to rounding."""
+    from scipy.integrate import quad
+
+    cuts = [a] + [k for k in knots if a < k < b] + [b]
+    return math.fsum(quad(f, lo, hi)[0] for lo, hi in zip(cuts[:-1], cuts[1:]))
+
+
+@pytest.mark.parametrize("tail", ["r3", "none"])
+def test_stored_u1_tail_matches_quad(tail):
+    from scipy.interpolate import CubicSpline
+
+    r = np.linspace(0.1, 3.0, 601)
+    u0 = np.exp(-r) * np.cos(3.0 * r)
+    u1 = np.sin(2.0 * r) / (1.0 + r * r) + 0.5
+    d = rad.RadialData.from_samples(r, u0, u1, tail=tail)
+    s1 = CubicSpline(r, u1)
+    c1 = r[-1] ** 3 * u1[-1] if tail == "r3" else 0.0
+    below = u1[0] if tail == "r3" else 0.0
+    points = np.array([0.0, 0.099, 1.2345, 3.0, 3.7])
+    got = rad._u1_tail_integral(d, points)
+    for s, g in zip(points, got):
+        inner = min(max(s, r[0]), r[-1])
+        want = (_knot_split_quad(lambda x: x * below, min(s, r[0]), r[0], ())
+                + _knot_split_quad(lambda x: x * s1(x), inner, r[-1], r)
+                + c1 / max(s, r[-1]))
+        assert g == pytest.approx(want, abs=1e-13)
+
+
+def test_sampled_profile_moments_match_quad():
+    from scipy.interpolate import CubicSpline
+
+    s = np.linspace(-1.5, 1.5, 601)
+    vals = np.where(np.abs(s) < 1.5, np.cos(2.0 * s) * (1.0 - (s / 1.5) ** 2) ** 3, 0.0)
+    G = rad.RadiationProfile.from_samples(s, vals)
+    spline = CubicSpline(s, vals)
+    for a, b in ((-1.5, 1.5), (-0.1, 0.1), (-0.73, 1.21), (0.2, 1.5)):
+        m1 = _knot_split_quad(lambda x: x * spline(x), a, b, s)
+        m2 = _knot_split_quad(lambda x: spline(x) ** 2, a, b, s)
+        assert G.moment1(a, b) == pytest.approx(m1, abs=1e-14)
+        assert G._moment(2, a, b) == pytest.approx(m2, abs=1e-13)
+
+
+@pytest.mark.parametrize("decay", [1.5, 2.0])
+def test_profile_recovery_rejects_slow_data_decay(decay):
+    power = lambda r, p: np.asarray(r, dtype=float) ** p
+    d = rad.RadialData(u0=lambda r: power(r, -decay), du0=lambda r: -decay * power(r, -decay - 1.0),
+                       u1=lambda r: power(r, -decay), decay=decay)
+    with pytest.raises(ValueError, match="decay"):
+        rad.profile_from_data(d)
+
+
+@pytest.mark.parametrize("R", [1024.0, 2048.0, 1e4])
+def test_wide_window_moment_of_decaying_profile(R):
+    # int_{-R}^{R} s^2/(1+s^2)^3 ds = 2 [atan(R)/8 - sin(4 atan(R))/32] -> pi/8
+    H = rad.RadiationProfile.from_function(
+        lambda s: np.asarray(s, dtype=float) / (1.0 + np.asarray(s, dtype=float) ** 2) ** 3,
+        decay=5.0)
+    theta = np.arctan(R)
+    assert H.moment1(-R, R) == pytest.approx(theta / 4.0 - np.sin(4.0 * theta) / 16.0, abs=1e-9)
