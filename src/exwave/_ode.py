@@ -1,7 +1,10 @@
 """Embedded Dormand-Prince 5(4) integrator with PI step control and dense output.
 
 Small, dependency-free and fully deterministic: identical inputs give
-bit-identical trajectories, which the golden-file tests rely on.  Supports a
+bit-identical trajectories.  The repeat-run tests rely on it
+(``test_report_json_deterministic``, ``test_repeated_runs_byte_identical``,
+``test_verify_table_matches_table1``), and so does every ``cmp`` of CLI or
+demo output between two versions of the package.  Supports a
 single terminal event located by bisection on the dense interpolant.
 :func:`bisect` is the package's one bisection loop; every root finder uses it.
 """
@@ -126,7 +129,11 @@ def _initial_step(f, t0, y0, f0, tol, max_step):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, max_step)
+    h = min(100 * h0, h1, max_step)
+    if h < 16.0 * np.finfo(float).eps * max(abs(t0), 1.0):   # the solver's underflow floor
+        raise ValueError(f"tol={tol!r} is too small for the initial state: "
+                         f"its first step h={float(h)!r} underflows")
+    return h
 
 
 def solve_dopri5(f: Callable, t0: float, t1: float, y0, tol: float,

@@ -149,10 +149,9 @@ class _ProfileBase:
         return out if np.ndim(y) else float(out[0])
 
     def energy_at(self, y):
-        """H(y); constant and equal to nu^2/2 when exact."""
+        """The profile's conserved energy at y; constant when exact."""
         states = self._states(y)
-        phi, dphi_t = states[:, 0], states[:, 1]
-        h = 0.5 * dphi_t ** 2 + 1.125 * phi ** 2 - 0.3 * np.abs(phi) ** (10.0 / 3.0)
+        h = self._energy(states[:, 0], states[:, 1])
         return h if np.ndim(y) else float(h[0])
 
 
@@ -168,11 +167,15 @@ class SelfSimilarProfile(_ProfileBase):
         if isinstance(category, Global):
             sup = max(sup, category.limit_phi)
         self.sup_phi = sup
-        h = (0.5 * self._phi_theta ** 2 + 1.125 * self.phi ** 2
-             - 0.3 * np.abs(self.phi) ** (10.0 / 3.0))
+        h = self._energy(self.phi, self._phi_theta)
         mask = np.abs(self.phi) <= _DRIFT_PHI_CAP
         drift = np.abs(h[mask] - 0.5 * nu * nu)
         self.energy_drift = float(drift.max(initial=0.0))
+
+    @staticmethod
+    def _energy(phi, dphi_t):
+        """H = phi_t^2/2 + (9/8) phi^2 - (3/10) |phi|^(10/3), equal to nu^2/2."""
+        return 0.5 * dphi_t ** 2 + 1.125 * phi ** 2 - 0.3 * np.abs(phi) ** (10.0 / 3.0)
 
 
 class LinearProfile(_ProfileBase):
@@ -181,8 +184,13 @@ class LinearProfile(_ProfileBase):
     def __init__(self, tol, sol, theta_end):
         super().__init__(sol, theta_end)
         self.tol = tol
-        h = 0.5 * self._phi_theta ** 2 + 1.125 * self.phi ** 2
+        h = self._energy(self.phi, self._phi_theta)
         self.energy_drift = float(np.abs(h - 0.5).max(initial=0.0))
+
+    @staticmethod
+    def _energy(phi, dphi_t):
+        """H = phi_t^2/2 + (9/8) phi^2, equal to 1/2."""
+        return 0.5 * dphi_t ** 2 + 1.125 * phi ** 2
 
 
 def _rhs_nonlinear(theta, y):

@@ -276,12 +276,13 @@ class RadialData:
         """Sampled data: not-a-knot cubic splines on the grid r[0] <= r <= r[-1];
         u0' comes from the interpolant and is flagged.
 
-        ``tail="none"`` gives zero outside the grid (compact data);
-        ``tail="r3"`` holds u0, u0' and u1 at their values at r[0] below the
-        grid and continues them beyond it with the generic far field c/r^3,
-        the coefficients read off the last sample.  Either way ``u1_tail``
-        integrates exactly these data: rho times the u1 spline is a
-        piecewise quartic.
+        ``tail="none"`` gives zero outside the grid (compact data).
+        ``tail="r3"`` continues u0 and u1 below the grid evenly, as
+        a + b r^2 matched to the spline's value and slope at r[0] (smooth
+        radial data are even in r), with u0' = 2 b r there; beyond the grid
+        it continues them with the generic far field c/r^3, the coefficients
+        read off the last sample.  Either way ``u1_tail`` integrates exactly
+        these data: rho times the u1 spline is a piecewise quartic.
         """
         if tail not in ("none", "r3"):
             raise ValueError("tail must be 'none' or 'r3'")
@@ -297,29 +298,39 @@ class RadialData:
         r3 = tail == "r3"
         bound = hi if compact_support_bound is None else compact_support_bound
         end = hi if r3 else min(hi, bound)
-        below = float(u1_vals[0]) if r3 else 0.0       # u1 on (0, lo)
+
+        def even(spline):
+            """(a, b) of a + b r^2 through the spline's value and slope at lo."""
+            b = float(spline.derivative()(lo)) / (2.0 * lo) if lo > 0 else 0.0
+            return float(spline(lo)) - b * lo * lo, b
+
+        a1, b1 = even(s1) if r3 else (0.0, 0.0)       # u1 = a1 + b1 r^2 on (0, lo)
         c1 = float(hi ** 3 * u1_vals[-1]) if r3 else 0.0
         rho_u1 = product(identity(r), s1).antiderivative()
         rho_u1_end = rho_u1(end)
 
         def u1_tail(s):
             s = np.asarray(s, dtype=float)
+            below = np.minimum(s, lo)
             return (rho_u1_end - rho_u1(np.clip(s, lo, end))
-                    + 0.5 * below * (lo * lo - np.minimum(s, lo) ** 2) + c1 / np.maximum(s, end))
+                    + 0.5 * a1 * (lo * lo - below ** 2) + 0.25 * b1 * (lo ** 4 - below ** 4)
+                    + c1 / np.maximum(s, end))
 
         if r3:
             c0 = float(hi ** 3 * u0_vals[-1])
+            a0, b0 = even(s0)
 
-            def extended(f, coef, power):
+            def extended(f, below, coef, power):
                 def fn(x):
                     x = np.asarray(x, dtype=float)
-                    inner = f(np.clip(x, lo, hi))
+                    inner = np.where(x < lo, below(x), f(np.clip(x, lo, hi)))
                     outer = coef * np.where(x > 0, x, 1.0) ** power
                     return np.where(x <= hi, inner, outer)
                 return fn
 
-            return cls(u0=extended(s0, c0, -3.0), u1=extended(s1, c1, -3.0),
-                       du0=extended(d0, -3.0 * c0, -4.0),
+            return cls(u0=extended(s0, lambda x: a0 + b0 * x * x, c0, -3.0),
+                       u1=extended(s1, lambda x: a1 + b1 * x * x, c1, -3.0),
+                       du0=extended(d0, lambda x: 2.0 * b0 * x, -3.0 * c0, -4.0),
                        tail_radius=hi, tail_c0=c0, tail_c1=c1, decay=3.0,
                        du0_reduced_accuracy=True, u1_tail=u1_tail)
 
@@ -346,31 +357,36 @@ class ResiduePair:
 
 
 def check_radius(r):
-    """ValueError unless r is a finite positive radius."""
-    if not (r > 0 and math.isfinite(r)):
-        raise ValueError(f"radius must be finite and positive, got {r}")
+    """ValueError unless r (a number or an array) holds finite positive radii."""
+    r = np.asarray(r, dtype=float)
+    bad = ~((r > 0) & np.isfinite(r))
+    if bad.any():
+        raise ValueError(f"radius must be finite and positive, got {r[bad].flat[0]}")
 
 
-def free_wave(G: RadiationProfile, r: float, t: float) -> float:
-    """u(r, t) = r^-3 int_{t-r}^{t+r} (s - t) G(s) ds."""
+def free_wave(G: RadiationProfile, r, t: float):
+    """u(r, t) = r^-3 int_{t-r}^{t+r} (s - t) G(s) ds, elementwise over an
+    array r; a number r gives a float."""
     check_radius(r)
-    m1 = G.moment1(t - r, t + r)
-    m0 = G.moment0(t - r, t + r)
-    return (m1 - t * m0) / r ** 3
+    r = np.asarray(r, dtype=float)
+    out = (G.moment1_vec(t - r, t + r) - t * G.moment0_vec(t - r, t + r)) / r ** 3
+    return out if out.ndim else float(out)
 
 
-def free_wave_velocity(G: RadiationProfile, r: float, t: float) -> float:
+def free_wave_velocity(G: RadiationProfile, r, t: float):
     """Time derivative of :func:`free_wave`."""
     check_radius(r)
-    m0 = G.moment0(t - r, t + r)
-    return (G.value(t + r) + G.value(t - r)) / r ** 2 - m0 / r ** 3
+    r = np.asarray(r, dtype=float)
+    out = (G.value(t + r) + G.value(t - r)) / r ** 2 - G.moment0_vec(t - r, t + r) / r ** 3
+    return out if out.ndim else float(out)
 
 
-def free_wave_gradient(G: RadiationProfile, r: float, t: float) -> float:
+def free_wave_gradient(G: RadiationProfile, r, t: float):
     """Radial derivative of :func:`free_wave`."""
-    check_radius(r)
-    u = free_wave(G, r, t)
-    return -3.0 * u / r + (G.value(t + r) - G.value(t - r)) / r ** 2
+    u = free_wave(G, r, t)   # checks r
+    r = np.asarray(r, dtype=float)
+    out = -3.0 * u / r + (G.value(t + r) - G.value(t - r)) / r ** 2
+    return out if out.ndim else float(out)
 
 
 def positive_propagator(u1, r: float, t: float, support=None) -> float:
@@ -401,27 +417,14 @@ def positive_propagator(u1, r: float, t: float, support=None) -> float:
 
 
 def data_from_profile(G: RadiationProfile) -> RadialData:
-    """Initial data of the free wave with incoming profile G:
+    """Initial data of the free wave with incoming profile G, its state at t = 0:
 
         u0(r) = r^-3 int_{-r}^{r} s G ds,
         u1(r) = r^-2 [G(r) + G(-r)] - r^-3 int_{-r}^{r} G ds.
     """
-    def u0(r):
-        r_arr = np.asarray(r, dtype=float)
-        out = G.moment1_vec(-r_arr, r_arr) / r_arr ** 3
-        return out if np.ndim(r) else float(out)
-
-    def u1(r):
-        r_arr = np.asarray(r, dtype=float)
-        m0 = G.moment0_vec(-r_arr, r_arr)
-        out = (G.value(r_arr) + G.value(-r_arr)) / r_arr ** 2 - m0 / r_arr ** 3
-        return out if np.ndim(r) else float(out)
-
-    def du0(r):
-        r_arr = np.asarray(r, dtype=float)
-        out = -3.0 * np.asarray(u0(r_arr)) / r_arr + (G.value(r_arr) - G.value(-r_arr)) / r_arr ** 2
-        return out if np.ndim(r) else float(out)
-
+    u0 = lambda r: free_wave(G, r, 0.0)
+    u1 = lambda r: free_wave_velocity(G, r, 0.0)
+    du0 = lambda r: free_wave_gradient(G, r, 0.0)
     tail_radius, tail_c0, tail_c1 = None, 0.0, 0.0
     if G.support is not None:
         S = max(abs(G.support[0]), abs(G.support[1]))

@@ -145,6 +145,60 @@ class VerificationReport:
         return json.dumps(self.as_dict(), indent=2, allow_nan=True)
 
 
+@dataclass(frozen=True)
+class _Check:
+    """The declaration of one report item: ``rule`` names the comparison in
+    ``_RULES`` that decides ``passed`` from (computed, target, tolerance).
+    A target of None is supplied by the run."""
+
+    name: str
+    target: float | None
+    tolerance: float
+    rule: str
+    note: str = ""
+
+    def judge(self, computed, target=None) -> ReportItem:
+        target = self.target if target is None else target
+        passed = bool(_RULES[self.rule](computed, target, self.tolerance))
+        return ReportItem(self.name, computed, target, self.tolerance, passed, self.note)
+
+    def failed(self, exc) -> ReportItem:
+        return ReportItem(self.name, float("nan"), float("nan"), 0.0, False, f"failed: {exc}")
+
+
+_RULES = {
+    "|c-t| <= tol": lambda c, t, tol: abs(c - t) <= tol,
+    "|c-t| < tol": lambda c, t, tol: abs(c - t) < tol,
+    "c > t": lambda c, t, tol: c > t,
+    "c >= t": lambda c, t, tol: c >= t,
+    "c < t": lambda c, t, tol: c < t,
+}
+
+# Every report item, declared once, in report order.
+_CELLS = _Check("table_cells_max_abs_diff", 0.0, CELL_TOL, "|c-t| <= tol",
+                "worst |computed - reference| over all 16 rows x 5 columns")
+_FOOTER = _Check("table_footer_max_abs_diff", 0.0, CELL_TOL, "|c-t| <= tol")
+_MARGIN = _Check("main_inequality_margin", MARGIN_FLOOR, 0.0, "c > t",
+                 "total - g_minus; reference values give ~0.256543")
+_C1 = _Check("C1_value", REFERENCE_C1, 5e-4, "|c-t| <= tol")
+_NEUTRALIZATION = _Check("neutralization_rows_1_11", None, 0.0, "c >= t",
+                         "sum of contributions over rows 1..11 must cover g_minus")
+_C1_THIRD = _Check("C1_over_3", 11.0 * NU1 / 10.0, 0.0, "c > t",
+                   "C1 * 9^(-1/2) must exceed 11*nu1/10 = 0.055")
+_UPPER = (_Check("upper_integral_value", REFERENCE_UPPER_INTEGRAL, 1e-3, "|c-t| <= tol"),
+          _Check("upper_integral_below_nu0", NU0, 0.0, "c < t",
+                 "strict upper bound for the ray integral"))
+_DRIFT = _Check("profile_energy_drift", 0.0, 1e-8, "|c-t| < tol")
+_TABLE_BLOCK = (_CELLS, _FOOTER, _MARGIN, _C1, _NEUTRALIZATION, _C1_THIRD, *_UPPER, _DRIFT)
+_PUSHUP = (_Check("pushup_integral", REFERENCE_PUSHUP, 1e-4, "|c-t| <= tol"),
+           _Check("pushup_factor", 1.1, 0.0, "c > t", "(99/50) I* must exceed 11/10"),
+           _Check("pushup_closed_form_agreement", 0.0, 1e-8, "|c-t| < tol",
+                  "numeric linear profile vs (2/3) sin((3/2) arcsin y)"))
+_G_CONSTANTS = _Check("g_closed_form_constants", 0.0, 1e-12, "|c-t| <= tol",
+                      "g(z0)=0, g'(z_max)=0, g(z_max)=g_max")
+_NU2 = _Check("nu2", REFERENCE_NU2, 5e-3, "|c-t| <= tol")
+
+
 def _z_ladder():
     z = [nl.g_constants().z0]
     z += [round(1.7 - 0.1 * k, 1) for k in range(1, 17)]
@@ -191,15 +245,7 @@ def build_table1(tol: float = TOL, nu0: float = NU0):
 
 def check_main_inequality(rows, summary) -> ReportItem:
     """Total of the contributions must exceed g_minus by a definite margin."""
-    margin = summary.total - summary.g_minus
-    return ReportItem(
-        name="main_inequality_margin",
-        computed=margin,
-        target=MARGIN_FLOOR,
-        tolerance=0.0,
-        passed=bool(summary.total > summary.g_minus and margin > MARGIN_FLOOR),
-        note="total - g_minus; reference values give ~0.256543",
-    )
+    return _MARGIN.judge(summary.total - summary.g_minus)
 
 
 def check_upper_integral(prof, tol: float = TOL):
@@ -216,24 +262,8 @@ def check_upper_integral(prof, tol: float = TOL):
         return nl.g(np.minimum(prof.phi_at(np.asarray(y)), gc.z_max))
 
     inner = integrate_sqrt_singular(integrand, 0.0, y_cross, tol)
-    outer = 2.0 * gc.g_max * math.sqrt(1.0 - y_cross)
-    value = inner + outer
-    item_value = ReportItem(
-        name="upper_integral_value",
-        computed=value,
-        target=REFERENCE_UPPER_INTEGRAL,
-        tolerance=1e-3,
-        passed=bool(abs(value - REFERENCE_UPPER_INTEGRAL) <= 1e-3),
-    )
-    item_below = ReportItem(
-        name="upper_integral_below_nu0",
-        computed=value,
-        target=NU0,
-        tolerance=0.0,
-        passed=bool(value < NU0),
-        note="strict upper bound for the ray integral",
-    )
-    return item_value, item_below, value
+    value = inner + 2.0 * gc.g_max * math.sqrt(1.0 - y_cross)
+    return (*(check.judge(value) for check in _UPPER), value)
 
 
 def check_C1(rows, summary):
@@ -248,25 +278,8 @@ def check_C1(rows, summary):
         c1 += 2.0 * row.min_g * (cur - prev)
         prev = cur
     partial = sum(row.contribution_k for row in rows[:11])
-    item_c1 = ReportItem(
-        name="C1_value", computed=c1, target=REFERENCE_C1, tolerance=5e-4,
-        passed=bool(abs(c1 - REFERENCE_C1) <= 5e-4),
-    )
-    item_neut = ReportItem(
-        name="neutralization_rows_1_11",
-        computed=partial,
-        target=summary.g_minus,
-        tolerance=0.0,
-        passed=bool(partial >= summary.g_minus),
-        note="sum of contributions over rows 1..11 must cover g_minus",
-    )
-    third = c1 / 3.0
-    item_third = ReportItem(
-        name="C1_over_3", computed=third, target=11.0 * NU1 / 10.0, tolerance=0.0,
-        passed=bool(third > 11.0 * NU1 / 10.0),
-        note="C1 * 9^(-1/2) must exceed 11*nu1/10 = 0.055",
-    )
-    return item_c1, item_neut, item_third
+    return (_C1.judge(c1), _NEUTRALIZATION.judge(partial, target=summary.g_minus),
+            _C1_THIRD.judge(c1 / 3.0))
 
 
 def check_pushup(tol: float = TOL):
@@ -284,84 +297,29 @@ def check_pushup(tol: float = TOL):
         abs(i_star - i_exact),
         float(np.max(np.abs(lp.phi - profiles.phi_star_exact(lp.grid)))),
     )
-    item_value = ReportItem(
-        name="pushup_integral", computed=i_star, target=REFERENCE_PUSHUP, tolerance=1e-4,
-        passed=bool(abs(i_star - REFERENCE_PUSHUP) <= 1e-4),
-    )
-    factor = (99.0 / 50.0) * i_star
-    item_factor = ReportItem(
-        name="pushup_factor", computed=factor, target=1.1, tolerance=0.0,
-        passed=bool(factor > 1.1),
-        note="(99/50) I* must exceed 11/10",
-    )
-    item_oracle = ReportItem(
-        name="pushup_closed_form_agreement", computed=oracle_gap, target=0.0,
-        tolerance=1e-8, passed=bool(oracle_gap < 1e-8),
-        note="numeric linear profile vs (2/3) sin((3/2) arcsin y)",
-    )
-    return item_value, item_factor, item_oracle
+    computed = (i_star, (99.0 / 50.0) * i_star, oracle_gap)
+    return tuple(check.judge(c) for check, c in zip(_PUSHUP, computed))
 
 
-def _item_table_cells(rows, summary):
-    worst = 0.0
-    for row in rows:
-        ref = REFERENCE_ROWS[row.k]
-        comp = (row.y_k, row.lambda_k, row.min_g, row.product_k, row.contribution_k)
-        worst = max(worst, max(abs(c - r) for c, r in zip(comp, ref)))
-    return ReportItem(
-        name="table_cells_max_abs_diff", computed=worst, target=0.0, tolerance=CELL_TOL,
-        passed=bool(worst <= CELL_TOL),
-        note="worst |computed - reference| over all 16 rows x 5 columns",
-    )
+def _table_cells_gap(rows):
+    """Worst |computed - reference| over all 16 rows x 5 cells."""
+    return max(0.0, *(max(abs(c - r) for c, r in zip(
+        (row.y_k, row.lambda_k, row.min_g, row.product_k, row.contribution_k),
+        REFERENCE_ROWS[row.k])) for row in rows))
 
 
-def _item_table_footer(summary):
-    comp = {
-        "sup_phi": summary.sup_phi,
-        "y0": summary.y0,
-        "kappa0": summary.kappa0,
-        "g_minus": summary.g_minus,
-        "total": summary.total,
-    }
-    worst = max(abs(comp[k] - REFERENCE_FOOTER[k]) for k in REFERENCE_FOOTER)
-    return ReportItem(
-        name="table_footer_max_abs_diff", computed=worst, target=0.0, tolerance=CELL_TOL,
-        passed=bool(worst <= CELL_TOL),
-    )
-
-
-def _item_g_constants():
+def _g_constants_gap():
     gc = nl.g_constants()
-    worst = max(abs(nl.g(gc.z0)), abs(nl.dg(gc.z_max)), abs(nl.g(gc.z_max) - gc.g_max))
-    return ReportItem(
-        name="g_closed_form_constants", computed=worst, target=0.0, tolerance=1e-12,
-        passed=bool(worst <= 1e-12),
-        note="g(z0)=0, g'(z_max)=0, g(z_max)=g_max",
-    )
-
-
-def _item_nu2():
-    nu2 = profiles.find_nu2(tol=1e-8)
-    return ReportItem(
-        name="nu2", computed=nu2, target=REFERENCE_NU2, tolerance=5e-3,
-        passed=bool(abs(nu2 - REFERENCE_NU2) <= 5e-3),
-    )
-
-
-def _item_profile_drift(prof):
-    return ReportItem(
-        name="profile_energy_drift", computed=prof.energy_drift, target=0.0,
-        tolerance=1e-8, passed=bool(prof.energy_drift < 1e-8),
-    )
+    return max(abs(nl.g(gc.z0)), abs(nl.dg(gc.z_max)), abs(nl.g(gc.z_max) - gc.g_max))
 
 
 def run_all(tol: float = TOL, nu0: float = NU0) -> VerificationReport:
     """Run every check and assemble the report in a fixed deterministic order.
 
     A non-finite or nonpositive tolerance or a non-finite nu0 raises
-    ValueError.  Sub-failures (for instance an injected nu0 for which the
-    table cannot be built) are recorded as failing items; nothing else
-    raises out of here.
+    ValueError.  A block that raises (for instance at an injected nu0 for
+    which the table cannot be built) is recorded as its declared items, all
+    failing with the error as their note; nothing else raises out of here.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerances must be finite and positive")
@@ -369,14 +327,11 @@ def run_all(tol: float = TOL, nu0: float = NU0) -> VerificationReport:
         raise ValueError("nu0 must be finite")
     report = VerificationReport()
 
-    def guarded(fn, *names):
+    def guarded(checks, block):
         try:
-            out = fn()
-            return list(out) if isinstance(out, tuple) else [out]
+            return list(block())
         except Exception as exc:  # recorded, never propagated
-            return [ReportItem(name=n, computed=float("nan"), target=float("nan"),
-                               tolerance=0.0, passed=False, note=f"failed: {exc}")
-                    for n in names]
+            return [check.failed(exc) for check in checks]
 
     def table_block():
         try:
@@ -385,27 +340,23 @@ def run_all(tol: float = TOL, nu0: float = NU0) -> VerificationReport:
             report.table_error = str(exc)
             raise
         report.table = (rows, summary)
-        items = [_item_table_cells(rows, summary), _item_table_footer(summary),
-                 check_main_inequality(rows, summary)]
-        items += list(check_C1(rows, summary))
-        upper_items = guarded(lambda: check_upper_integral(prof, tol)[:2],
-                              "upper_integral_value", "upper_integral_below_nu0")
-        items += upper_items
-        items.append(_item_profile_drift(prof))
-        return tuple(items)
+        footer_gap = max(abs(getattr(summary, key) - ref)
+                         for key, ref in REFERENCE_FOOTER.items())
+        return [_CELLS.judge(_table_cells_gap(rows)), _FOOTER.judge(footer_gap),
+                check_main_inequality(rows, summary), *check_C1(rows, summary),
+                *guarded(_UPPER, lambda: check_upper_integral(prof, tol)[:2]),
+                _DRIFT.judge(prof.energy_drift)]
 
+    # each block looks its check up when it runs, so a function patched on
+    # this module (as bench/tracing.py does) is the one called
     blocks = [
-        (table_block, ("table_cells_max_abs_diff", "table_footer_max_abs_diff",
-                       "main_inequality_margin", "C1_value", "neutralization_rows_1_11",
-                       "C1_over_3", "upper_integral_value", "upper_integral_below_nu0",
-                       "profile_energy_drift")),
-        (lambda: check_pushup(tol),
-         ("pushup_integral", "pushup_factor", "pushup_closed_form_agreement")),
-        (_item_g_constants, ("g_closed_form_constants",)),
-        (_item_nu2, ("nu2",)),
+        (_TABLE_BLOCK, table_block),
+        (_PUSHUP, lambda: check_pushup(tol)),
+        ((_G_CONSTANTS,), lambda: [_G_CONSTANTS.judge(_g_constants_gap())]),
+        ((_NU2,), lambda: [_NU2.judge(profiles.find_nu2(tol=1e-8))]),
     ]
-    for fn, names in blocks:
-        report.items.extend(guarded(fn, *names))
+    for checks, block in blocks:
+        report.items.extend(guarded(checks, block))
     return report
 
 

@@ -101,6 +101,15 @@ def test_inverse_phi_errors():
     assert len(info.value.crossings) > 1
 
 
+def test_linear_profile_energy_at_is_its_conserved_energy():
+    # the linear equation conserves phi_t^2/2 + (9/8) phi^2 = 1/2, with no
+    # |phi|^(10/3) term
+    lp = integrate_linear_profile(1e-12)
+    y = np.array([0.0, 0.25, 0.5, 0.75, 0.95])
+    assert np.max(np.abs(lp.energy_at(y) - 0.5)) < 1e-10
+    assert lp.energy_at(0.5) == pytest.approx(0.5, abs=1e-10)
+
+
 def test_linear_profile_matches_closed_form():
     tol = 1e-12
     lp = integrate_linear_profile(tol)

@@ -547,15 +547,40 @@ def test_stored_u1_tail_matches_quad(tail):
     d = rad.RadialData.from_samples(r, u0, u1, tail=tail)
     s1 = CubicSpline(r, u1)
     c1 = r[-1] ** 3 * u1[-1] if tail == "r3" else 0.0
-    below = u1[0] if tail == "r3" else 0.0
+    # below the grid "r3" continues u1 evenly, a + b rho^2, with the value
+    # and slope of the spline at r[0]
+    b = s1(r[0], 1) / (2.0 * r[0]) if tail == "r3" else 0.0
+    a = s1(r[0]) - b * r[0] ** 2 if tail == "r3" else 0.0
     points = np.array([0.0, 0.099, 1.2345, 3.0, 3.7])
     got = rad._u1_tail_integral(d, points)
     for s, g in zip(points, got):
         inner = min(max(s, r[0]), r[-1])
-        want = (_knot_split_quad(lambda x: x * below, min(s, r[0]), r[0], ())
+        want = (_knot_split_quad(lambda x: x * (a + b * x * x), min(s, r[0]), r[0], ())
                 + _knot_split_quad(lambda x: x * s1(x), inner, r[-1], r)
                 + c1 / max(s, r[-1]))
         assert g == pytest.approx(want, abs=1e-13)
+
+
+def test_sampled_round_trip_below_the_grid():
+    # data sampled from r0 = 0.1 on, as `to-data` writes them, recover the
+    # profile on |s| < r0 as well as elsewhere
+    G = random_smooth_profile(np.random.default_rng(7))
+    r = np.linspace(0.1, 3.0, 2001)
+    exact = rad.data_from_profile(G)
+    d = rad.RadialData.from_samples(r, exact.u0(r), exact.u1(r), tail="r3")
+    s = np.linspace(-0.099, 0.099, 45)
+    assert np.max(np.abs(rad.profile_from_data(d).value(s) - G.value(s))) < 1e-6
+
+
+def test_sampled_du0_is_the_derivative_below_the_grid():
+    r = np.linspace(0.1, 3.0, 601)
+    d = rad.RadialData.from_samples(r, np.exp(-r) * np.cos(3.0 * r), np.sin(2.0 * r),
+                                    tail="r3")
+    x = np.array([0.01, 0.03, 0.05, 0.08, 0.099])
+    h = 1e-6
+    centered = (d.u0(x + h) - d.u0(x - h)) / (2.0 * h)
+    np.testing.assert_allclose(d.du0(x), centered, rtol=0, atol=1e-8)
+    assert abs(d.du0(0.1 - 1e-12) - d.du0(0.1)) < 1e-9   # continuous at the grid start
 
 
 def test_sampled_profile_moments_match_quad():

@@ -138,6 +138,40 @@ def test_run_all_sensitivity_probe():
     assert all(np.isfinite(i.computed) or not i.passed for i in report.items)
 
 
+def _names(report):
+    return [item.name for item in report.items]
+
+
+def test_run_all_lists_every_item_in_a_fixed_order():
+    names = _names(verify.run_all())
+    assert len(names) == len(set(names)) == 14
+    assert names[0] == "table_cells_max_abs_diff" and names[-1] == "nu2"
+    negative = verify.run_all(nu0=1.0)
+    assert _names(negative) == names
+    assert _names(verify.run_all(nu0=1.8)) == names
+    # at nu0 = 1.0 the table cannot be built: its block fails as a whole
+    assert all(not item.passed and item.note.startswith("failed: ")
+               for item in negative.items[:9])
+
+
+def _raise(*args, **kwargs):
+    raise RuntimeError("injected")
+
+
+@pytest.mark.parametrize("check, n_failed", [("build_table1", 9), ("check_upper_integral", 2),
+                                             ("check_pushup", 3)])
+def test_run_all_fails_only_the_block_that_raised(monkeypatch, check, n_failed):
+    names = _names(verify.run_all())
+    # run_all looks the checks up when it calls them, so a patched one is used
+    monkeypatch.setattr(verify, check, _raise)
+    report = verify.run_all()
+    assert _names(report) == names
+    failed = [item for item in report.items if item.note == "failed: injected"]
+    assert len(failed) == n_failed
+    assert all(not item.passed and np.isnan(item.computed) for item in failed)
+    assert all(item.passed for item in report.items if item not in failed)
+
+
 def test_report_json_deterministic():
     a = verify.run_all().to_json()
     b = verify.run_all().to_json()
