@@ -2,8 +2,10 @@
 
 Subcommands: constants, profile, table1, verify, radiation, simulate.
 Machine-readable output (CSV with 12 significant digits or raw-number JSON)
-goes to --out or stdout; a short human summary goes to stderr.  Output files
-are written to a temporary name and renamed on success, so a failed run never
+goes to --out or stdout; a short human summary goes to stderr.  simulate
+writes its CSV one snapshot at a time, so the whole text never sits in
+memory.  Output files are written to a temporary name and renamed on
+success, so a failed run never
 leaves a partial file; an existing target that is not a regular file (a
 device or a FIFO) is written in place instead.  A symlinked target is
 resolved first, so the link stays and its target is replaced, and the file
@@ -28,12 +30,17 @@ from . import pdesim, profiles, radiation, verify
 __all__ = ["main", "entry"]
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _chunks(text):
+    """A str is one chunk; anything else is an iterable of str chunks."""
+    return (text,) if isinstance(text, str) else text
+
+
+def _atomic_write(path: str, text) -> None:
     path = os.path.realpath(path)
     if os.path.exists(path) and not os.path.isfile(path):
         # a device or FIFO: renaming over it would replace it with a file
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(_chunks(text))
         return
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
@@ -45,7 +52,7 @@ def _atomic_write(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             os.fchmod(fh.fileno(), mode)
-            fh.write(text)
+            fh.writelines(_chunks(text))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -53,13 +60,28 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
+def _emit(text, out: str | None) -> None:
+    """Write text (a str or an iterable of str chunks) to out or stdout;
+    stdout always gets a final newline."""
+    if out is not None:
         _atomic_write(out, text)
+        return
+    last = ""
+    for chunk in _chunks(text):
+        sys.stdout.write(chunk)
+        last = chunk or last
+    if not last.endswith("\n"):
+        sys.stdout.write("\n")
+
+
+def _format_column(values) -> list[str]:
+    """Each value as 12-significant-digit text, formatted once."""
+    return [f"{v:.12g}" for v in np.asarray(values, dtype=float).tolist()]
+
+
+def _csv_rows(*columns) -> str:
+    """One CSV line per row of equally long columns of text."""
+    return "".join(",".join(row) + "\n" for row in zip(*columns))
 
 
 def _json_dumps(obj) -> str:
@@ -143,9 +165,8 @@ def _cmd_radiation(args) -> int:
         hi = max(abs(G.support[0]), abs(G.support[1]))
         r = np.linspace(args.rmin, max(2.0 * hi, args.rmin + 1.0), args.n)
         d = radiation.data_from_profile(G)
-        lines = ["r,u0,u1"] + [f"{ri:.12g},{a:.12g},{b:.12g}"
-                               for ri, a, b in zip(r, d.u0(r), d.u1(r))]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(("r,u0,u1\n", _csv_rows(*map(_format_column, (r, d.u0(r), d.u1(r))))),
+              args.out)
         _info(f"data written on {len(r)} radii")
         return 0
     if args.mode == "from-data":
@@ -153,8 +174,7 @@ def _cmd_radiation(args) -> int:
         d = radiation.RadialData.from_samples(r, u0_vals, u1_vals, tail="r3")
         G = radiation.profile_from_data(d)
         s = np.linspace(G.support[0], G.support[1], args.n)
-        lines = ["s,G"] + [f"{si:.12g},{g:.12g}" for si, g in zip(s, G.value(s))]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(("s,G\n", _csv_rows(*map(_format_column, (s, G.value(s))))), args.out)
         _info(f"profile written on {len(s)} samples")
         return 0
     G = _load_profile(args.infile)
@@ -274,12 +294,15 @@ def _cmd_simulate(args) -> int:
         n_levels = len(tr.times)
         tr = pdesim.simulate(d, cfg, levels=_levels_read(cfg, n_levels, free_wave))
     snap_idx = _snapshot_levels(n_levels)
-    lines = ["t,r,u"]
-    for n in snap_idx:
-        u = tr.u_level(n)
-        for ri, ui in zip(tr.r, u):
-            lines.append(f"{tr.times[n]:.12g},{ri:.12g},{ui:.12g}")
-    _emit("\n".join(lines) + "\n", args.out)
+    r_text = _format_column(tr.r)
+
+    def snapshots():  # one chunk per snapshot, so the whole CSV never sits in memory
+        yield "t,r,u\n"
+        for n in snap_idx:
+            t_text = f"{tr.times[n]:.12g}"
+            yield _csv_rows([t_text] * len(r_text), r_text, _format_column(tr.u_level(n)))
+
+    _emit(snapshots(), args.out)
 
     diag = {"times": [], "energy": [], "virial": []}
     for n in snap_idx:
@@ -301,7 +324,7 @@ def _cmd_simulate(args) -> int:
         diag["blowup"] = {"time": tr.blowup.time, "radius": tr.blowup.radius}
     if args.diag is not None:
         _atomic_write(args.diag, _json_dumps(diag))
-    _info(f"simulated {len(tr.times)} levels on {len(tr.r)} radii"
+    _info(f"simulated {len(tr.times)} levels to t={tr.times[-1]:.12g} on {len(tr.r)} radii"
           + (f"; BLOW-UP at t={tr.blowup.time}" if tr.blowup else ""))
     return 0
 

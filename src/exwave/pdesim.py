@@ -66,6 +66,12 @@ class BlowUpTruncation:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Grid, nonlinearity and boundary policy of one run.
+
+    The run takes n_t = round(T/dt) steps of dt = cfl * dr, so it ends at
+    round(T/dt) * dt, which can lie up to dt/2 past T or short of it.
+    """
+
     r_min: float
     r_max: float
     dr: float
@@ -113,7 +119,7 @@ class SimConfig:
         return int(round(self.T / self.dt))
 
     def grid(self):
-        """Radii and level times of a run that reaches T."""
+        """Radii and level times of a run that does not blow up."""
         return (self.r_min + self.dr * np.arange(self.n_r + 1),
                 self.dt * np.arange(self.n_t + 1))
 

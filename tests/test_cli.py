@@ -43,14 +43,22 @@ def test_output_to_a_fifo_is_written_in_place(tmp_path):
     fifo = tmp_path / "out.fifo"
     os.mkfifo(fifo)
     reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    simulate = ["simulate", "--preset", "ground-state", "--rmin", "1", "--rmax", "3",
+                "--dr", "0.05", "--T", "0.5", "--out"]
     try:
         assert run_cli(["constants", "--out", str(fifo)]) == 0
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         payload = json.loads(os.read(reader, 1 << 16))
+        assert run_cli([*simulate, str(fifo)]) == 0  # streamed in chunks
+        streamed = os.read(reader, 1 << 16)
     finally:
         os.close(reader)
     assert payload["z0"] == pytest.approx(1.681792830, abs=1e-8)
     assert [p.name for p in tmp_path.iterdir()] == ["out.fifo"]
+    plain = tmp_path / "traj.csv"
+    assert run_cli([*simulate, str(plain)]) == 0
+    assert len(streamed) < 1 << 16  # fits a pipe buffer, so the writer never blocks
+    assert streamed == plain.read_bytes()
 
 
 def test_out_through_a_symlink_replaces_its_target(tmp_path):
@@ -384,3 +392,108 @@ def test_radiation_too_few_samples_exits_1(tmp_path, capsys, n):
                     "--n", n, "--out", str(out)]) == 1
     assert "--n" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _old_rows(*columns):
+    """The CSV lines of the per-cell loop the writers used to run."""
+    return "".join(",".join(f"{np.float64(x):.12g}" for x in row) + "\n"
+                   for row in zip(*columns))
+
+
+def _old_csv(header, *columns):
+    return header + "\n" + _old_rows(*columns)
+
+
+_SMALL_GROUND_STATE = ["simulate", "--preset", "ground-state", "--rmin", "1",
+                       "--rmax", "6", "--dr", "0.05", "--T", "1"]
+
+
+def _small_ground_state_csv():
+    from exwave import nonlinearity as nl, pdesim, radiation
+    d = radiation.RadialData(u0=lambda r: nl.ground_state(r)[0],
+                             u1=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+                             du0=lambda r: nl.ground_state(r)[1], decay=3.0)
+    cfg = pdesim.SimConfig(r_min=1.0, r_max=6.0, dr=0.05, T=1.0, nonlinearity="focusing",
+                           boundary="dirichlet-exact",
+                           boundary_values=lambda r, t: nl.ground_state(r)[0])
+    tr = pdesim.simulate(d, cfg)
+    snaps = cli._snapshot_levels(len(tr.times))
+    assert len(snaps) == 9
+    return "t,r,u\n" + "".join(
+        _old_rows([tr.times[n]] * len(tr.r), tr.r, tr.u_level(n)) for n in snaps)
+
+
+def test_simulate_csv_is_the_per_cell_text(tmp_path, capsys):
+    want = _small_ground_state_csv()
+    out = tmp_path / "traj.csv"
+    assert run_cli([*_SMALL_GROUND_STATE, "--out", str(out)]) == 0
+    assert out.read_text() == want
+    capsys.readouterr()
+    assert run_cli(_SMALL_GROUND_STATE) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_radiation_csvs_are_the_per_cell_text(tmp_path):
+    from exwave import radiation
+    s = np.linspace(-1.5, 1.5, 301)
+    g_vals = np.where(np.abs(s) < 1.0, (1.0 - s ** 2) ** 3 * (0.3 + s), 0.0)
+    profile_csv = tmp_path / "profile.csv"
+    profile_csv.write_text(_old_csv("s,G", s, g_vals))
+
+    data_csv = tmp_path / "data.csv"
+    assert run_cli(["radiation", "to-data", "--in", str(profile_csv), "--rmin", "0.2",
+                    "--n", "151", "--out", str(data_csv)]) == 0
+    d = radiation.data_from_profile(radiation.RadiationProfile.from_samples(
+        *np.loadtxt(profile_csv, delimiter=",", skiprows=1).T))
+    r = np.linspace(0.2, 3.0, 151)
+    assert data_csv.read_text() == _old_csv("r,u0,u1", r, d.u0(r), d.u1(r))
+
+    back_csv = tmp_path / "back.csv"
+    assert run_cli(["radiation", "from-data", "--in", str(data_csv), "--n", "101",
+                    "--out", str(back_csv)]) == 0
+    G = radiation.profile_from_data(radiation.RadialData.from_samples(
+        *np.loadtxt(data_csv, delimiter=",", skiprows=1).T, tail="r3"))
+    s_back = np.linspace(G.support[0], G.support[1], 101)
+    assert back_csv.read_text() == _old_csv("s,G", s_back, G.value(s_back))
+
+
+def test_atomic_write_of_failing_chunks_keeps_the_target(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"old contents\n")
+
+    def chunks():
+        yield "t,r,u\n"
+        raise RuntimeError("snapshot failed")
+
+    with pytest.raises(RuntimeError, match="snapshot failed"):
+        cli._atomic_write(str(target), chunks())
+    assert target.read_bytes() == b"old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_simulate_peak_memory_is_a_small_multiple_of_its_csv(tmp_path):
+    import tracemalloc
+    out = tmp_path / "traj.csv"
+    tracemalloc.start()
+    try:
+        assert run_cli(["simulate", "--preset", "ground-state", "--rmin", "1", "--rmax", "41",
+                        "--dr", "0.005", "--T", "2", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 2.0x when the CSV is streamed one snapshot at a time; 6.1x when it was
+    # built as one string from a list of lines
+    assert peak < 3 * out.stat().st_size
+
+
+@pytest.mark.parametrize("grid, summary", [
+    (["--rmax", "2", "--dr", "0.5", "--T", "0.4"], "simulated 2 levels to t=0.5 on 3 radii"),
+    (["--rmax", "2", "--dr", "0.05", "--T", "1.5", "--cfl", "0.8"],
+     "simulated 38 levels to t=1.48 on 21 radii"),
+])
+def test_simulate_summary_names_the_final_time(tmp_path, capsys, grid, summary):
+    # the run takes round(T/dt) steps, so it can end past T or short of it
+    out = tmp_path / "traj.csv"
+    assert run_cli(["simulate", "--preset", "ground-state", "--rmin", "1", *grid,
+                    "--out", str(out)]) == 0
+    assert capsys.readouterr().err.strip() == summary
