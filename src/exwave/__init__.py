@@ -13,8 +13,16 @@ verify        the reference-value verification pipeline (table, inequalities)
 cli           command-line front end
 """
 
-from . import nonlinearity, pdesim, profiles, quadrature, radiation, verify
+import importlib
 
 __version__ = "0.1.0"
 
 __all__ = ["nonlinearity", "pdesim", "profiles", "quadrature", "radiation", "verify"]
+
+
+def __getattr__(name):
+    """Import a submodule on first access (PEP 562), so `import exwave` loads
+    no numpy and each program pays only for the modules it uses."""
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,7 +10,14 @@ leaves a partial file; an existing target that is not a regular file (a
 device or a FIFO) is written in place instead.  A symlinked target is
 resolved first, so the link stays and its target is replaced, and the file
 gets the mode a plain open() would give it.  Exit codes: 0 success,
-1 computation failure, 2 usage error, 3 verification failure.
+1 computation failure, 2 usage error, 3 verification failure, 141 stdout's
+reader closed early (128 + SIGPIPE, what the shell reports for a tool that
+SIGPIPE kills); the last stops quietly, with nothing on stderr.
+
+Each subcommand imports only the exwave modules it runs: radiation loads no
+pdesim, profiles or verify, and table1 and verify load no radiation, _spline
+or pdesim.  The process defaults OPENBLAS_NUM_THREADS to 1 (see below); set
+the variable to override it.
 """
 
 from __future__ import annotations
@@ -22,10 +29,16 @@ import stat
 import sys
 import tempfile
 
-import numpy as np
+# exwave's BLAS calls are all tiny: the @ products of _ode on 7-vectors and
+# the (dim x 7) @ (7 x 4) dense-output product, the 15-node products of
+# quadrature._gk15 and a 3 x 3 np.linalg.solve in pdesim.  Each sits below
+# OpenBLAS's threading threshold, so its worker pool only costs start-up CPU
+# and one thread gives the same results.  setdefault keeps a value the user
+# set; the library itself leaves the variable alone, so importing exwave
+# never changes the BLAS of the program that imports it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import nonlinearity as nl
-from . import pdesim, profiles, radiation, verify
+import numpy as np  # noqa: E402  (after the BLAS default)
 
 __all__ = ["main", "entry"]
 
@@ -72,6 +85,7 @@ def _emit(text, out: str | None) -> None:
         last = chunk or last
     if not last.endswith("\n"):
         sys.stdout.write("\n")
+    sys.stdout.flush()  # a closed reader shows here, before the summary
 
 
 def _format_column(values) -> list[str]:
@@ -96,6 +110,8 @@ def _info(msg: str) -> None:
 
 
 def _cmd_constants(args) -> int:
+    from . import nonlinearity as nl, verify
+
     gc = nl.g_constants()
     payload = {
         "z0": gc.z0,
@@ -113,6 +129,8 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from . import profiles
+
     prof = profiles.integrate_profile(args.nu, args.tol)
     _emit(profiles.profile_to_csv(prof), args.out)
     _info(f"nu={args.nu}: category={prof.category}, sup_phi={prof.sup_phi:.9g}, "
@@ -121,7 +139,9 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    rows, summary, _ = verify.build_table1(args.tol)
+    from . import verify
+
+    rows, summary, _ = verify.build_table1(verify.TOL if args.tol is None else args.tol)
     _emit(verify.table_to_csv(rows, summary), args.out)
     _info(f"total={summary.total:.9g} g_minus={summary.g_minus:.9g} "
           f"margin={summary.total - summary.g_minus:.9g}")
@@ -129,7 +149,10 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = verify.run_all(args.tol, nu0=args.nu0)
+    from . import verify
+
+    report = verify.run_all(verify.TOL if args.tol is None else args.tol,
+                            nu0=verify.NU0 if args.nu0 is None else args.nu0)
     _emit(report.to_json(), args.out)
     if args.table is not None:
         if report.table is None:  # the report records the failure; not fatal
@@ -151,12 +174,16 @@ def _read_csv_columns(path, n_cols):
     return [data[:, j] for j in range(n_cols)]
 
 
-def _load_profile(path) -> radiation.RadiationProfile:
+def _load_profile(path):
+    from . import radiation
+
     s, g_vals = _read_csv_columns(path, 2)
     return radiation.RadiationProfile.from_samples(s, g_vals)
 
 
 def _cmd_radiation(args) -> int:
+    from . import radiation
+
     if args.n < 2:
         raise ValueError("--n must be at least 2")
     if args.mode == "to-data":
@@ -192,6 +219,8 @@ def _cmd_radiation(args) -> int:
 def _parse_gspec(spec: str):
     """Named closed-form profiles: 'bump:lo:hi[:amp]' (C^2 bump) or
     'box:lo:hi[:amp]' (indicator)."""
+    from . import radiation
+
     parts = spec.split(":")
     kind = parts[0]
     if kind not in ("bump", "box") or len(parts) not in (3, 4):
@@ -229,6 +258,8 @@ def _levels_read(cfg, n_levels, free_wave):
     """Every level the simulate output reads: each snapshot with its n +- 1
     neighbours (centered velocity in energy and virial) and, for a free wave,
     the levels of the profile extraction."""
+    from . import pdesim
+
     keep = {m for n in _snapshot_levels(n_levels) for m in (n - 1, n, n + 1)
             if 0 <= m < n_levels}
     if free_wave:
@@ -241,6 +272,8 @@ def _levels_read(cfg, n_levels, free_wave):
 
 
 def _cmd_simulate(args) -> int:
+    from . import nonlinearity as nl, pdesim, radiation
+
     boundary = "domain-of-dependence"
     bv = None
     if (args.preset is None) == (args.data is None):
@@ -349,15 +382,15 @@ def _build_parser():
     pr.set_defaults(fn=_cmd_profile)
 
     tb = sub.add_parser("table1", help="build the verification table as CSV")
-    tb.add_argument("--tol", type=float, default=verify.TOL)
+    tb.add_argument("--tol", type=float)  # None: verify.TOL
     tb.add_argument("--out")
     tb.set_defaults(fn=_cmd_table1)
 
     vf = sub.add_parser("verify", help="run every check; exit 0 iff all pass")
-    vf.add_argument("--tol", type=float, default=verify.TOL)
+    vf.add_argument("--tol", type=float)  # None: verify.TOL
     vf.add_argument("--out")
     vf.add_argument("--table", help="also write the table CSV here")
-    vf.add_argument("--nu0", type=float, default=verify.NU0,
+    vf.add_argument("--nu0", type=float,  # None: verify.NU0
                     help="profile slope for the pipeline (sensitivity probe)")
     vf.set_defaults(fn=_cmd_verify)
 
@@ -407,6 +440,12 @@ def main(argv=None) -> int:
     try:
         _validate_paths(args)
         return args.fn(args)
+    except BrokenPipeError:
+        # The reader has gone, which is not a failure of the computation.
+        # Buffered output left for exit goes to devnull, so the interpreter
+        # prints no "Exception ignored" line.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

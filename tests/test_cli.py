@@ -127,6 +127,25 @@ def _python_with_exwave(code):
 
 
 _SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+_MODULES_LOADED = (_SCIPY_LOADED + "\n"
+                   "print(*sorted(m[7:] for m in sys.modules if m.startswith('exwave.')))")
+
+# exwave modules each subcommand must not load: it imports only what it runs
+_UNUSED_MODULES = {
+    "constants": {"radiation", "_spline", "pdesim"},
+    "profile": {"radiation", "_spline", "pdesim", "verify"},
+    "table1": {"radiation", "_spline", "pdesim"},
+    "verify": {"radiation", "_spline", "pdesim"},
+    "radiation": {"pdesim", "profiles", "verify"},
+    "simulate": {"profiles", "verify"},
+}
+
+
+def _assert_loads_only_its_modules(proc, command):
+    assert proc.returncode == 0, proc.stderr
+    scipy_modules, exwave_modules = proc.stdout.splitlines()
+    assert scipy_modules == "[]"
+    assert not _UNUSED_MODULES[command] & set(exwave_modules.split())
 
 
 def test_cli_import_loads_no_scipy():
@@ -135,13 +154,42 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_package_import_loads_no_numpy():
+    proc = _python_with_exwave(
+        "import sys, exwave\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert exwave.radiation.__name__ == 'exwave.radiation'\n"
+        "assert 'numpy' in sys.modules and 'exwave.pdesim' not in sys.modules\n"
+        "assert not hasattr(exwave, 'no_such_module')\n")
+    assert proc.returncode == 0, proc.stderr
+
+
+_THREADS = ("import os, exwave.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n"
+            "task = '/proc/self/task'\n"
+            "print(len(os.listdir(task)) if os.path.isdir(task) else 'no-proc')\n")
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")])
+def test_cli_defaults_blas_to_one_thread(preset, want):
+    env = _env_with_exwave()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", _THREADS], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    value, threads = proc.stdout.split()
+    assert value == want
+    if preset is None and threads != "no-proc":
+        assert threads == "1"  # no idle OpenBLAS worker beside the main thread
+
+
 def test_verify_loads_no_scipy(tmp_path):
     out = tmp_path / "report.json"
     proc = _python_with_exwave(
         "import sys\nfrom exwave.cli import main\n"
-        f"assert main(['verify', '--out', {str(out)!r}]) == 0\n" + _SCIPY_LOADED)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+        f"assert main(['verify', '--out', {str(out)!r}]) == 0\n" + _MODULES_LOADED)
+    _assert_loads_only_its_modules(proc, "verify")
 
 
 _SIM = ["--rmin", "0.5", "--rmax", "4.5", "--dr", "0.05", "--T", "1"]
@@ -172,9 +220,8 @@ def test_subcommand_loads_no_scipy(tmp_path, argv):
                    comments="")
     proc = _python_with_exwave(
         f"import os, sys\nos.chdir({str(tmp_path)!r})\nfrom exwave.cli import main\n"
-        f"assert main({[*argv, '--out', 'out.txt']!r}) == 0\n" + _SCIPY_LOADED)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+        f"assert main({[*argv, '--out', 'out.txt']!r}) == 0\n" + _MODULES_LOADED)
+    _assert_loads_only_its_modules(proc, argv[0])
 
 
 def test_verify_table_matches_table1(tmp_path):
@@ -362,6 +409,21 @@ def test_simulate_keeps_only_the_levels_it_writes(tmp_path):
     returncode, peak_kb = map(int, proc.stdout.split())
     assert returncode == 0
     assert peak_kb / 1024.0 < 100.0  # MB; keeping every level needs > 300 MB
+
+
+def test_closed_stdout_reader_stops_quietly():
+    # about 1.8 MB of CSV, far more than a pipe buffers, so a write meets the closed pipe
+    args = ["simulate", "--preset", "ground-state", "--rmin", "1", "--rmax", "41",
+            "--dr", "0.005", "--T", "2"]
+    child = subprocess.Popen([sys.executable, "-m", "exwave.cli", *args],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env=_env_with_exwave())
+    assert child.stdout.readline() == b"t,r,u\n"
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 141  # 128 + SIGPIPE, as documented
+    assert err == b""
 
 
 def _profile_csv(tmp_path):
