@@ -5,9 +5,22 @@ The field is evolved as w = r^2 u, which satisfies
     (d_tt - d_rr) w = r^2 F(u) - 2 u,    F(u) = |u|^(4/3) u  (or 0),
 
 with no first-order term, so a plain leapfrog stencil on a uniform r-grid is
-second-order accurate and, at cfl = 1, transports the d'Alembert part exactly
-along grid diagonals.  That exactness is what the characteristic-ray integral
-and the discrete finite-speed check rely on.
+second-order accurate.  With c2 = (dt/dr)^2 and the source written as
+r^2 F(u) - 2 u = w (r^(-8/3) |w|^(4/3) - 2/r^2), the step is taken in the
+folded form
+
+    w_next = c2 (w[i+1] + w[i-1]) - w_prev + w (alpha |w|^(4/3) + gamma),
+    alpha = dt^2 r^(-8/3),    gamma = 2 - 2 c2 - 2 dt^2 / r^2,
+
+with alpha and gamma computed once per run and |w|^(4/3) = (cbrt w)^4.
+That is ten passes over the row per step, plus max and min for the blow-up
+guard: about 9 ns per point-step on an 8001-node row (2-vCPU VM, numpy 2.4).
+At cfl = 1 the d'Alembert part is w[i+1] + w[i-1] - w_prev, so it is
+transported along grid diagonals up to the rounding of the additions, and
+the -2u potential term sits in gamma.  That is what the characteristic-ray
+integral and the discrete finite-speed check rely on.
+``Trajectory.discrete_residual`` keeps the textbook stencil
+(w[i+1] - 2 w + w[i-1]) / dr^2, an independent check of the folded step.
 
 Two boundary policies: ``domain-of-dependence`` freezes the end nodes and
 only the shrinking region [r_min + t, r_max - t] is trusted (diagnostics
@@ -142,6 +155,8 @@ class Trajectory:
         self.blowup = blowup
 
     def level(self, t: float) -> int:
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite, got {t}")
         n = int(round(t / self.cfg.dt))
         if n < 0 or n >= len(self.times) or abs(self.times[n] - t) > 0.5 * self.cfg.dt:
             raise ValueError(f"time {t} is not stored in the trajectory")
@@ -197,22 +212,29 @@ def _trusted_bounds(cfg, t):
     return cfg.r_min + t, cfg.r_max - t
 
 
-def _source(w, r2, cfg, out=None, scratch=(None, None)):
-    """r^2 F(u) - 2 u at u = w / r2, r2 = r^2, evaluated pointwise.
+def _coefficient(w, a, b, out=None):
+    """a |w|^(4/3) + b pointwise, with |w|^(4/3) = (cbrt w)^4; a = None (the
+    linear equation) gives b itself.  The one definition of the nonlinearity:
+    the source is w times this at (a, b) = _source_coefficients(r2, cfg)."""
+    if a is None:
+        return b
+    out = np.cbrt(w, out=out)
+    np.square(out, out=out)
+    np.square(out, out=out)
+    np.multiply(out, a, out=out)
+    return np.add(out, b, out=out)
 
-    With ``out`` and a pair of ``scratch`` arrays of the shape of w the call
-    allocates nothing.
-    """
-    u, f = scratch
-    u = np.divide(w, r2, out=u)
-    out = np.multiply(u, -2.0, out=out)
-    if cfg.nonlinearity == "focusing":
-        f = np.abs(u, out=f)
-        np.power(f, 4.0 / 3.0, out=f)
-        np.multiply(f, u, out=f)
-        np.multiply(r2, f, out=f)
-        np.add(out, f, out=out)
-    return out
+
+def _source_coefficients(r2, cfg):
+    """(a, b) with r^2 F(u) - 2 u = w (a |w|^(4/3) + b) at u = w / r2:
+    a = r^(-8/3) (None for the linear equation) and b = -2 / r^2."""
+    a = r2 ** (-4.0 / 3.0) if cfg.nonlinearity == "focusing" else None
+    return a, -2.0 / r2
+
+
+def _source(w, r2, cfg):
+    """r^2 F(u) - 2 u at u = w / r2, r2 = r^2, evaluated pointwise."""
+    return w * _coefficient(w, *_source_coefficients(r2, cfg))
 
 
 def simulate(d, cfg: SimConfig, levels=None) -> Trajectory:
@@ -264,28 +286,25 @@ def simulate(d, cfg: SimConfig, levels=None) -> Trajectory:
         record(1, w_curr)
     n_levels = n_t + 1
     blowup = None
-    # The update below is, operation for operation in the same order,
-    # w_next = (2 w - w_prev) + (dt*dt) * (((w[2:] - 2 w) + w[:-2]) / dr^2 + source),
-    # done in place on three rotating rows and four interior work rows.
+    # The folded step of the module docstring, in place on three rotating rows
+    # and one interior work row; the blow-up radius is located only on blow-up.
     w_next = np.empty_like(w_curr)
-    r2_in = r2[1:-1]
-    lap, src, u, f = (np.empty_like(r2_in) for _ in range(4))
-    mag = np.empty_like(r2)
-    dr2, dt2 = cfg.dr ** 2, dt * dt
+    a, b = _source_coefficients(r2[1:-1], cfg)
+    c2 = (dt / cfg.dr) ** 2
+    alpha = None if a is None else (dt * dt) * a
+    gamma = (2.0 - 2.0 * c2) + (dt * dt) * b
+    f = np.empty_like(gamma)
     for n in range(1, n_t):
-        nxt = w_next[1:-1]
-        np.multiply(w_curr[1:-1], 2.0, out=nxt)
-        np.subtract(w_curr[2:], nxt, out=lap)
-        np.add(lap, w_curr[:-2], out=lap)
-        np.divide(lap, dr2, out=lap)
-        np.add(lap, _source(w_curr[1:-1], r2_in, cfg, out=src, scratch=(u, f)), out=lap)
-        np.multiply(lap, dt2, out=lap)
+        nxt, w = w_next[1:-1], w_curr[1:-1]
+        np.add(w_curr[2:], w_curr[:-2], out=nxt)
+        np.multiply(nxt, c2, out=nxt)
         np.subtract(nxt, w_prev[1:-1], out=nxt)
-        np.add(nxt, lap, out=nxt)
+        np.multiply(w, _coefficient(w, alpha, gamma, out=f), out=f)
+        np.add(nxt, f, out=nxt)
         boundary_fill(w_next, w_curr, times[n + 1])
-        peak = np.abs(w_next, out=mag).max()
-        if not np.isfinite(peak) or peak > BLOWUP_GUARD:
-            loc = int(np.argmax(mag))
+        hi, lo = w_next.max(), w_next.min()
+        if not (np.isfinite(hi) and np.isfinite(lo)) or max(hi, -lo) > BLOWUP_GUARD:
+            loc = int(np.argmax(np.abs(w_next)))
             blowup = BlowUpTruncation(time=float(times[n + 1]), radius=float(r[loc]))
             n_levels = n + 1
             break
@@ -304,8 +323,11 @@ def energy(tr: Trajectory, t: float, R: float) -> float:
     The potential term is included only for the focusing equation, so the
     quantity is the conserved one for whichever equation was simulated.  A
     request for the final stored level falls back one step (the centered
-    velocity needs a forward level).
+    velocity needs a forward level).  A finite R outside the grid is clamped
+    to it with a warning.
     """
+    if not math.isfinite(R):
+        raise ValueError(f"R must be finite, got {R}")
     n = tr.level(t)
     if n == len(tr.times) - 1 and n > 0:
         n -= 1
@@ -333,6 +355,8 @@ def _outgoing_samples(cfg, n_levels, s):
     """(level, t + s) of the three samples :func:`extract_outgoing` takes for
     G_+(s) on a run of ``n_levels`` levels; ConeCoverageError if the light
     cone of the grid is too short."""
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     r, times = cfg.grid()
     times = times[:n_levels]
     dt = cfg.dt
@@ -399,6 +423,8 @@ def characteristic_integral(tr: Trajectory, R_prime: float):
     nodes.  Returns (left side, right side).
     """
     cfg = tr.cfg
+    if not (math.isfinite(R_prime) and R_prime > 1.0):
+        raise ValueError(f"R_prime must be finite and past the ray foot r = 1, got {R_prime}")
     if cfg.cfl != 1.0:
         raise ValueError("the ray passes through grid nodes only at cfl = 1")
     offset = (1.0 - cfg.r_min) / cfg.dr
@@ -467,6 +493,8 @@ def virial(tr: Trajectory, t: float, scale: float):
     quadratures over [r_min, r_max]; the caller keeps the field supported
     inside the grid.
     """
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"scale must be finite and positive, got {scale}")
     if 3.0 * scale > tr.r[-1] + 1e-12:
         raise ValueError("cutoff ramp [2*scale, 3*scale] exceeds the grid")
     n = tr.level(t)

@@ -130,11 +130,15 @@ def test_time_reversal_odd_symmetry():
     assert np.array_equal(fwd.w, -bwd.w)
 
 
-def test_discrete_residual_on_random_stencils(rng):
+@pytest.mark.parametrize("nonlinearity", ["focusing", "linear"])
+@pytest.mark.parametrize("cfl", [0.8, 1.0])
+def test_discrete_residual_on_random_stencils(rng, cfl, nonlinearity):
+    # the textbook stencil, an independent check of the folded update
     d = rad.RadialData(u0=lambda r: smooth_bump(np.asarray(r) - 3.0), du0=None,
                        u1=lambda r: 0.2 * smooth_bump(np.asarray(r) - 3.0),
                        compact_support_bound=4.0)
-    cfg = pdesim.SimConfig(r_min=0.5, r_max=8.5, dr=0.05, T=1.5, cfl=0.8)
+    cfg = pdesim.SimConfig(r_min=0.5, r_max=8.5, dr=0.05, T=1.5, cfl=cfl,
+                           nonlinearity=nonlinearity)
     tr = pdesim.simulate(d, cfg)
     scale = np.max(np.abs(tr.w))
     for _ in range(50):
@@ -162,16 +166,30 @@ def test_self_similar_field_matches_ode():
     assert 3.0 <= errs[0] / errs[1] <= 5.0
 
 
-def test_blowup_guard_truncates():
+def _static_bump_blowup(amp):
     # large static data with no outlet blow up in finite time
-    d = rad.RadialData(u0=lambda r: 40.0 * smooth_bump((np.asarray(r) - 3.0) / 1.5),
+    d = rad.RadialData(u0=lambda r: amp * smooth_bump((np.asarray(r) - 3.0) / 1.5),
                        du0=None, u1=zero_fn, compact_support_bound=4.5)
     cfg = pdesim.SimConfig(r_min=0.5, r_max=8.5, dr=0.02, T=4.0, cfl=1.0,
                            nonlinearity="focusing")
-    tr = pdesim.simulate(d, cfg)
+    return pdesim.simulate(d, cfg)
+
+
+def test_blowup_guard_truncates():
+    tr = _static_bump_blowup(40.0)
     assert tr.blowup is not None
     assert np.all(np.isfinite(tr.w))
     assert tr.times[-1] < 4.0
+
+
+def test_blowup_guard_trips_on_negative_fields():
+    # the update is odd in w (cbrt is odd), so flipped data give the exactly
+    # flipped run; only this one crosses the guard on the negative side
+    fwd = _static_bump_blowup(40.0)
+    flipped = _static_bump_blowup(-40.0)
+    assert flipped.blowup == fwd.blowup
+    assert np.array_equal(flipped.times, fwd.times)
+    assert np.array_equal(flipped.w, -fwd.w)
 
 
 def test_characteristic_identity_linear_and_focusing():
@@ -310,6 +328,51 @@ def test_energy_clamps_radius_with_warning():
     with pytest.warns(UserWarning):
         val = pdesim.energy(tr, 0.5, 0.1)
     assert np.isfinite(val)
+
+
+def test_energy_rejects_non_finite_radius():
+    d, cfg = ground_state_setup(dr=0.05, T=0.5)
+    tr = pdesim.simulate(d, cfg)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="R must be finite"):
+            pdesim.energy(tr, 0.5, bad)
+
+
+def test_time_lookups_reject_non_finite_t():
+    d, cfg = ground_state_setup(dr=0.05, T=0.5)
+    tr = pdesim.simulate(d, cfg)
+    for bad in (float("nan"), float("inf")):
+        for lookup in (tr.level, lambda t: pdesim.energy(tr, t, 1.0),
+                       lambda t: pdesim.virial(tr, t, 1.0)):
+            with pytest.raises(ValueError, match="t must be finite"):
+                lookup(bad)
+
+
+def test_virial_rejects_bad_scale():
+    d, cfg = ground_state_setup(dr=0.05, T=0.5)
+    tr = pdesim.simulate(d, cfg)
+    for bad in (-1.0, 0.0, float("nan"), -float("inf")):
+        with pytest.raises(ValueError, match="scale must be finite and positive"):
+            pdesim.virial(tr, 0.25, bad)
+
+
+def test_outgoing_levels_reject_non_finite_s():
+    G = free_wave_profile()
+    cfg = pdesim.SimConfig(r_min=0.5, r_max=20.5, dr=0.1, T=9.0, cfl=1.0,
+                           nonlinearity="linear", boundary="dirichlet-exact",
+                           boundary_values=lambda r, t: rad.free_wave(G, r, t))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="s must be finite"):
+            pdesim.outgoing_levels(cfg, 41, bad)
+
+
+def test_characteristic_integral_rejects_bad_endpoint():
+    d = rad.RadialData(u0=zero_fn, du0=zero_fn, u1=zero_fn, compact_support_bound=1.0)
+    cfg = pdesim.SimConfig(r_min=0.5, r_max=6.5, dr=0.05, T=1.5, cfl=1.0)
+    tr = pdesim.simulate(d, cfg)
+    for bad in (0.5, 1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="R_prime must be finite and past the ray foot"):
+            pdesim.characteristic_integral(tr, bad)
 
 
 def _recorder_cases():
