@@ -108,7 +108,6 @@ class OdeResult:
     status: str            # "finished" or "event"
     t: float
     y: np.ndarray
-    t_event: float | None
     sol: DenseSolution
     nsteps: int
 
@@ -158,7 +157,7 @@ def solve_dopri5(f: Callable, t0: float, t1: float, y0, tol: float,
     eps = np.finfo(float).eps
     while t < t1:
         if t1 - t <= 16.0 * eps * max(abs(t1), 1.0):
-            t = t1  # reached the endpoint to roundoff; the sliver is extrapolated
+            t = t1  # reached the endpoint to roundoff; y stands for y(t1)
             break
         if nsteps >= _MAX_STEPS:
             raise IntegrationFailure("step budget exhausted", t, y, h, nsteps)
@@ -192,7 +191,7 @@ def solve_dopri5(f: Callable, t0: float, t1: float, y0, tol: float,
                 lo, hi = bisect(lambda s: float(event(s, sol(s))), t, t_new, g_prev,
                                 4.0 * eps * max(abs(t_new), 1.0))
                 te = 0.5 * (lo + hi)
-                return OdeResult("event", te, sol(te), te, sol, nsteps)
+                return OdeResult("event", te, sol(te), sol, nsteps)
             g_prev = g_new
         t = t_new
         y = y_new
@@ -201,4 +200,4 @@ def solve_dopri5(f: Callable, t0: float, t1: float, y0, tol: float,
         h = min(h_step * min(_MAX_FACTOR, max(_MIN_FACTOR, factor)), max_step)
         err_old = max(err, 1e-10)
     sol = DenseSolution(ts, ys, qs)
-    return OdeResult("finished", t, y, None, sol, nsteps)
+    return OdeResult("finished", t, y, sol, nsteps)

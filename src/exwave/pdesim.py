@@ -328,21 +328,25 @@ def energy(tr: Trajectory, t: float, R: float) -> float:
     """
     if not math.isfinite(R):
         raise ValueError(f"R must be finite, got {R}")
-    n = tr.level(t)
-    if n == len(tr.times) - 1 and n > 0:
-        n -= 1
+    u, ut, ur = _fields(tr, t)
     if R < tr.r[0] or R > tr.r[-1]:
         warnings.warn(f"R={R} outside the grid; clamped")
         R = min(max(R, tr.r[0]), tr.r[-1])
-    u = tr.u_level(n)
-    ut = tr.ut_level(n)
-    ur = tr.ur_level(n)
     dens = 0.5 * ur ** 2 + 0.5 * ut ** 2
     if tr.cfg.nonlinearity == "focusing":
         dens = dens - 0.3 * np.abs(u) ** (10.0 / 3.0)
     dens = dens * tr.r ** 4
     mask = tr.r >= R - 1e-12
     return SIGMA4 * float(np.trapezoid(dens[mask], tr.r[mask]))
+
+
+def _fields(tr, t):
+    """(u, u_t, u_r) at time t; a request for the final stored level falls
+    back one step, since the centered velocity needs a forward level."""
+    n = tr.level(t)
+    if n == len(tr.times) - 1 and n > 0:
+        n -= 1
+    return tr.u_level(n), tr.ut_level(n), tr.ur_level(n)
 
 
 def _wt_level(tr, n):
@@ -433,7 +437,10 @@ def characteristic_integral(tr: Trajectory, R_prime: float):
     i0 = int(round(offset))
     if not (1 <= i0 < len(tr.r) - 1):
         raise ValueError("r = 1 must be an interior grid node")
-    n_ray = int(round((R_prime - 1.0) / cfg.dr))
+    steps = (R_prime - 1.0) / cfg.dr
+    if abs(steps - round(steps)) > 1e-9:
+        raise ValueError(f"R_prime={R_prime} is not a grid node on the ray")
+    n_ray = int(round(steps))
     i_end = i0 + n_ray
     if i_end >= len(tr.r) - 1 or n_ray + 1 >= len(tr.times):
         raise ValueError("trajectory does not cover the ray up to R_prime "
@@ -457,26 +464,18 @@ def characteristic_integral(tr: Trajectory, R_prime: float):
     return float(lhs), rhs
 
 
-def smooth_cutoff(x):
-    """phi = ramp^2 with a quintic-smoothstep ramp: 1 for x <= 2, 0 for x >= 3."""
+def _cutoff(x):
+    """(phi, phi') for phi = ramp^2 with a quintic-smoothstep ramp."""
     x = np.asarray(x, dtype=float)
     tau = np.clip(x - 2.0, 0.0, 1.0)
     ramp = 1.0 - (10.0 * tau ** 3 - 15.0 * tau ** 4 + 6.0 * tau ** 5)
-    return ramp * ramp
+    dramp = 30.0 * tau ** 2 - 60.0 * tau ** 3 + 30.0 * tau ** 4
+    return ramp * ramp, np.where((x > 2.0) & (x < 3.0), -2.0 * ramp * dramp, 0.0)
 
 
-def _cutoff_derivatives(x):
-    x = np.asarray(x, dtype=float)
-    tau = np.clip(x - 2.0, 0.0, 1.0)
-    s = 10.0 * tau ** 3 - 15.0 * tau ** 4 + 6.0 * tau ** 5
-    ds = 30.0 * tau ** 2 - 60.0 * tau ** 3 + 30.0 * tau ** 4
-    d2s = 60.0 * tau - 180.0 * tau ** 2 + 120.0 * tau ** 3
-    inside = (x > 2.0) & (x < 3.0)
-    ramp = 1.0 - s
-    phi = ramp * ramp
-    dphi = np.where(inside, -2.0 * ramp * ds, 0.0)
-    d2phi = np.where(inside, 2.0 * ds * ds - 2.0 * ramp * d2s, 0.0)
-    return phi, dphi, d2phi
+def smooth_cutoff(x):
+    """phi = ramp^2 with a quintic-smoothstep ramp: 1 for x <= 2, 0 for x >= 3."""
+    return _cutoff(x)[0]
 
 
 def virial(tr: Trajectory, t: float, scale: float):
@@ -497,13 +496,8 @@ def virial(tr: Trajectory, t: float, scale: float):
         raise ValueError(f"scale must be finite and positive, got {scale}")
     if 3.0 * scale > tr.r[-1] + 1e-12:
         raise ValueError("cutoff ramp [2*scale, 3*scale] exceeds the grid")
-    n = tr.level(t)
-    if n == len(tr.times) - 1 and n > 0:
-        n -= 1
-    u = tr.u_level(n)
-    ut = tr.ut_level(n)
-    ur = tr.ur_level(n)
-    phi, dphi, _ = _cutoff_derivatives(tr.r / scale)
+    u, ut, ur = _fields(tr, t)
+    phi, dphi = _cutoff(tr.r / scale)
     r4 = tr.r ** 4
 
     def quad(values):

@@ -21,8 +21,9 @@ gives the flux-vanishing slope nu2 by a period integral (:func:`find_nu2`).
 
 Two outcomes are possible: |phi| escapes to infinity at some y_plus <= 1
 (blow-up) or phi and the flux (1-y^2) phi'(y)^2 have limits as y -> 1
-(global).  Limits are obtained by Richardson extrapolation of dense-output
-samples at theta = pi/2 - 2^-k.
+(global).  theta = pi/2 is a regular point of the oscillator, so the limits
+are the solver's state there: phi(1) is phi at theta = pi/2 and the flux is
+phi_theta(pi/2)^2.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ _DRIFT_PHI_CAP = 20.0     # conserved-quantity drift is only meaningful while
                           # |phi|^(10/3) stays far from the cancellation floor
 _THETA_CAP = math.pi / 2 - 2.0 ** -13   # last grid point kept below y = 1
 _MAX_STEP = math.pi / 256  # accuracy floor so coarse tolerances stay honest
-_RICHARDSON_KS = range(6, 13)
 
 
 class ProfileError(RuntimeError):
@@ -102,17 +102,6 @@ class Global:
 
     limit_phi: float
     limit_flux: float
-
-
-def _richardson(hs, vals):
-    """Neville extrapolation of vals(h) to h = 0."""
-    hs = np.asarray(hs, dtype=float)
-    tab = np.asarray(vals, dtype=float).copy()
-    n = len(tab)
-    for m in range(1, n):
-        for i in range(n - m):
-            tab[i] = tab[i + 1] + (tab[i + 1] - tab[i]) * hs[i + m] / (hs[i] - hs[i + m])
-    return tab[0]
 
 
 class _ProfileBase:
@@ -202,14 +191,6 @@ def _rhs_linear(theta, y):
     return np.array([y[1], -2.25 * y[0]])
 
 
-def _limits(sol):
-    hs = np.array([2.0 ** -k for k in _RICHARDSON_KS])
-    states = sol(math.pi / 2 - hs)
-    limit_phi = _richardson(hs, states[:, 0])
-    slope = _richardson(hs, states[:, 1])
-    return float(limit_phi), float(slope)
-
-
 def _check_tol(tol):
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
@@ -220,7 +201,7 @@ def integrate_profile(nu: float, tol: float = 1e-12) -> SelfSimilarProfile:
 
     Stops early with a :class:`BlowUp` category when |phi| crosses
     ``PHI_BLOWUP``; otherwise the :class:`Global` category carries the
-    Richardson-extrapolated endpoint limits.
+    endpoint limits, read off the solver's final state at theta = pi/2.
     """
     if not (math.isfinite(nu) and nu >= 0):
         raise ValueError("nu must be finite and nonnegative (negative nu is the odd reflection)")
@@ -235,10 +216,10 @@ def integrate_profile(nu: float, tol: float = 1e-12) -> SelfSimilarProfile:
     except IntegrationFailure as exc:
         raise ProfileError(f"profile integration failed for nu={nu}: {exc}") from exc
     if res.status == "event":
-        category = BlowUp(y_plus=math.sin(min(res.t_event, math.pi / 2)))
+        category = BlowUp(y_plus=math.sin(res.t))
     else:
-        limit_phi, slope = _limits(res.sol)
-        category = Global(limit_phi=limit_phi, limit_flux=slope * abs(slope))
+        s = float(res.y[1])
+        category = Global(limit_phi=float(res.y[0]), limit_flux=s * abs(s))
     return SelfSimilarProfile(nu, tol, res.sol, res.t, category)
 
 
@@ -257,13 +238,15 @@ def integrate_linear_profile(tol: float = 1e-12) -> LinearProfile:
 
 
 def phi_star_exact(y):
-    """Closed form of the linear profile: (2/3) sin((3/2) arcsin y)."""
+    """Closed form of the linear profile: (2/3) sin((3/2) arcsin y), |y| <= 1."""
     y = np.asarray(y, dtype=float)
+    if not np.all(np.abs(y) <= 1.0):   # also catches NaN
+        raise ValueError("y must be finite with |y| <= 1")
     out = (2.0 / 3.0) * np.sin(1.5 * np.arcsin(y))
     return out if out.ndim else float(out)
 
 
-def inverse_phi(p: _ProfileBase, z: float, tol: float = 1e-14) -> float:
+def inverse_phi(p: SelfSimilarProfile, z: float, tol: float = 1e-14) -> float:
     """Smallest y with phi(y) = z, by bisection between bracketing grid points.
 
     The root is located on the dense interpolant to ``tol`` (machine level by
@@ -274,17 +257,14 @@ def inverse_phi(p: _ProfileBase, z: float, tol: float = 1e-14) -> float:
     """
     if z == p.phi[0]:
         return float(p.grid[0])
-    sup = getattr(p, "sup_phi", float(p.phi.max()))
-    if z > sup:
-        raise NoSolutionError(f"z={z} exceeds the profile supremum {sup}")
+    if z > p.sup_phi:
+        raise NoSolutionError(f"z={z} exceeds the profile supremum {p.sup_phi}")
     diff = p.phi - z
     idx = np.nonzero(diff[:-1] * diff[1:] <= 0.0)[0]
     brackets = [(p.grid[i], p.grid[i + 1]) for i in idx]
     # the value may only be attained past the last grid point, short of y = 1
-    tail_limit = None
-    if isinstance(getattr(p, "category", None), Global):
-        tail_limit = p.category.limit_phi
-    if tail_limit is not None and not brackets and (diff[-1]) * (tail_limit - z) <= 0.0:
+    if (isinstance(p.category, Global) and not brackets
+            and diff[-1] * (p.category.limit_phi - z) <= 0.0):
         brackets = [(p.grid[-1], p.y_max)]
     if not brackets:
         raise NoSolutionError(f"phi never attains z={z} on the computed range")

@@ -252,14 +252,15 @@ def check_upper_integral(prof, tol: float = TOL):
     """The capped ray integral int_0^1 g(min(phi, z_max)) (1-y)^(-1/2) dy.
 
     Must land on the reference 1.85024 and stay strictly below nu0 = 1.86.
-    Split at the y where phi crosses z_max: past it the capped integrand is
-    the constant g_max, integrating to 2 g_max sqrt(1 - y_cross).
+    The split at y_cross, the first y where phi reaches z_max, is the cap:
+    phi < z_max on [0, y_cross), and past it the capped integrand is the
+    constant g_max, integrating to 2 g_max sqrt(1 - y_cross).
     """
     gc = nl.g_constants()
     y_cross = profiles.inverse_phi(prof, gc.z_max)
 
     def integrand(y):
-        return nl.g(np.minimum(prof.phi_at(np.asarray(y)), gc.z_max))
+        return nl.g(prof.phi_at(np.asarray(y)))
 
     inner = integrate_sqrt_singular(integrand, 0.0, y_cross, tol)
     value = inner + 2.0 * gc.g_max * math.sqrt(1.0 - y_cross)

@@ -373,6 +373,20 @@ def test_characteristic_integral_rejects_bad_endpoint():
     for bad in (0.5, 1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="R_prime must be finite and past the ray foot"):
             pdesim.characteristic_integral(tr, bad)
+    # off-node endpoints are rejected, not rounded to the nearest node
+    for bad in (1.524, 4.024, 4.0249):
+        with pytest.raises(ValueError, match="is not a grid node"):
+            pdesim.characteristic_integral(tr, bad)
+
+
+def test_smooth_cutoff_and_its_derivative():
+    assert np.all(pdesim.smooth_cutoff(np.linspace(-1.0, 2.0, 31)) == 1.0)
+    assert np.all(pdesim.smooth_cutoff(np.linspace(3.0, 6.0, 31)) == 0.0)
+    x = np.linspace(2.01, 2.99, 99)
+    h = 1e-6
+    centred = (pdesim.smooth_cutoff(x + h) - pdesim.smooth_cutoff(x - h)) / (2.0 * h)
+    _, dphi = pdesim._cutoff(x)
+    assert np.max(np.abs(dphi - centred)) < 1e-8
 
 
 def _recorder_cases():

@@ -128,6 +128,27 @@ def test_linear_profile_landmarks():
     assert phi_star_exact(0.0) == 0.0
 
 
+def test_phi_star_exact_rejects_bad_y():
+    for bad in (2.0, -1.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite with"):
+            phi_star_exact(bad)
+    with pytest.raises(ValueError):
+        phi_star_exact(np.array([0.5, 1.0 + 1e-12]))
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.575, 1.86, 2.5, 5.0])
+def test_global_limits_keep_the_first_integral(nu):
+    # H = s^2/2 + (9/8) phi^2 - (3/10)|phi|^(10/3) = nu^2/2 at theta = pi/2,
+    # with phi = limit_phi and s = phi_theta recovered from the signed flux s|s|
+    c = integrate_profile(nu, 1e-12).category
+    assert isinstance(c, Global)
+    s = math.copysign(math.sqrt(abs(c.limit_flux)), c.limit_flux)
+    phi = c.limit_phi
+    potential = 0.3 * abs(phi) ** (10.0 / 3.0)
+    h = 0.5 * s * s + 1.125 * phi * phi - potential
+    assert abs(h - 0.5 * nu * nu) <= 1e-10 * max(0.5 * nu * nu, potential)
+
+
 def test_find_nu2():
     nu2 = find_nu2(tol=1e-8)
     assert nu2 == pytest.approx(1.575, abs=5e-3)
