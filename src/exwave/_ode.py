@@ -1,6 +1,7 @@
 """Embedded Dormand-Prince 5(4) integrator with PI step control and dense output.
 
-Small, dependency-free and fully deterministic: identical inputs give
+Small, dependency-free (pure Python on tuples of floats, every sum taken in
+a fixed order) and fully deterministic: identical inputs give
 bit-identical trajectories.  The repeat-run tests rely on it
 (``test_report_json_deterministic``, ``test_repeated_runs_byte_identical``,
 ``test_verify_table_matches_table1``), and so does every ``cmp`` of CLI or
@@ -12,35 +13,36 @@ single terminal event located by bisection on the dense interpolant.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from collections.abc import Callable
 
 __all__ = ["IntegrationFailure", "DenseSolution", "OdeResult", "bisect", "solve_dopri5"]
 
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-# quartic dense-output coefficients (Shampine's interpolant for the pair above)
-_P = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+# the 5th-order weights; the 7th stage is f at the new state (FSAL)
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# quartic dense-output coefficients (Shampine's interpolant for the pair
+# above): one row per power of x, one weight per stage
+_P = tuple(zip(
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+))
+_EPS = math.ulp(1.0)
 
 _SAFETY = 0.9
 _ALPHA = 0.17
@@ -57,35 +59,28 @@ class IntegrationFailure(RuntimeError):
     def __init__(self, message, t, y, h, nsteps):
         super().__init__(f"{message} at t={float(t)!r} (h={float(h)!r}, steps={nsteps})")
         self.t = t
-        self.y = np.asarray(y)
+        self.y = tuple(y)
         self.h = h
         self.nsteps = nsteps
 
 
 class DenseSolution:
-    """Piecewise-quartic interpolant over the accepted steps."""
+    """Piecewise-quartic interpolant over the accepted steps: ``ts`` and
+    ``ys`` hold the step points and states, ``qs`` each step's dense
+    coefficients, one 4-tuple per component."""
 
     def __init__(self, ts, ys, qs):
-        self.ts = np.asarray(ts)
-        self.ys = np.asarray(ys)
-        self.qs = qs  # list of (dim, 4) arrays, one per step
+        self.ts, self.ys, self.qs = ts, ys, qs
 
-    def __call__(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    def __call__(self, t: float) -> tuple:
+        """The state at t, by Horner's rule on the step that holds t."""
         if not self.qs:  # zero-length integration: constant state
-            out = np.broadcast_to(self.ys[0], (t_arr.size, self.ys.shape[1])).copy()
-            return out[0] if np.ndim(t) == 0 else out
-        idx = np.searchsorted(self.ts, t_arr, side="right") - 1
-        idx = np.clip(idx, 0, len(self.qs) - 1)
-        out = np.empty((t_arr.size, self.ys.shape[1]))
-        for j, (ti, i) in enumerate(zip(t_arr, idx)):
-            h = self.ts[i + 1] - self.ts[i]
-            x = (ti - self.ts[i]) / h
-            p = np.array([x, x * x, x ** 3, x ** 4])
-            out[j] = self.ys[i] + h * (self.qs[i] @ p)
-        if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return out[0]
-        return out
+            return self.ys[0]
+        i = min(max(bisect_right(self.ts, t) - 1, 0), len(self.qs) - 1)
+        h = self.ts[i + 1] - self.ts[i]
+        x = (t - self.ts[i]) / h
+        return tuple(yc + h * (x * (q0 + x * (q1 + x * (q2 + x * q3))))
+                     for yc, (q0, q1, q2, q3) in zip(self.ys[i], self.qs[i]))
 
 
 def bisect(f, lo, hi, f_lo, width):
@@ -107,95 +102,115 @@ def bisect(f, lo, hi, f_lo, width):
 class OdeResult:
     status: str            # "finished" or "event"
     t: float
-    y: np.ndarray
+    y: tuple
     sol: DenseSolution
     nsteps: int
 
 
+def _dot(weights, values):
+    """sum(w * v), added left to right: the package's one fixed-order sum."""
+    total = 0.0
+    for w, v in zip(weights, values):
+        total += w * v
+    return total
+
+
+def _stage(y, h, weights, ks):
+    """y + h * sum_j weights[j] * ks[j], componentwise."""
+    return tuple(yc + h * _dot(weights, kc) for yc, kc in zip(y, zip(*ks)))
+
+
+def _rms(v, scale):
+    """Root mean square of v / scale; x * x overflows to inf, never raises."""
+    total = 0.0
+    for a, s in zip(v, scale):
+        x = a / s
+        total += x * x
+    return math.sqrt(total / len(scale))
+
+
 def _initial_step(f, t0, y0, f0, tol, max_step):
-    scale = tol + tol * np.abs(y0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        d0 = np.sqrt(np.mean((y0 / scale) ** 2))
-        d1 = np.sqrt(np.mean((f0 / scale) ** 2))
+    scale = [tol + tol * abs(v) for v in y0]
+    d0 = _rms(y0, scale)
+    d1 = _rms(f0, scale)
     if not (math.isfinite(d0) and math.isfinite(d1)):
-        raise ValueError(f"tol={tol!r} is too small for the initial state: "
-                         "its scaled norm overflows")
+        raise ValueError(f"tol={tol!r} is too small for the initial state y0={y0!r}, "
+                         "or y0 too large: its scaled norm overflows")
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    y1 = y0 + h0 * f0
-    f1 = f(t0 + h0, y1)
-    d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
+    f1 = f(t0 + h0, tuple(a + h0 * b for a, b in zip(y0, f0)))
+    d2 = _rms([b - a for a, b in zip(f0, f1)], scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     h = min(100 * h0, h1, max_step)
-    if h < 16.0 * np.finfo(float).eps * max(abs(t0), 1.0):   # the solver's underflow floor
+    if h < 16.0 * _EPS * max(abs(t0), 1.0):   # the solver's underflow floor
         raise ValueError(f"tol={tol!r} is too small for the initial state: "
                          f"its first step h={float(h)!r} underflows")
     return h
 
 
 def solve_dopri5(f: Callable, t0: float, t1: float, y0, tol: float,
-                 max_step: float = np.inf, event: Callable | None = None) -> OdeResult:
+                 max_step: float = math.inf, event: Callable | None = None) -> OdeResult:
     """Integrate y' = f(t, y) from t0 to t1 (t1 > t0), with ``tol`` as both
-    the relative and the absolute error tolerance.
+    the relative and the absolute error tolerance.  ``f`` takes a float and
+    a tuple of floats and returns a sequence of floats.
 
     ``event(t, y)`` terminates the run at its first sign change, located to
     machine precision on the dense interpolant.
     """
-    y = np.asarray(y0, dtype=float).copy()
+    y = tuple(float(v) for v in y0)
     t = float(t0)
-    k1 = np.asarray(f(t, y), dtype=float)
+    k1 = f(t, y)
     h = _initial_step(f, t, y, k1, tol, max_step)
     err_old = 1e-4
     ts = [t]
-    ys = [y.copy()]
+    ys = [y]
     qs = []
     g_prev = float(event(t, y)) if event is not None else None
     nsteps = 0
-    K = np.empty((7, y.size))
-    eps = np.finfo(float).eps
     while t < t1:
-        if t1 - t <= 16.0 * eps * max(abs(t1), 1.0):
+        if t1 - t <= 16.0 * _EPS * max(abs(t1), 1.0):
             t = t1  # reached the endpoint to roundoff; y stands for y(t1)
             break
         if nsteps >= _MAX_STEPS:
             raise IntegrationFailure("step budget exhausted", t, y, h, nsteps)
-        if h < 16.0 * eps * max(abs(t), 1.0):
+        if h < 16.0 * _EPS * max(abs(t), 1.0):
             raise IntegrationFailure("step size underflow", t, y, h, nsteps)
         h_step = min(h, t1 - t)
-        K[0] = k1
-        for i in range(1, 7):
-            yi = y + h_step * (_A[i] @ K[:i])
-            K[i] = f(t + _C[i] * h_step, yi)
-        y_new = y + h_step * (_B @ K)
-        err_vec = h_step * (_E @ K)
-        scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = np.sqrt(np.mean((err_vec / scale) ** 2))
         nsteps += 1
-        if not (math.isfinite(err) and np.isfinite(y_new).all()):
+        ks = [k1]
+        try:
+            for i in range(1, 6):
+                ks.append(f(t + _C[i] * h_step, _stage(y, h_step, _A[i], ks)))
+            y_new = _stage(y, h_step, _B, ks)
+            ks.append(f(t + h_step, y_new))
+        except OverflowError:   # a float ** in f overflowed
+            raise IntegrationFailure("non-finite step", t, y, h_step, nsteps) from None
+        err = _rms([h_step * _dot(_E, kc) for kc in zip(*ks)],
+                   [tol + tol * max(abs(a), abs(b)) for a, b in zip(y, y_new)])
+        if not (all(map(math.isfinite, y_new)) and math.isfinite(err)):
             # NaN compares False with everything, so it would pass as accepted
             raise IntegrationFailure("non-finite step", t, y, h_step, nsteps)
         if err > 1.0:
             h = h_step * max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
             continue
-        q = K.T @ _P  # (dim, 4) dense coefficients for this step
         t_new = t + h_step
         ts.append(t_new)
-        ys.append(y_new.copy())
-        qs.append(q)
+        ys.append(y_new)
+        qs.append(tuple(tuple(_dot(p, kc) for p in _P) for kc in zip(*ks)))
         if event is not None:
             g_new = float(event(t_new, y_new))
             if g_prev is not None and g_prev * g_new < 0.0:
                 sol = DenseSolution(ts, ys, qs)
                 lo, hi = bisect(lambda s: float(event(s, sol(s))), t, t_new, g_prev,
-                                4.0 * eps * max(abs(t_new), 1.0))
+                                4.0 * _EPS * max(abs(t_new), 1.0))
                 te = 0.5 * (lo + hi)
                 return OdeResult("event", te, sol(te), sol, nsteps)
             g_prev = g_new
         t = t_new
         y = y_new
-        k1 = K[6]  # FSAL
+        k1 = ks[6]  # FSAL
         factor = _SAFETY * err ** (-_ALPHA) * err_old ** _BETA if err > 0 else _MAX_FACTOR
         h = min(h_step * min(_MAX_FACTOR, max(_MIN_FACTOR, factor)), max_step)
         err_old = max(err, 1e-10)

@@ -16,8 +16,8 @@ SIGPIPE kills); the last stops quietly, with nothing on stderr.
 
 Each subcommand imports only the exwave modules it runs: radiation loads no
 pdesim, profiles or verify, and table1 and verify load no radiation, _spline
-or pdesim.  The process defaults OPENBLAS_NUM_THREADS to 1 (see below); set
-the variable to override it.
+or pdesim; constants, table1 and verify load no numpy.  The process defaults
+OPENBLAS_NUM_THREADS to 1 (see below); set the variable to override it.
 """
 
 from __future__ import annotations
@@ -29,16 +29,15 @@ import stat
 import sys
 import tempfile
 
-# exwave's BLAS calls are all tiny: the @ products of _ode on 7-vectors and
-# the (dim x 7) @ (7 x 4) dense-output product, the 15-node products of
-# quadrature._gk15 and a 3 x 3 np.linalg.solve in pdesim.  Each sits below
-# OpenBLAS's threading threshold, so its worker pool only costs start-up CPU
-# and one thread gives the same results.  setdefault keeps a value the user
-# set; the library itself leaves the variable alone, so importing exwave
-# never changes the BLAS of the program that imports it.
+# numpy is imported only inside the functions that compute on arrays, so
+# constants, table1 and verify never load it.  exwave's one BLAS/LAPACK call
+# is pdesim's 3 x 3 np.linalg.solve, far below OpenBLAS's threading
+# threshold, so its worker pool only costs start-up CPU and one thread gives
+# the same results.  The default is set here, before any numpy import;
+# setdefault keeps a value the user set, and the library itself leaves the
+# variable alone, so importing exwave never changes the BLAS of the program
+# that imports it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np  # noqa: E402  (after the BLAS default)
 
 __all__ = ["main", "entry"]
 
@@ -89,8 +88,8 @@ def _emit(text, out: str | None) -> None:
 
 
 def _format_column(values) -> list[str]:
-    """Each value as 12-significant-digit text, formatted once."""
-    return [f"{v:.12g}" for v in np.asarray(values, dtype=float).tolist()]
+    """Each value of a float array as 12-significant-digit text, formatted once."""
+    return [f"{v:.12g}" for v in values.tolist()]
 
 
 def _csv_rows(*columns) -> str:
@@ -166,6 +165,8 @@ def _cmd_verify(args) -> int:
 
 
 def _read_csv_columns(path, n_cols):
+    import numpy as np
+
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != n_cols:
         raise ValueError(f"{path}: expected {n_cols} columns")
@@ -182,6 +183,8 @@ def _load_profile(path):
 
 
 def _cmd_radiation(args) -> int:
+    import numpy as np
+
     from . import radiation
 
     if args.n < 2:
@@ -219,6 +222,8 @@ def _cmd_radiation(args) -> int:
 def _parse_gspec(spec: str):
     """Named closed-form profiles: 'bump:lo:hi[:amp]' (C^2 bump) or
     'box:lo:hi[:amp]' (indicator)."""
+    import numpy as np
+
     from . import radiation
 
     parts = spec.split(":")
@@ -245,7 +250,7 @@ def _parse_gspec(spec: str):
     return radiation.RadiationProfile.from_function(fn, support=(lo, hi), smooth=True)
 
 
-_EXTRACTION_S = [float(s) for s in np.linspace(-1.0, 1.0, 9)]
+_EXTRACTION_S = [-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0]
 
 
 def _snapshot_levels(n_levels):
@@ -272,6 +277,8 @@ def _levels_read(cfg, n_levels, free_wave):
 
 
 def _cmd_simulate(args) -> int:
+    import numpy as np
+
     from . import nonlinearity as nl, pdesim, radiation
 
     boundary = "domain-of-dependence"

@@ -1,14 +1,15 @@
 """Scalar nonlinearity g(z), the power nonlinearity F(u), and the ground state.
 
 Everything here is closed-form; these functions serve as oracles for the ODE
-and PDE solvers, so no numerical differentiation is used anywhere.
+and PDE solvers, so no numerical differentiation is used anywhere.  The
+pointwise functions are written with operators only (abs, *, **), so one
+formula serves a float, which gives a float, and a numpy array alike.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .quadrature import integrate_tail
 
@@ -26,28 +27,22 @@ __all__ = [
 ]
 
 # area of the unit 4-sphere, kept as the exact expression
-SIGMA4 = 8.0 * np.pi ** 2 / 3.0
+SIGMA4 = 8.0 * math.pi ** 2 / 3.0
 
 
 def F(u):
     """Focusing power nonlinearity |u|^(4/3) u (odd)."""
-    u = np.asarray(u, dtype=float)
-    out = np.abs(u) ** (4.0 / 3.0) * u
-    return out if out.ndim else float(out)
+    return abs(u) ** (4.0 / 3.0) * u
 
 
 def g(z):
     """g(z) = 2 z - |z|^(4/3) z, the weight in the characteristic-ray integral."""
-    z = np.asarray(z, dtype=float)
-    out = 2.0 * z - np.abs(z) ** (4.0 / 3.0) * z
-    return out if out.ndim else float(out)
+    return 2.0 * z - abs(z) ** (4.0 / 3.0) * z
 
 
 def dg(z):
     """Derivative g'(z) = 2 - (7/3)|z|^(4/3)."""
-    z = np.asarray(z, dtype=float)
-    out = 2.0 - (7.0 / 3.0) * np.abs(z) ** (4.0 / 3.0)
-    return out if out.ndim else float(out)
+    return 2.0 - (7.0 / 3.0) * abs(z) ** (4.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -68,18 +63,18 @@ def ground_state(r, lam: float = 1.0):
     """Value and radial derivative of the rescaled ground state W_lam.
 
     W(x) = (1 + |x|^2/15)^(-3/2) and W_lam(r) = lam^(-3/2) W(r/lam).
-    Returns the pair (W_lam(r), d/dr W_lam(r)).
+    Returns the pair (W_lam(r), d/dr W_lam(r)), floats for a number r and
+    arrays for an array.  A non-finite lam or number r raises ValueError.
     """
-    if lam <= 0:
-        raise ValueError("scale lambda must be positive")
-    r = np.asarray(r, dtype=float)
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"scale lambda must be finite and positive, got {lam!r}")
+    if isinstance(r, (int, float)) and not math.isfinite(r):
+        raise ValueError(f"radius must be finite, got {r!r}")
     x = r / lam
     q = 1.0 + x * x / 15.0
     w = lam ** (-1.5) * q ** (-1.5)
     dw = -lam ** (-2.5) * (x / 5.0) * q ** (-2.5)
-    if w.ndim:
-        return w, dw
-    return float(w), float(dw)
+    return w, dw
 
 
 def ground_state_residual(r: float) -> float:

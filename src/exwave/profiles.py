@@ -29,9 +29,9 @@ phi_theta(pi/2)^2.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
 
 from ._ode import IntegrationFailure, bisect, solve_dopri5
 from .quadrature import integrate_adaptive
@@ -104,44 +104,66 @@ class Global:
     limit_flux: float
 
 
+def _pointwise(fn, y):
+    """fn(y) for a number y; for an array, an array of fn at each point, so
+    that it holds what the points give one by one (a 0-d array gives a float)."""
+    if isinstance(y, (int, float)):
+        return fn(y)
+    import numpy as np
+
+    y = np.asarray(y, dtype=float)
+    out = np.array([fn(v) for v in y.ravel().tolist()]).reshape(y.shape)
+    return out if out.ndim else float(out)
+
+
 class _ProfileBase:
     """Shared dense-output plumbing for nonlinear and linear profiles.
 
-    ``grid``, ``phi`` and ``dphi`` hold the accepted steps up to
-    ``_THETA_CAP``, mapped from theta to y.
+    ``y_nodes`` and ``phi_nodes`` are float lists of the accepted steps up to
+    ``_THETA_CAP``, mapped from theta to y; ``grid``, ``phi`` and ``dphi``
+    are the same steps as numpy arrays, built (and numpy imported) on first
+    access.
     """
 
     def __init__(self, sol, theta_end):
-        self._sol = sol
-        self._theta_end = theta_end  # solution valid on [0, theta_end]
-        keep = sol.ts <= min(theta_end, _THETA_CAP)
-        theta = sol.ts[keep]
-        states = sol.ys[keep]
-        self.grid = np.sin(theta)
-        self.phi = states[:, 0].copy()
-        self._phi_theta = states[:, 1]
-        self.dphi = self._phi_theta / np.cos(theta)
+        self._sol = sol   # valid on [0, theta_end]
+        self.y_max = math.sin(min(theta_end, math.pi / 2))
+        n = bisect_right(sol.ts, min(theta_end, _THETA_CAP))
+        self._theta = sol.ts[:n]
+        self.y_nodes = [math.sin(t) for t in self._theta]
+        self.phi_nodes = [state[0] for state in sol.ys[:n]]
+        self._phi_theta = [state[1] for state in sol.ys[:n]]
 
-    @property
-    def y_max(self):
-        return math.sin(min(self._theta_end, math.pi / 2))
+    @cached_property
+    def grid(self):
+        import numpy as np
 
-    def _states(self, y):
-        y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-        if np.any(y_arr < 0.0) or np.any(y_arr > self.y_max + 1e-15):
-            raise ValueError(f"y outside the computed range [0, {self.y_max}]")
-        theta = np.arcsin(np.clip(y_arr, 0.0, 1.0))
-        return self._sol(theta)
+        return np.array(self.y_nodes)
+
+    @cached_property
+    def phi(self):
+        import numpy as np
+
+        return np.array(self.phi_nodes)
+
+    @cached_property
+    def dphi(self):
+        import numpy as np
+
+        return np.array(self._phi_theta) / np.cos(self._theta)
+
+    def _state(self, y):
+        if not 0.0 <= y <= self.y_max + 1e-15:
+            raise ValueError(f"y={y!r} outside the computed range [0, {self.y_max}]")
+        return self._sol(math.asin(min(y, 1.0)))
 
     def phi_at(self, y):
-        out = self._states(y)[:, 0]
-        return out if np.ndim(y) else float(out[0])
+        """phi at y: a float for a number, an array for an array."""
+        return _pointwise(lambda v: self._state(v)[0], y)
 
     def energy_at(self, y):
         """The profile's conserved energy at y; constant when exact."""
-        states = self._states(y)
-        h = self._energy(states[:, 0], states[:, 1])
-        return h if np.ndim(y) else float(h[0])
+        return _pointwise(lambda v: self._energy(*self._state(v)), y)
 
 
 class SelfSimilarProfile(_ProfileBase):
@@ -152,19 +174,19 @@ class SelfSimilarProfile(_ProfileBase):
         self.nu = nu
         self.tol = tol
         self.category = category
-        sup = float(self.phi.max(initial=0.0))
+        sup = max(self.phi_nodes)   # phi_nodes[0] = 0
         if isinstance(category, Global):
             sup = max(sup, category.limit_phi)
         self.sup_phi = sup
-        h = self._energy(self.phi, self._phi_theta)
-        mask = np.abs(self.phi) <= _DRIFT_PHI_CAP
-        drift = np.abs(h[mask] - 0.5 * nu * nu)
-        self.energy_drift = float(drift.max(initial=0.0))
+        self.energy_drift = max(
+            (abs(self._energy(p, s) - 0.5 * nu * nu)
+             for p, s in zip(self.phi_nodes, self._phi_theta) if abs(p) <= _DRIFT_PHI_CAP),
+            default=0.0)
 
     @staticmethod
     def _energy(phi, dphi_t):
         """H = phi_t^2/2 + (9/8) phi^2 - (3/10) |phi|^(10/3), equal to nu^2/2."""
-        return 0.5 * dphi_t ** 2 + 1.125 * phi ** 2 - 0.3 * np.abs(phi) ** (10.0 / 3.0)
+        return 0.5 * dphi_t * dphi_t + 1.125 * phi * phi - 0.3 * abs(phi) ** (10.0 / 3.0)
 
 
 class LinearProfile(_ProfileBase):
@@ -173,22 +195,22 @@ class LinearProfile(_ProfileBase):
     def __init__(self, tol, sol, theta_end):
         super().__init__(sol, theta_end)
         self.tol = tol
-        h = self._energy(self.phi, self._phi_theta)
-        self.energy_drift = float(np.abs(h - 0.5).max(initial=0.0))
+        self.energy_drift = max(abs(self._energy(p, s) - 0.5)
+                                for p, s in zip(self.phi_nodes, self._phi_theta))
 
     @staticmethod
     def _energy(phi, dphi_t):
         """H = phi_t^2/2 + (9/8) phi^2, equal to 1/2."""
-        return 0.5 * dphi_t ** 2 + 1.125 * phi ** 2
+        return 0.5 * dphi_t * dphi_t + 1.125 * phi * phi
 
 
 def _rhs_nonlinear(theta, y):
     phi = y[0]
-    return np.array([y[1], -2.25 * phi + abs(phi) ** (4.0 / 3.0) * phi])
+    return (y[1], -2.25 * phi + abs(phi) ** (4.0 / 3.0) * phi)
 
 
 def _rhs_linear(theta, y):
-    return np.array([y[1], -2.25 * y[0]])
+    return (y[1], -2.25 * y[0])
 
 
 def _check_tol(tol):
@@ -218,8 +240,8 @@ def integrate_profile(nu: float, tol: float = 1e-12) -> SelfSimilarProfile:
     if res.status == "event":
         category = BlowUp(y_plus=math.sin(res.t))
     else:
-        s = float(res.y[1])
-        category = Global(limit_phi=float(res.y[0]), limit_flux=s * abs(s))
+        phi, s = res.y
+        category = Global(limit_phi=phi, limit_flux=s * abs(s))
     return SelfSimilarProfile(nu, tol, res.sol, res.t, category)
 
 
@@ -238,12 +260,14 @@ def integrate_linear_profile(tol: float = 1e-12) -> LinearProfile:
 
 
 def phi_star_exact(y):
-    """Closed form of the linear profile: (2/3) sin((3/2) arcsin y), |y| <= 1."""
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.abs(y) <= 1.0):   # also catches NaN
-        raise ValueError("y must be finite with |y| <= 1")
-    out = (2.0 / 3.0) * np.sin(1.5 * np.arcsin(y))
-    return out if out.ndim else float(out)
+    """Closed form of the linear profile: (2/3) sin((3/2) arcsin y), |y| <= 1;
+    a float for a number, an array for an array."""
+    def one(v):
+        if not abs(v) <= 1.0:   # also catches NaN
+            raise ValueError("y must be finite with |y| <= 1")
+        return (2.0 / 3.0) * math.sin(1.5 * math.asin(v))
+
+    return _pointwise(one, y)
 
 
 def inverse_phi(p: SelfSimilarProfile, z: float, tol: float = 1e-14) -> float:
@@ -255,23 +279,24 @@ def inverse_phi(p: SelfSimilarProfile, z: float, tol: float = 1e-14) -> float:
     :class:`AmbiguousRootError` (reporting every crossing) when the value is
     attained more than once on the computed range.
     """
-    if z == p.phi[0]:
-        return float(p.grid[0])
+    grid, phi = p.y_nodes, p.phi_nodes
+    if z == phi[0]:
+        return grid[0]
     if z > p.sup_phi:
         raise NoSolutionError(f"z={z} exceeds the profile supremum {p.sup_phi}")
-    diff = p.phi - z
-    idx = np.nonzero(diff[:-1] * diff[1:] <= 0.0)[0]
-    brackets = [(p.grid[i], p.grid[i + 1]) for i in idx]
+    diff = [v - z for v in phi]
+    brackets = [(grid[i], grid[i + 1]) for i in range(len(diff) - 1)
+                if diff[i] * diff[i + 1] <= 0.0]
     # the value may only be attained past the last grid point, short of y = 1
     if (isinstance(p.category, Global) and not brackets
             and diff[-1] * (p.category.limit_phi - z) <= 0.0):
-        brackets = [(p.grid[-1], p.y_max)]
+        brackets = [(grid[-1], p.y_max)]
     if not brackets:
         raise NoSolutionError(f"phi never attains z={z} on the computed range")
 
     def refine(lo, hi):
         lo, hi = bisect(lambda y: p.phi_at(y) - z, lo, hi, p.phi_at(lo) - z,
-                        max(tol, 4.0 * np.finfo(float).eps))
+                        max(tol, 4.0 * math.ulp(1.0)))
         return 0.5 * (lo + hi)
 
     roots = [refine(lo, hi) for lo, hi in brackets]
@@ -282,7 +307,7 @@ def inverse_phi(p: SelfSimilarProfile, z: float, tol: float = 1e-14) -> float:
             unique.append(r)
     if len(unique) > 1:
         raise AmbiguousRootError("phi attains z more than once", unique)
-    return float(unique[0])
+    return unique[0]
 
 
 _PHI_STAR = 2.25 ** 0.75   # maximum of V = (9/8) phi^2 - (3/10) phi^(10/3)
@@ -324,9 +349,11 @@ def quarter_period(nu: float) -> float:
 
     def integrand(tau):
         u = 1.0 - tau * tau
-        w = np.cbrt(u)
-        ratio = np.polyval(np.ones(10), w) / np.polyval(np.ones(3), w)
-        return 2.0 * phi_t / np.sqrt(a * (1.0 + u) - b * ratio)
+        w = u ** (1.0 / 3.0)
+        num = 1.0
+        for _ in range(9):   # 1 + w + ... + w^9 by Horner's rule
+            num = num * w + 1.0
+        return 2.0 * phi_t / math.sqrt(a * (1.0 + u) - b * (num / ((w + 1.0) * w + 1.0)))
 
     return integrate_adaptive(integrand, 0.0, 1.0, 1e-12)
 

@@ -10,16 +10,17 @@ three kinds of integrals that occur:
 * ``integrate_tail``         -- integral to infinity; the caller must declare
                                 a ``decay=`` exponent (no sniffing).
 
-Integrands must accept numpy arrays.  All routines are pure: identical inputs
-give bit-identical outputs.
+Integrands take a float and return a number, one call per node; an
+array-style integrand such as ``lambda y: np.sin(y)`` works as well, since
+it gets a float.  Panel sums are added in a fixed order, so all routines are
+pure: identical inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
+from ._ode import _dot
 __all__ = [
     "QuadratureError",
     "integrate_adaptive",
@@ -35,7 +36,7 @@ _MAX_DEPTH = 60          # bisections of one panel
 _MAX_DOUBLINGS = 60      # cutoff doublings of one tail integral
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1].
-_XK = np.array([
+_XK = (
     0.991455371120812639206854697526329,
     0.949107912342758524526189684047851,
     0.864864423359769072789712788640926,
@@ -44,8 +45,8 @@ _XK = np.array([
     0.405845151377397166906606412076961,
     0.207784955007898467600689403773245,
     0.0,
-])
-_WK = np.array([
+)
+_WK = (
     0.022935322010529224963732008058970,
     0.063092092629978553290700663189204,
     0.104790010322250183839876322541518,
@@ -54,19 +55,18 @@ _WK = np.array([
     0.190350578064785409913256402421014,
     0.204432940075298892414161999234649,
     0.209482141084727828012999174891714,
-])
-_WG = np.array([
+)
+_WG = (
     0.129484966168869693270611432679082,
     0.279705391489276667901467771423780,
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
-])
+)
 
 # full symmetric node/weight tables
-_NODES = np.concatenate([-_XK[:-1], _XK[::-1]])          # 15 ascending
-_WKF = np.concatenate([_WK[:-1], _WK[::-1]])
-_GIDX = np.arange(1, 15, 2)                               # Gauss nodes sit at odd slots
-_WGF = np.concatenate([_WG[:-1], _WG[::-1]])
+_NODES = tuple(-x for x in _XK[:-1]) + _XK[::-1]          # 15 ascending
+_WKF = _WK[:-1] + _WK[::-1]
+_WGF = _WG[:-1] + _WG[::-1]    # Gauss nodes sit at the odd slots of _NODES
 
 
 class QuadratureError(RuntimeError):
@@ -87,10 +87,9 @@ def _gk15(fn, a, b):
     """One Gauss-Kronrod panel: returns (kronrod, |kronrod - gauss|)."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    y = np.asarray(fn(c + h * _NODES), dtype=float)
-    k = h * float(y @ _WKF)
-    g = h * float(y[_GIDX] @ _WGF)
-    return k, abs(k - g)
+    y = [float(fn(c + h * x)) for x in _NODES]
+    k = h * _dot(_WKF, y)
+    return k, abs(k - h * _dot(_WGF, y[1::2]))
 
 
 def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10) -> float:
@@ -127,7 +126,7 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10) -> float:
             raise QuadratureError(f"non-finite integrand on [{lo!r}, {hi!r}]",
                                   total, math.inf)
         share = tol * (hi - lo) / length
-        width_floor = (hi - lo) <= 16.0 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0)
+        width_floor = (hi - lo) <= 16.0 * math.ulp(1.0) * max(abs(lo), abs(hi), 1.0)
         if e <= share:
             total += k
             err_total += e
@@ -162,11 +161,11 @@ def integrate_sqrt_singular(f, a: float, b: float, tol: float = 1e-10) -> float:
         if a == b:
             return 0.0
         raise ValueError("integration interval must satisfy a < b")
-    t_lo = np.sqrt(max(1.0 - b, 0.0))
-    t_hi = np.sqrt(1.0 - a)
+    t_lo = math.sqrt(max(1.0 - b, 0.0))
+    t_hi = math.sqrt(1.0 - a)
 
     def sub(tau):
-        return 2.0 * np.asarray(f(1.0 - tau * tau), dtype=float)
+        return 2.0 * f(1.0 - tau * tau)
 
     return integrate_adaptive(sub, t_lo, t_hi, tol)
 

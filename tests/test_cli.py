@@ -128,7 +128,8 @@ def _python_with_exwave(code):
 
 _SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
 _MODULES_LOADED = (_SCIPY_LOADED + "\n"
-                   "print(*sorted(m[7:] for m in sys.modules if m.startswith('exwave.')))")
+                   "print(*sorted(m[7:] for m in sys.modules if m.startswith('exwave.')))\n"
+                   "print('numpy' in sys.modules)")
 
 # exwave modules each subcommand must not load: it imports only what it runs
 _UNUSED_MODULES = {
@@ -141,17 +142,29 @@ _UNUSED_MODULES = {
 }
 
 
+# subcommands that compute on floats only, so they never import numpy
+_NO_NUMPY = {"constants", "table1", "verify"}
+
+
 def _assert_loads_only_its_modules(proc, command):
     assert proc.returncode == 0, proc.stderr
-    scipy_modules, exwave_modules = proc.stdout.splitlines()
+    scipy_modules, exwave_modules, numpy_loaded = proc.stdout.splitlines()
     assert scipy_modules == "[]"
     assert not _UNUSED_MODULES[command] & set(exwave_modules.split())
+    if command in _NO_NUMPY:
+        assert numpy_loaded == "False"
 
 
 def test_cli_import_loads_no_scipy():
     proc = _python_with_exwave("import sys, exwave.cli\n" + _SCIPY_LOADED)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_numpy():
+    proc = _python_with_exwave("import sys, exwave.cli\nprint('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_package_import_loads_no_numpy():
@@ -164,7 +177,8 @@ def test_package_import_loads_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-_THREADS = ("import os, exwave.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n"
+# numpy is imported after exwave.cli, as the subcommands that use it do
+_THREADS = ("import os, exwave.cli\nimport numpy\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n"
             "task = '/proc/self/task'\n"
             "print(len(os.listdir(task)) if os.path.isdir(task) else 'no-proc')\n")
 
@@ -248,6 +262,15 @@ def test_profile_tolerance_too_small_exits_1_without_warnings():
         assert proc.returncode == 1
         assert f"tol={tol} is too small" in proc.stderr
         assert "Warning" not in proc.stderr
+
+
+def test_profile_huge_slope_exits_1_naming_state_and_tolerance():
+    proc = subprocess.run([sys.executable, "-m", "exwave.cli", "profile", "--nu", "1e150"],
+                          capture_output=True, text=True, env=_env_with_exwave(), timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: tol=1e-12 is too small for the initial state "
+                                  "y0=(0.0, 1e+150), or y0 too large")
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_integration_failure_prints_plain_floats(capsys):

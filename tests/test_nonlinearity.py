@@ -62,6 +62,27 @@ def test_ground_state_scaling():
         ground_state(1.0, -1.0)
 
 
+@pytest.mark.parametrize("r, lam", [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 2.0),
+                                    (1.0, np.nan), (1.0, np.inf), (1.0, 0.0)])
+def test_ground_state_rejects_non_finite_input(r, lam):
+    with pytest.raises(ValueError):
+        ground_state(r, lam)
+
+
+def test_pointwise_functions_take_floats_and_arrays():
+    # one formula for both; numpy's vectorised ** may round the last bit
+    # differently from the float ** of libm
+    z = np.linspace(-3.0, 3.0, 61)
+    for fn in (g, dg, F):
+        assert type(fn(0.7)) is float
+        np.testing.assert_allclose(fn(z), [fn(v) for v in z.tolist()], rtol=0, atol=1e-14)
+    w, dw = ground_state(z)
+    assert type(ground_state(0.7)[0]) is float
+    pairs = [ground_state(v) for v in z.tolist()]
+    np.testing.assert_allclose(w, [p[0] for p in pairs], rtol=1e-15)
+    np.testing.assert_allclose(dw, [p[1] for p in pairs], rtol=1e-15)
+
+
 def test_ground_state_residual_vanishes():
     assert abs(ground_state_residual(1.0)) < 1e-12
     assert abs(ground_state_residual(10.0)) < 1e-12

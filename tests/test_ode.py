@@ -33,3 +33,17 @@ def test_non_finite_step_raises_at_once():
     exc = info.value
     assert exc.t < 0.5
     assert exc.h > 0.0 and exc.nsteps >= 1
+
+
+def test_overflow_in_the_right_hand_side_is_a_non_finite_step():
+    # 2.0 ** x raises OverflowError past x = 1024, here at t > 0.512
+    with pytest.raises(IntegrationFailure, match="non-finite"):
+        solve_dopri5(lambda t, y: (2.0 ** (2000.0 * t),), 0.0, 1.0, [0.0], 1e-8)
+
+
+def test_dense_output_is_a_tuple_of_floats():
+    res = solve_dopri5(lambda t, y: (y[1], -y[0]), 0.0, 1.0, [0.0, 1.0], 1e-10)
+    assert res.sol(res.sol.ts[-1]) == pytest.approx(res.y, abs=1e-15)
+    state = res.sol(0.5)
+    assert isinstance(state, tuple) and all(type(v) is float for v in state)
+    assert state == pytest.approx((np.sin(0.5), np.cos(0.5)), abs=1e-9)

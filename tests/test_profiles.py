@@ -122,6 +122,32 @@ def test_linear_profile_matches_closed_form():
     assert np.all(lp.phi[inner] <= 2.0 / 3.0 + 1e-12)
 
 
+def test_linear_profile_phi_at_off_grid_matches_closed_form():
+    lp = integrate_linear_profile(1e-12)
+    ys = ((np.arange(1000) + 0.5) / 1000 * lp.y_max).tolist()
+    assert not set(ys) & set(lp.y_nodes)
+    gap = max(abs(lp.phi_at(y) - phi_star_exact(y)) for y in ys)
+    assert gap < 1e-10
+
+
+def test_float_evaluation_is_bit_equal_to_the_array_call():
+    p = integrate_profile(1.86, 1e-10)
+    ys = np.linspace(0.0, p.y_max, 257)
+    assert p.phi_at(ys).tolist() == [p.phi_at(y) for y in ys.tolist()]
+    assert p.energy_at(ys).tolist() == [p.energy_at(y) for y in ys.tolist()]
+    assert phi_star_exact(ys).tolist() == [phi_star_exact(y) for y in ys.tolist()]
+    assert p.phi_at(np.asarray(0.3)) == p.phi_at(0.3)
+    assert type(p.phi_at(0.3)) is float
+
+
+def test_huge_slope_names_state_and_tolerance():
+    # the scaled norm of (0, 1e150) overflows; Python floats raise
+    # OverflowError where numpy warned, so the typed error must come first
+    with pytest.raises(ValueError, match=r"tol=1e-12 is too small for the initial state "
+                                         r"y0=\(0\.0, 1e\+150\), or y0 too large"):
+        integrate_profile(1e150)
+
+
 def test_linear_profile_landmarks():
     assert phi_star_exact(math.sqrt(3.0) / 2.0) == pytest.approx(2.0 / 3.0, abs=1e-14)
     assert phi_star_exact(1.0) == pytest.approx(math.sqrt(2.0) / 3.0, abs=1e-14)
