@@ -1,99 +1,120 @@
-"""Cubic splines as piecewise polynomials, in numpy alone.
+"""Cubic splines as piecewise polynomials, on float lists.
 
-``PPoly`` keeps scipy's layout: on [x[i], x[i+1]] the polynomial is
-sum_k c[k, i] (x - x[i])^(deg - k), and the end pieces extend past the
-breakpoints.  ``cubic_spline`` is the not-a-knot interpolant with scipy's
-boundary rows (de Boor, *A Practical Guide to Splines*, ch. IV), a line for
-two points and a parabola for three.  Products and antiderivatives are exact,
-so moments of a spline close in closed form.
+``PPoly`` holds, for the piece on [x[i], x[i+1]], the coefficients c[i] of
+sum_k c[i][k] (x - x[i])^(deg - k) (scipy's layout, one list per piece), and
+the end pieces extend past the breakpoints.  ``cubic_spline`` is the
+not-a-knot interpolant with scipy's boundary rows (de Boor, *A Practical
+Guide to Splines*, ch. IV), a line for two points and a parabola for three.
+Products and antiderivatives are exact, so moments of a spline close in
+closed form.  Every sum is taken in the order numpy would take it, so the
+results are the ones the array formulas gave.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import accumulate
 
-import numpy as np
+from ._ode import _pointwise
+
+
+def floats(values) -> list:
+    """A 1-D sequence of numbers as a list of floats; ValueError otherwise."""
+    try:
+        return [float(v) for v in values]
+    except TypeError:
+        raise ValueError("expected a 1-D sequence of numbers") from None
+
+
+def linspace(start: float, stop: float, num: int) -> list:
+    """numpy.linspace(start, stop, num) for num >= 2, bit for bit, as a list:
+    i * step + start, and stop itself last."""
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [float(stop)]
 
 
 class PPoly:
-    """Piecewise polynomial with coefficients ``c`` (shape (deg + 1, n - 1))
-    on the strictly increasing breakpoints ``x``."""
+    """Piecewise polynomial with per-piece coefficients ``c`` on the strictly
+    increasing breakpoints ``x`` (float lists)."""
 
     def __init__(self, c, x):
-        self.c = np.asarray(c, dtype=float)
-        self.x = np.asarray(x, dtype=float)
-        # Python copies for the scalar path: bisect and Horner on floats
-        self._xs = self.x.tolist()
-        self._cs = self.c.T.tolist()
+        self.c = c
+        self.x = x
 
     def __call__(self, x):
-        if isinstance(x, float) or np.ndim(x) == 0:
-            x = float(x)
-            i = min(max(bisect_right(self._xs, x) - 1, 0), len(self._cs) - 1)
-            dx = x - self._xs[i]
-            out = 0.0
-            for ck in self._cs[i]:
-                out = out * dx + ck
-            return out
-        x = np.asarray(x, dtype=float)
-        i = np.clip(np.searchsorted(self.x, x, side="right") - 1, 0, self.c.shape[1] - 1)
+        return _pointwise(self.at, x)
+
+    def at(self, x: float) -> float:
+        """The value at one float x: bisection for the piece, then Horner's rule."""
+        i = min(max(bisect_right(self.x, x) - 1, 0), len(self.c) - 1)
         dx = x - self.x[i]
-        out = np.zeros(x.shape)
-        for ck in self.c[:, i]:
+        out = 0.0
+        for ck in self.c[i]:
             out = out * dx + ck
         return out
 
     def derivative(self):
-        deg = self.c.shape[0] - 1
-        return PPoly(self.c[:-1] * np.arange(deg, 0, -1.0)[:, None], self.x)
+        deg = len(self.c[0]) - 1
+        return PPoly([[ck * (deg - k) for k, ck in enumerate(p[:-1])] for p in self.c],
+                     self.x)
 
     def antiderivative(self):
         """The antiderivative that vanishes at x[0]."""
-        deg = self.c.shape[0] - 1
-        c = np.zeros((deg + 2, self.c.shape[1]))
-        c[:-1] = self.c / np.arange(deg + 1, 0, -1.0)[:, None]
+        deg = len(self.c[0]) - 1
+        pieces = [[ck / (deg + 1 - k) for k, ck in enumerate(p)] for p in self.c]
+        rises = []
+        for p, x0, x1 in zip(pieces, self.x, self.x[1:]):
+            h = x1 - x0
+            rise = 0.0
+            for ck in p:
+                rise = (rise + ck) * h
+            rises.append(rise)
         # each piece starts at the value where the previous one ends
-        h = np.diff(self.x)
-        rise = np.zeros(h.shape)
-        for ck in c[:-1]:
-            rise = (rise + ck) * h
-        c[-1, 1:] = np.cumsum(rise)[:-1]
-        return PPoly(c, self.x)
+        starts = [0.0, *accumulate(rises[:-1])]
+        return PPoly([p + [s] for p, s in zip(pieces, starts)], self.x)
 
 
 def product(p: PPoly, q: PPoly) -> PPoly:
     """p q on the breakpoints the two share: a convolution per piece."""
-    c = np.zeros((p.c.shape[0] + q.c.shape[0] - 1, p.c.shape[1]))
-    for i, pi in enumerate(p.c):
-        for j, qj in enumerate(q.c):
-            c[i + j] += pi * qj
-    return PPoly(c, p.x)
+    pieces = []
+    for pc, qc in zip(p.c, q.c):
+        c = [0.0] * (len(pc) + len(qc) - 1)
+        for i, a in enumerate(pc):
+            for j, b in enumerate(qc):
+                c[i + j] += a * b
+        pieces.append(c)
+    return PPoly(pieces, p.x)
 
 
 def identity(x) -> PPoly:
     """The polynomial x on the breakpoints x."""
-    x = np.asarray(x, dtype=float)
-    return PPoly(np.array([np.ones(len(x) - 1), x[:-1]]), x)
+    return PPoly([[1.0, x0] for x0 in x[:-1]], x)
 
 
 def cubic_spline(x, y) -> PPoly:
     """Not-a-knot cubic interpolant of y on the strictly increasing x."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = floats(x), floats(y)
     n = len(x)
-    if n < 2 or y.shape != x.shape:
-        raise ValueError("a spline needs at least two points and one value per point")
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
+    dx = [b - a for a, b in zip(x, x[1:])]
+    if n < 2 or len(y) != n or not all(h > 0.0 for h in dx):
+        raise ValueError("a spline needs at least two strictly increasing points "
+                         "and one value per point")
+    slope = [(b - a) / h for a, b, h in zip(y, y[1:], dx)]
     if n == 2:                       # a line
-        s = np.array([slope[0], slope[0]])
+        s = [slope[0], slope[0]]
     elif n == 3:                     # the parabola through the three points
         q = (slope[1] - slope[0]) / (dx[0] + dx[1])
-        s = np.array([slope[0] - q * dx[0], slope[0] + q * dx[0], slope[1] + q * dx[1]])
+        s = [slope[0] - q * dx[0], slope[0] + q * dx[0], slope[1] + q * dx[1]]
     else:
-        s = _not_a_knot_slopes(x, dx, slope)
-    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
-    c = np.array([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
+        try:   # its end rows square a spacing with pow, as numpy did
+            s = _not_a_knot_slopes(x, dx, slope)
+        except OverflowError:
+            raise ValueError("spline breakpoints too far apart: a squared spacing "
+                             "overflows") from None
+    c = []
+    for i, h in enumerate(dx):
+        t = (s[i] + s[i + 1] - 2.0 * slope[i]) / h
+        c.append([t / h, (slope[i] - s[i]) / h - t, s[i], y[i]])
     return PPoly(c, x)
 
 
@@ -103,14 +124,13 @@ def _not_a_knot_slopes(x, dx, slope):
     inside, and the not-a-knot rows at both ends."""
     n = len(x)
     d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    lower = np.concatenate([dx[1:], [d1]])                      # row i, column i-1
-    diag = np.concatenate([[dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]])
-    upper = np.concatenate([[d0], dx[:-1]])                     # row i, column i+1
-    rhs = np.concatenate([
-        [((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0],
-        3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
-        [(dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1]])
-    a, b, c, r = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    a = dx[1:] + [d1]                                           # row i, column i-1
+    b = [dx[1]] + [2.0 * (h0 + h1) for h0, h1 in zip(dx, dx[1:])] + [dx[-2]]
+    c = [d0] + dx[:-1]                                          # row i, column i+1
+    r = ([((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0]
+         + [3.0 * (h1 * m0 + h0 * m1)
+            for h0, h1, m0, m1 in zip(dx, dx[1:], slope, slope[1:])]
+         + [(dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1])
     for i in range(1, n):
         w = a[i - 1] / b[i - 1]
         b[i] -= w * c[i - 1]
@@ -119,4 +139,4 @@ def _not_a_knot_slopes(x, dx, slope):
     s[-1] = r[-1] / b[-1]
     for i in range(n - 2, -1, -1):
         s[i] = (r[i] - c[i] * s[i + 1]) / b[i]
-    return np.array(s)
+    return s

@@ -16,21 +16,24 @@ SIGPIPE kills); the last stops quietly, with nothing on stderr.
 
 Each subcommand imports only the exwave modules it runs: radiation loads no
 pdesim, profiles or verify, and table1 and verify load no radiation, _spline
-or pdesim; constants, table1 and verify load no numpy.  The process defaults
-OPENBLAS_NUM_THREADS to 1 (see below); set the variable to override it.
+or pdesim.  Only simulate and profile load numpy: constants, table1, verify
+and radiation compute on floats and read their CSV input with the standard
+library.  The process defaults OPENBLAS_NUM_THREADS to 1 (see below); set
+the variable to override it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import stat
 import sys
 import tempfile
 
 # numpy is imported only inside the functions that compute on arrays, so
-# constants, table1 and verify never load it.  exwave's one BLAS/LAPACK call
+# constants, table1, verify and radiation never load it.  exwave's one BLAS/LAPACK call
 # is pdesim's 3 x 3 np.linalg.solve, far below OpenBLAS's threading
 # threshold, so its worker pool only costs start-up CPU and one thread gives
 # the same results.  The default is set here, before any numpy import;
@@ -40,6 +43,11 @@ import tempfile
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __all__ = ["main", "entry"]
+
+# Work budget of `radiation --n`, checked before anything is allocated.
+# to-data on 2 x 10^5 radii takes 5 s and 90 MB (2-vCPU VM), so 10^6 points
+# stay under half a minute and half a GB.
+MAX_SAMPLES = 10 ** 6
 
 
 def _chunks(text):
@@ -88,8 +96,8 @@ def _emit(text, out: str | None) -> None:
 
 
 def _format_column(values) -> list[str]:
-    """Each value of a float array as 12-significant-digit text, formatted once."""
-    return [f"{v:.12g}" for v in values.tolist()]
+    """Each float of a list as 12-significant-digit text, formatted once."""
+    return [f"{v:.12g}" for v in values]
 
 
 def _csv_rows(*columns) -> str:
@@ -165,14 +173,30 @@ def _cmd_verify(args) -> int:
 
 
 def _read_csv_columns(path, n_cols):
-    import numpy as np
-
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != n_cols:
-        raise ValueError(f"{path}: expected {n_cols} columns")
-    if not np.all(np.isfinite(data)):
-        raise ValueError(f"{path}: non-finite value")
-    return [data[:, j] for j in range(n_cols)]
+    """The n_cols float columns of a CSV file with one header line; blank
+    lines and '#' comments are skipped.  ValueError, naming the file and
+    line, for a file with no data, a row of another width, a cell that is no
+    number and a non-finite value."""
+    columns = [[] for _ in range(n_cols)]
+    with open(path, encoding="utf-8") as fh:
+        next(fh, None)  # the header
+        for lineno, line in enumerate(fh, start=2):
+            cells = line.split("#", 1)[0].split(",")
+            if len(cells) == 1 and not cells[0].strip():
+                continue
+            if len(cells) != n_cols:
+                raise ValueError(f"{path}:{lineno}: expected {n_cols} columns, got {len(cells)}")
+            try:
+                row = [float(c) for c in cells]
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: not a number in {line.strip()!r}") from None
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}:{lineno}: non-finite value")
+            for column, v in zip(columns, row):
+                column.append(v)
+    if not columns[0]:
+        raise ValueError(f"{path}: no data rows below the header")
+    return columns
 
 
 def _load_profile(path):
@@ -183,28 +207,29 @@ def _load_profile(path):
 
 
 def _cmd_radiation(args) -> int:
-    import numpy as np
-
     from . import radiation
+    from ._spline import linspace
 
-    if args.n < 2:
-        raise ValueError("--n must be at least 2")
+    if not 2 <= args.n <= MAX_SAMPLES:
+        raise ValueError(f"--n must lie in [2, {MAX_SAMPLES}] (the work budget), got {args.n}")
     if args.mode == "to-data":
         radiation.check_radius(args.rmin)
         G = _load_profile(args.infile)
         hi = max(abs(G.support[0]), abs(G.support[1]))
-        r = np.linspace(args.rmin, max(2.0 * hi, args.rmin + 1.0), args.n)
+        r = linspace(args.rmin, max(2.0 * hi, args.rmin + 1.0), args.n)
         d = radiation.data_from_profile(G)
-        _emit(("r,u0,u1\n", _csv_rows(*map(_format_column, (r, d.u0(r), d.u1(r))))),
-              args.out)
+        u0 = [d.u0(x) for x in r]
+        u1 = [d.u1(x) for x in r]
+        _emit(("r,u0,u1\n", _csv_rows(*map(_format_column, (r, u0, u1)))), args.out)
         _info(f"data written on {len(r)} radii")
         return 0
     if args.mode == "from-data":
         r, u0_vals, u1_vals = _read_csv_columns(args.infile, 3)
         d = radiation.RadialData.from_samples(r, u0_vals, u1_vals, tail="r3")
         G = radiation.profile_from_data(d)
-        s = np.linspace(G.support[0], G.support[1], args.n)
-        _emit(("s,G\n", _csv_rows(*map(_format_column, (s, G.value(s))))), args.out)
+        s = linspace(G.support[0], G.support[1], args.n)
+        _emit(("s,G\n", _csv_rows(*map(_format_column, (s, [G.value(x) for x in s])))),
+              args.out)
         _info(f"profile written on {len(s)} samples")
         return 0
     G = _load_profile(args.infile)
@@ -222,8 +247,6 @@ def _cmd_radiation(args) -> int:
 def _parse_gspec(spec: str):
     """Named closed-form profiles: 'bump:lo:hi[:amp]' (C^2 bump) or
     'box:lo:hi[:amp]' (indicator)."""
-    import numpy as np
-
     from . import radiation
 
     parts = spec.split(":")
@@ -235,17 +258,13 @@ def _parse_gspec(spec: str):
     if hi <= lo:
         raise ValueError("G-spec needs lo < hi")
     if kind == "box":
-        def fn(s):
-            s = np.asarray(s, dtype=float)
-            return amp * ((s >= lo) & (s <= hi)).astype(float)
-        return radiation.RadiationProfile.from_function(fn, support=(lo, hi))
+        return radiation.RadiationProfile.from_function(
+            lambda s: amp if lo <= s <= hi else 0.0, support=(lo, hi))
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
 
     def fn(s):
-        s = np.asarray(s, dtype=float)
         x = (s - mid) / half
-        core = np.where(np.abs(x) < 1.0, (1.0 - x * x) ** 3, 0.0)
-        return amp * core
+        return amp * ((1.0 - x * x) ** 3 if abs(x) < 1.0 else 0.0)
 
     return radiation.RadiationProfile.from_function(fn, support=(lo, hi), smooth=True)
 
@@ -334,13 +353,13 @@ def _cmd_simulate(args) -> int:
         n_levels = len(tr.times)
         tr = pdesim.simulate(d, cfg, levels=_levels_read(cfg, n_levels, free_wave))
     snap_idx = _snapshot_levels(n_levels)
-    r_text = _format_column(tr.r)
+    r_text = _format_column(tr.r.tolist())
 
     def snapshots():  # one chunk per snapshot, so the whole CSV never sits in memory
         yield "t,r,u\n"
         for n in snap_idx:
             t_text = f"{tr.times[n]:.12g}"
-            yield _csv_rows([t_text] * len(r_text), r_text, _format_column(tr.u_level(n)))
+            yield _csv_rows([t_text] * len(r_text), r_text, _format_column(tr.u_level(n).tolist()))
 
     _emit(snapshots(), args.out)
 

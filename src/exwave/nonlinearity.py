@@ -64,16 +64,21 @@ def ground_state(r, lam: float = 1.0):
 
     W(x) = (1 + |x|^2/15)^(-3/2) and W_lam(r) = lam^(-3/2) W(r/lam).
     Returns the pair (W_lam(r), d/dr W_lam(r)), floats for a number r and
-    arrays for an array.  A non-finite lam or number r raises ValueError.
+    arrays for an array.  A non-finite lam or number r raises ValueError,
+    and so does a lam so small that lam^(-5/2) overflows.
     """
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"scale lambda must be finite and positive, got {lam!r}")
     if isinstance(r, (int, float)) and not math.isfinite(r):
         raise ValueError(f"radius must be finite, got {r!r}")
+    try:
+        scale_w, scale_dw = lam ** (-1.5), lam ** (-2.5)
+    except OverflowError:
+        raise ValueError(f"scale lambda={lam!r} is too small: lambda**-2.5 overflows") from None
     x = r / lam
     q = 1.0 + x * x / 15.0
-    w = lam ** (-1.5) * q ** (-1.5)
-    dw = -lam ** (-2.5) * (x / 5.0) * q ** (-2.5)
+    w = scale_w * q ** (-1.5)
+    dw = -scale_dw * (x / 5.0) * q ** (-2.5)
     return w, dw
 
 

@@ -33,7 +33,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from ._ode import IntegrationFailure, bisect, solve_dopri5
+from ._ode import IntegrationFailure, _pointwise, bisect, solve_dopri5
 from .quadrature import integrate_adaptive
 
 __all__ = [
@@ -102,18 +102,6 @@ class Global:
 
     limit_phi: float
     limit_flux: float
-
-
-def _pointwise(fn, y):
-    """fn(y) for a number y; for an array, an array of fn at each point, so
-    that it holds what the points give one by one (a 0-d array gives a float)."""
-    if isinstance(y, (int, float)):
-        return fn(y)
-    import numpy as np
-
-    y = np.asarray(y, dtype=float)
-    out = np.array([fn(v) for v in y.ravel().tolist()]).reshape(y.shape)
-    return out if out.ndim else float(out)
 
 
 class _ProfileBase:

@@ -14,18 +14,22 @@ outgoing profile produced by a source term.
 
 Profiles are stored in the incoming convention throughout; use
 :meth:`RadiationProfile.reflect` where the outgoing profile is needed.
+
+Everything here computes on floats, and the functions a user supplies (a
+profile's ``fn``, a data pair's ``u0``, ``du0`` and ``u1``) are called on
+floats.  A public function given an array evaluates it point by point
+(``_ode._pointwise``), so an array gives bit for bit what its points give.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
-import numpy as np
-
-from ._ode import bisect
-from ._spline import cubic_spline, identity, product
+from ._ode import _pointwise, bisect
+from ._spline import cubic_spline, floats, identity, linspace, product
 from .nonlinearity import SIGMA4, ground_state
 from .quadrature import integrate_adaptive, integrate_tail
 
@@ -50,7 +54,7 @@ __all__ = [
 ]
 
 _QTOL = 1e-11          # absolute tolerance for moment quadratures
-_SPLINE_N = 4097       # samples for the fast moment engine of smooth profiles
+_SPLINE_N = 4097       # samples of fn for the spline moments of smooth profiles
 _DU0_STEP = 1e-5       # relative step of the centered-difference fallback for u0'
 
 
@@ -73,12 +77,12 @@ def _dyadic_radii(R):
 class RadiationProfile:
     """A radial radiation profile G(s) with declared support or decay.
 
-    Construct with :meth:`from_function` (closed form) or
-    :meth:`from_samples` (uniform grid, cubic interpolation).  ``smooth=True``
-    enables a spline-based cumulative-moment engine that makes the induced
-    initial-data handles vectorized and fast; leave it off for piecewise
-    definitions such as indicator profiles, whose moments are then computed
-    by support-clipped adaptive quadrature.
+    Construct with :meth:`from_function` (closed form: ``fn`` takes a float)
+    or :meth:`from_samples` (cubic interpolation).  ``smooth=True`` samples
+    fn at ``_SPLINE_N`` points of its support and takes every moment from
+    the exact antiderivatives of the interpolant, each built on first use;
+    leave it off for piecewise definitions such as indicator profiles,
+    whose moments are then computed by support-clipped adaptive quadrature.
     """
 
     def __init__(self, fn, support=None, decay=None, smooth=False, breakpoints=(),
@@ -95,25 +99,27 @@ class RadiationProfile:
         if support is None and decay is None:
             raise ValueError("a profile needs a declared support or decay")
         if smooth and support is None:
-            raise ValueError("the fast moment engine needs a compact support")
+            raise ValueError("the spline moments need a compact support")
         self._smooth = smooth
         # declared interior knots where the profile may jump or kink; moment
         # integrals split there so every quadrature panel sees a smooth piece
         self.breakpoints = tuple(sorted(float(b) for b in breakpoints))
-        self._m0 = self._m1 = self._m2 = None
         self._norm = None
-        if _spline is not None:
-            self._install_moments(_spline)
-        elif smooth:
-            lo, hi = self.support
-            s = np.linspace(lo, hi, _SPLINE_N)
-            self._install_moments(cubic_spline(s, self._fn(s)))
+        if _spline is None and smooth:
+            s = linspace(support[0], support[1], _SPLINE_N)
+            _spline = cubic_spline(s, [fn(x) for x in s])
+        self._spline = _spline
+        self._antiderivatives = {}
 
-    def _install_moments(self, spline):
-        """Exact antiderivatives of S, s S and S^2 for the spline S."""
-        self._m0 = spline.antiderivative()
-        self._m1 = product(identity(spline.x), spline).antiderivative()
-        self._m2 = product(spline, spline).antiderivative()
+    def _antiderivative(self, k):
+        """The exact antiderivative of S, s S (k = 1) or S^2 (k = 2) for the
+        spline S, built on first use."""
+        m = self._antiderivatives.get(k)
+        if m is None:
+            S = self._spline
+            integrand = S if k == 0 else product(identity(S.x) if k == 1 else S, S)
+            m = self._antiderivatives[k] = integrand.antiderivative()
+        return m
 
     @classmethod
     def from_function(cls, fn, support=None, decay=None, smooth=False, breakpoints=()):
@@ -122,33 +128,26 @@ class RadiationProfile:
 
     @classmethod
     def from_samples(cls, s, values):
-        s = np.asarray(s, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if s.ndim != 1 or np.any(np.diff(s) <= 0):
-            raise ValueError("sample grid must be strictly increasing")
+        """The not-a-knot cubic interpolant of the samples on the strictly
+        increasing grid s, zero outside it."""
         spline = cubic_spline(s, values)
-        lo, hi = float(s[0]), float(s[-1])
-
-        def fn(x):
-            x = np.asarray(x, dtype=float)
-            out = np.where((x >= lo) & (x <= hi), spline(np.clip(x, lo, hi)), 0.0)
-            return out
-
-        return cls(fn, support=(lo, hi), smooth=True, _spline=spline)
+        return cls(spline.at, support=(spline.x[0], spline.x[-1]), smooth=True,
+                   _spline=spline)
 
     @classmethod
     def zero(cls):
-        return cls(lambda s: np.zeros_like(np.asarray(s, dtype=float)), support=(0.0, 0.0))
+        return cls(lambda s: 0.0, support=(0.0, 0.0))
 
     # -- evaluation ---------------------------------------------------------
 
     def value(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        out = np.asarray(self._fn(s_arr), dtype=float)
-        if self.support is not None:
-            lo, hi = self.support
-            out = np.where((s_arr >= lo) & (s_arr <= hi), out, 0.0)
-        return out if out.ndim else float(out)
+        """G(s), 0 outside the support."""
+        return _pointwise(self._at, s)
+
+    def _at(self, s):
+        if self.support is not None and not self.support[0] <= s <= self.support[1]:
+            return 0.0
+        return float(self._fn(s))
 
     def __call__(self, s):
         return self.value(s)
@@ -158,38 +157,37 @@ class RadiationProfile:
     def _integrand(self, k):
         """s^k G(s) for k = 0, 1 and G(s)^2 for k = 2."""
         fn = self._fn
-        return (fn, lambda s: s * fn(s), lambda s: fn(s) ** 2)[k]
+
+        def square(s):
+            v = fn(s)
+            return v * v
+
+        return (fn, lambda s: s * fn(s), square)[k]
 
     def _moment(self, k, a, b):
-        """int_a^b of the k-th integrand (G, s G, G^2), elementwise over array
-        endpoints and 0 where b <= a: a spline difference when the fast
-        engine is on, else a quadrature per element split at the breakpoints."""
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
+        """int_a^b of the k-th integrand (G, s G, G^2), 0 where b <= a: a
+        spline difference when the profile is smooth, else a quadrature
+        split at the breakpoints."""
         if self.support is not None:
             lo, hi = self.support
-            a = np.clip(a, lo, hi)
-            b = np.clip(b, a, hi)   # b >= a, so an empty interval gives 0
-        antiderivative = (self._m0, self._m1, self._m2)[k]
-        if antiderivative is not None:
-            return antiderivative(b) - antiderivative(a)
-        fn = self._integrand(k)
-        a, b = np.broadcast_arrays(a, b)
-        out = np.zeros(a.shape)
-        for i in np.ndindex(a.shape):
-            if b[i] > a[i]:
-                knots = self.breakpoints
-                if self.support is None:
-                    knots += _dyadic_radii(max(-a[i], b[i]))
-                out[i] = _piecewise(fn, a[i], b[i], knots, _QTOL * max(1.0, b[i] - a[i]))
-        return out
+            a = min(max(a, lo), hi)
+            b = min(max(b, a), hi)   # b >= a, so an empty interval gives 0
+        if self._spline is not None:
+            m = self._antiderivative(k)
+            return m.at(b) - m.at(a)
+        if not b > a:
+            return 0.0
+        knots = self.breakpoints
+        if self.support is None:
+            knots += _dyadic_radii(max(-a, b))
+        return _piecewise(self._integrand(k), a, b, knots, _QTOL * max(1.0, b - a))
 
     def _outside(self, k, R):
         """int over |s| > R of the k-th integrand; a decaying profile
         integrates each side to infinity in doubling shells."""
         if self.support is not None:
             lo, hi = self.support
-            return float(self._moment(k, lo, -R) + self._moment(k, R, hi))
+            return self._moment(k, lo, -R) + self._moment(k, R, hi)
         fn = self._integrand(k)
         decay = (self.decay, self.decay - 1.0, 2.0 * self.decay)[k]
         return (integrate_tail(fn, R, _QTOL, decay=decay)
@@ -197,19 +195,19 @@ class RadiationProfile:
 
     def moment0(self, a, b):
         """int_a^b G(s) ds on a finite interval."""
-        return float(self._moment(0, a, b))
+        return self._moment(0, a, b)
 
     def moment1(self, a, b):
         """int_a^b s G(s) ds on a finite interval."""
-        return float(self._moment(1, a, b))
+        return self._moment(1, a, b)
 
     def moment0_vec(self, a, b):
         """moment0 elementwise over array endpoints, in the shape of the input."""
-        return self._moment(0, a, b)
+        return _pointwise(self.moment0, a, b)
 
     def moment1_vec(self, a, b):
         """moment1 elementwise over array endpoints, in the shape of the input."""
-        return self._moment(1, a, b)
+        return _pointwise(self.moment1, a, b)
 
     # -- norms ---------------------------------------------------------------
 
@@ -220,7 +218,7 @@ class RadiationProfile:
     @property
     def norm_l2(self):
         if self._norm is None:
-            self._norm = float(np.sqrt(self.l2_tail_sq(0.0)))
+            self._norm = math.sqrt(self.l2_tail_sq(0.0))
         return self._norm
 
     # -- symmetries ----------------------------------------------------------
@@ -229,7 +227,7 @@ class RadiationProfile:
         """The outgoing profile of the same free wave: s -> G(-s)."""
         fn = self._fn
         sup = None if self.support is None else (-self.support[1], -self.support[0])
-        return RadiationProfile(lambda s: fn(-np.asarray(s, dtype=float)),
+        return RadiationProfile(lambda s: fn(-s),
                                 support=sup, decay=self.decay, smooth=self._smooth,
                                 breakpoints=tuple(-b for b in self.breakpoints))
 
@@ -239,7 +237,7 @@ class RadiationProfile:
         The asymptotic numbers map to (alpha1, alpha2 + alpha1 * t0)."""
         fn = self._fn
         sup = None if self.support is None else (self.support[0] - t0, self.support[1] - t0)
-        return RadiationProfile(lambda s: fn(np.asarray(s, dtype=float) + t0),
+        return RadiationProfile(lambda s: fn(s + t0),
                                 support=sup, decay=self.decay, smooth=self._smooth,
                                 breakpoints=tuple(b - t0 for b in self.breakpoints))
 
@@ -248,14 +246,15 @@ class RadiationProfile:
 class RadialData:
     """Radial initial-data pair (u0, u1) with optional exact r^-3 tails.
 
-    ``u0``, ``du0`` and ``u1`` are vectorized callables of r > 0.  When
-    ``tail_radius`` is set, the data equal exactly
+    ``u0``, ``du0`` and ``u1`` are callables of r > 0; this module calls them
+    on floats, and the solver in ``pdesim`` on arrays.  When ``tail_radius``
+    is set, the data equal exactly
 
         u0(r) = tail_c0 * r^-3,   u1(r) = tail_c1 * r^-3   for r >= tail_radius,
 
     which is the generic far field of data with a compactly supported
     profile; tail integrals then close in closed form.  ``u1_tail``, when
-    set, is s -> int_s^inf rho u1(rho) drho in closed form, elementwise.
+    set, is s -> int_s^inf rho u1(rho) drho in closed form.
     """
 
     u0: Callable
@@ -273,8 +272,9 @@ class RadialData:
     @classmethod
     def from_samples(cls, r, u0_vals, u1_vals, compact_support_bound=None,
                      tail="none"):
-        """Sampled data: not-a-knot cubic splines on the grid r[0] <= r <= r[-1];
-        u0' comes from the interpolant and is flagged.
+        """Sampled data: not-a-knot cubic splines on the strictly increasing
+        grid 0 <= r[0] <= r <= r[-1]; u0' comes from the interpolant and is
+        flagged.  Each callable takes a float or, point by point, an array.
 
         ``tail="none"`` gives zero outside the grid (compact data).
         ``tail="r3"`` continues u0 and u1 below the grid evenly, as
@@ -286,62 +286,59 @@ class RadialData:
         """
         if tail not in ("none", "r3"):
             raise ValueError("tail must be 'none' or 'r3'")
-        r = np.asarray(r, dtype=float)
-        u0_vals = np.asarray(u0_vals, dtype=float)
-        u1_vals = np.asarray(u1_vals, dtype=float)
-        if r.ndim != 1 or np.any(np.diff(r) <= 0):
-            raise ValueError("sample grid must be strictly increasing")
+        r, u0_vals, u1_vals = floats(r), floats(u0_vals), floats(u1_vals)
         s0 = cubic_spline(r, u0_vals)
         s1 = cubic_spline(r, u1_vals)
-        d0 = s0.derivative()
-        lo, hi = float(r[0]), float(r[-1])
+        lo, hi = r[0], r[-1]
+        if not lo >= 0.0:
+            raise ValueError(f"sample radii must be nonnegative, got r[0] = {lo!r}")
+        check_radius(hi, 4)   # the closed forms take hi^3 and lo^4 <= hi^4
         r3 = tail == "r3"
+        d0 = s0.derivative()
         bound = hi if compact_support_bound is None else compact_support_bound
+        if not bound > 0.0:
+            raise ValueError(f"compact_support_bound must be positive, got {bound!r}")
         end = hi if r3 else min(hi, bound)
 
-        def even(spline):
+        def even(spline, slope):
             """(a, b) of a + b r^2 through the spline's value and slope at lo."""
-            b = float(spline.derivative()(lo)) / (2.0 * lo) if lo > 0 else 0.0
-            return float(spline(lo)) - b * lo * lo, b
+            b = slope.at(lo) / (2.0 * lo) if lo > 0 else 0.0
+            return spline.at(lo) - b * lo * lo, b
 
-        a1, b1 = even(s1) if r3 else (0.0, 0.0)       # u1 = a1 + b1 r^2 on (0, lo)
-        c1 = float(hi ** 3 * u1_vals[-1]) if r3 else 0.0
+        a1, b1 = even(s1, s1.derivative()) if r3 else (0.0, 0.0)   # u1 = a1 + b1 r^2 on (0, lo)
+        c1 = hi ** 3 * u1_vals[-1] if r3 else 0.0
         rho_u1 = product(identity(r), s1).antiderivative()
-        rho_u1_end = rho_u1(end)
+        rho_u1_end = rho_u1.at(end)
 
         def u1_tail(s):
-            s = np.asarray(s, dtype=float)
-            below = np.minimum(s, lo)
-            return (rho_u1_end - rho_u1(np.clip(s, lo, end))
-                    + 0.5 * a1 * (lo * lo - below ** 2) + 0.25 * b1 * (lo ** 4 - below ** 4)
-                    + c1 / np.maximum(s, end))
+            below = min(s, lo)
+            return (rho_u1_end - rho_u1.at(min(max(s, lo), end))
+                    + 0.5 * a1 * (lo * lo - below * below) + 0.25 * b1 * (lo ** 4 - below ** 4)
+                    + c1 / max(s, end))
 
         if r3:
-            c0 = float(hi ** 3 * u0_vals[-1])
-            a0, b0 = even(s0)
+            c0 = hi ** 3 * u0_vals[-1]
+            a0, b0 = even(s0, d0)
 
             def extended(f, below, coef, power):
                 def fn(x):
-                    x = np.asarray(x, dtype=float)
-                    inner = np.where(x < lo, below(x), f(np.clip(x, lo, hi)))
-                    outer = coef * np.where(x > 0, x, 1.0) ** power
-                    return np.where(x <= hi, inner, outer)
-                return fn
+                    if x > hi:
+                        return coef * x ** power
+                    return below(x) if x < lo else f.at(x)
+                return partial(_pointwise, fn)
 
             return cls(u0=extended(s0, lambda x: a0 + b0 * x * x, c0, -3.0),
                        u1=extended(s1, lambda x: a1 + b1 * x * x, c1, -3.0),
                        du0=extended(d0, lambda x: 2.0 * b0 * x, -3.0 * c0, -4.0),
                        tail_radius=hi, tail_c0=c0, tail_c1=c1, decay=3.0,
-                       du0_reduced_accuracy=True, u1_tail=u1_tail)
+                       du0_reduced_accuracy=True, u1_tail=partial(_pointwise, u1_tail))
 
         def clamped(f):
-            def fn(x):
-                x = np.asarray(x, dtype=float)
-                return np.where((x >= lo) & (x <= hi), f(np.clip(x, lo, hi)), 0.0)
-            return fn
+            return partial(_pointwise, lambda x: f.at(x) if lo <= x <= hi else 0.0)
 
         return cls(u0=clamped(s0), u1=clamped(s1), du0=clamped(d0),
-                   compact_support_bound=bound, du0_reduced_accuracy=True, u1_tail=u1_tail)
+                   compact_support_bound=bound, du0_reduced_accuracy=True,
+                   u1_tail=partial(_pointwise, u1_tail))
 
 
 @dataclass(frozen=True)
@@ -356,37 +353,44 @@ class ResiduePair:
 # -- free waves from profiles -------------------------------------------------
 
 
-def check_radius(r):
-    """ValueError unless r (a number or an array) holds finite positive radii."""
-    r = np.asarray(r, dtype=float)
-    bad = ~((r > 0) & np.isfinite(r))
-    if bad.any():
-        raise ValueError(f"radius must be finite and positive, got {r[bad].flat[0]}")
+def check_radius(r, power=3):
+    """ValueError, naming r, unless r is a finite positive radius whose
+    r**power (the formulas divide by it) neither underflows nor overflows."""
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"radius must be finite and positive, got {r}")
+    try:
+        scaled = float(r) ** power
+    except OverflowError:
+        scaled = math.inf
+    if not 0.0 < scaled < math.inf:
+        raise ValueError(f"radius {r!r} is out of range: r**{power} is {scaled}")
 
 
 def free_wave(G: RadiationProfile, r, t: float):
-    """u(r, t) = r^-3 int_{t-r}^{t+r} (s - t) G(s) ds, elementwise over an
-    array r; a number r gives a float."""
-    check_radius(r)
-    r = np.asarray(r, dtype=float)
-    out = (G.moment1_vec(t - r, t + r) - t * G.moment0_vec(t - r, t + r)) / r ** 3
-    return out if out.ndim else float(out)
+    """u(r, t) = r^-3 int_{t-r}^{t+r} (s - t) G(s) ds."""
+    def one(r):
+        check_radius(r)
+        return (G.moment1(t - r, t + r) - t * G.moment0(t - r, t + r)) / r ** 3
+
+    return _pointwise(one, r)
 
 
 def free_wave_velocity(G: RadiationProfile, r, t: float):
     """Time derivative of :func:`free_wave`."""
-    check_radius(r)
-    r = np.asarray(r, dtype=float)
-    out = (G.value(t + r) + G.value(t - r)) / r ** 2 - G.moment0_vec(t - r, t + r) / r ** 3
-    return out if out.ndim else float(out)
+    def one(r):   # r * r, not r ** 2: numpy squared an array by multiplying
+        check_radius(r)
+        return (G._at(t + r) + G._at(t - r)) / (r * r) - G.moment0(t - r, t + r) / r ** 3
+
+    return _pointwise(one, r)
 
 
 def free_wave_gradient(G: RadiationProfile, r, t: float):
     """Radial derivative of :func:`free_wave`."""
-    u = free_wave(G, r, t)   # checks r
-    r = np.asarray(r, dtype=float)
-    out = -3.0 * u / r + (G.value(t + r) - G.value(t - r)) / r ** 2
-    return out if out.ndim else float(out)
+    def one(r):
+        u = free_wave(G, r, t)   # checks r
+        return -3.0 * u / r + (G._at(t + r) - G._at(t - r)) / (r * r)
+
+    return _pointwise(one, r)
 
 
 def positive_propagator(u1, r: float, t: float, support=None) -> float:
@@ -408,7 +412,7 @@ def positive_propagator(u1, r: float, t: float, support=None) -> float:
             return 0.0
 
     def integrand(rho):
-        return rho * (r * r + rho * rho - t * t) * np.asarray(u1(rho), dtype=float)
+        return rho * (r * r + rho * rho - t * t) * u1(rho)
 
     return integrate_adaptive(integrand, lo, hi, _QTOL * max(1.0, hi - lo)) / (4.0 * r ** 3)
 
@@ -450,14 +454,12 @@ def _exterior_integral(d: RadialData, integrand, R: float, tail, decay) -> float
 
 
 def _u1_tail_integral(d: RadialData, s):
-    """int_s^inf rho u1(rho) drho for each s of a 1-D array: the stored
-    closed form of sampled data, else one quadrature per point with the
-    declared tail closed in exact form."""
+    """int_s^inf rho u1(rho) drho: the stored closed form of sampled data,
+    else a quadrature with the declared tail closed in exact form."""
     if d.u1_tail is not None:
         return d.u1_tail(s)
-    integrand = lambda rho: rho * np.asarray(d.u1(rho), dtype=float)
-    return np.array([_exterior_integral(d, integrand, si, lambda S: d.tail_c1 / S,
-                                        lambda p: p - 1.0) for si in s])
+    return _exterior_integral(d, lambda rho: rho * d.u1(rho), s, lambda S: d.tail_c1 / S,
+                              lambda p: p - 1.0)
 
 
 def profile_from_data(d: RadialData) -> RadiationProfile:
@@ -482,21 +484,16 @@ def profile_from_data(d: RadialData) -> RadiationProfile:
         u0 = d.u0
 
         def du0(r):
-            r_arr = np.asarray(r, dtype=float)
-            h = _DU0_STEP * np.maximum(1.0, np.abs(r_arr))
-            return (np.asarray(u0(r_arr + h)) - np.asarray(u0(r_arr - h))) / (2.0 * h)
+            h = _DU0_STEP * max(1.0, abs(r))
+            return (u0(r + h) - u0(r - h)) / (2.0 * h)
 
     def fn(s):
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.empty(s_arr.shape)
-        nonzero = s_arr != 0.0
-        a = np.abs(s_arr[nonzero])
-        g_even = 0.5 * (3.0 * a * np.asarray(d.u0(a)) + a * a * np.asarray(du0(a)))
-        g_odd = 0.5 * a * a * np.asarray(d.u1(a)) - 0.5 * _u1_tail_integral(d, a)
-        out[nonzero] = np.sign(s_arr[nonzero]) * g_even + g_odd
-        if not nonzero.all():   # the limit of G_odd; the data need not exist at 0
-            out[~nonzero] = -0.5 * _u1_tail_integral(d, np.zeros(1))[0]
-        return out if np.ndim(s) else out[0]
+        if s == 0.0:   # the limit of G_odd; the data need not exist at 0
+            return -0.5 * _u1_tail_integral(d, 0.0)
+        a = abs(s)
+        g_even = 0.5 * (3.0 * a * d.u0(a) + a * a * du0(a))
+        g_odd = 0.5 * a * a * d.u1(a) - 0.5 * _u1_tail_integral(d, a)
+        return (g_even if s > 0 else -g_even) + g_odd
 
     support = None
     decay = None
@@ -531,11 +528,9 @@ def exterior_energy(d: RadialData, R: float) -> float:
     if d.du0 is None:
         raise ValueError("exterior energy needs derivative access to u0")
 
-    def density(rho):
-        rho = np.asarray(rho, dtype=float)
-        dv = np.asarray(d.du0(rho), dtype=float)
-        v1 = np.asarray(d.u1(rho), dtype=float)
-        return (dv * dv + v1 * v1) * rho ** 4
+    def density(rho):   # products only: a float ** would raise OverflowError
+        dv, v1, rho2 = d.du0(rho), d.u1(rho), rho * rho
+        return (dv * dv + v1 * v1) * rho2 * rho2
 
     # beyond S: u0 = c0 r^-3, u1 = c1 r^-3 exactly
     tail = lambda S: 3.0 * d.tail_c0 ** 2 / S ** 3 + d.tail_c1 ** 2 / S
@@ -559,10 +554,10 @@ def exterior_energy_identity(G: RadiationProfile, R: float) -> float:
 
 def residues(G: RadiationProfile, R: float) -> ResiduePair:
     """tau1(R) = -R^(-1/2) int_{-R}^R G,  tau2(R) = sqrt(3) R^(-3/2) int_{-R}^R s G."""
-    check_radius(R)
+    check_radius(R, 1.5)
     m0 = G.moment0(-R, R)
     m1 = G.moment1(-R, R)
-    return ResiduePair(tau1=-m0 / np.sqrt(R), tau2=np.sqrt(3.0) * m1 / R ** 1.5, radius=R)
+    return ResiduePair(tau1=-m0 / math.sqrt(R), tau2=math.sqrt(3.0) * m1 / R ** 1.5, radius=R)
 
 
 def residue_flow(G_minus: RadiationProfile, G_plus: RadiationProfile, r: float):
@@ -574,7 +569,7 @@ def residue_flow(G_minus: RadiationProfile, G_plus: RadiationProfile, r: float):
     For a free wave supply G_plus = G_minus.reflect().  Both profiles must be
     continuous at r; a jump there is rejected.
     """
-    check_radius(r)
+    check_radius(r, 1.5)
     eps = 1e-8 * max(1.0, r)
     for G in (G_minus, G_plus):
         jump = abs(G.value(r + eps) - G.value(r - eps))
@@ -584,16 +579,16 @@ def residue_flow(G_minus: RadiationProfile, G_plus: RadiationProfile, r: float):
     pair = residues(G_minus, r)
     gm = G_minus.value(r)
     gp = G_plus.value(r)
-    d1 = -pair.tau1 / (2.0 * r) - (gm + gp) / np.sqrt(r)
-    d2 = -3.0 * pair.tau2 / (2.0 * r) + np.sqrt(3.0) * (gm - gp) / np.sqrt(r)
-    return float(d1), float(d2)
+    d1 = -pair.tau1 / (2.0 * r) - (gm + gp) / math.sqrt(r)
+    d2 = -3.0 * pair.tau2 / (2.0 * r) + math.sqrt(3.0) * (gm - gp) / math.sqrt(r)
+    return d1, d2
 
 
 def asymptotic_numbers(G: RadiationProfile):
     """alpha1 = -lim int_{-r}^{r} G,  alpha2 = lim int_{-r}^{r} s G."""
     if G.support is not None:
         lo, hi = G.support
-        return -float(G._moment(0, lo, hi)), float(G._moment(1, lo, hi))
+        return -G._moment(0, lo, hi), G._moment(1, lo, hi)
     return -G._outside(0, 0.0), G._outside(1, 0.0)
 
 
@@ -615,25 +610,16 @@ def nonlinear_profile_shift(Fsrc, s: float, *, t_support=None, r_support=None,
         raise ValueError("source needs t_support or a declared decay exponent")
 
     def along_ray(t):
-        t_arr = np.asarray(t, dtype=float)
-        vals = np.asarray(Fsrc(t_arr, t_arr + s), dtype=float)
-        return (s + t_arr) ** 2 * vals
+        return (s + t) ** 2 * Fsrc(t, t + s)
 
-    def inner(t):
+    def shell(t):
         lo = t + s
         if r_support is not None:
             lo, hi = max(lo, r_support[0]), r_support[1]
             if hi <= lo:
                 return 0.0
-            return integrate_adaptive(lambda rho: rho * np.asarray(Fsrc(t, rho), dtype=float),
-                                      lo, hi, tol * 1e-2)
-        return integrate_tail(lambda rho: rho * np.asarray(Fsrc(t, rho), dtype=float),
-                              lo, tol * 1e-2, decay=decay + 1.0)
-
-    def shell(t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.array([inner(ti) for ti in t_arr])
-        return out if np.ndim(t) else out[0]
+            return integrate_adaptive(lambda rho: rho * Fsrc(t, rho), lo, hi, tol * 1e-2)
+        return integrate_tail(lambda rho: rho * Fsrc(t, rho), lo, tol * 1e-2, decay=decay + 1.0)
 
     if t_support is not None:
         t_lo, t_hi = max(0.0, t_support[0]), t_support[1]
@@ -655,16 +641,13 @@ def nonlinear_profile_shift(Fsrc, s: float, *, t_support=None, r_support=None,
 
 def tau2_of_ground_state(r):
     """Second residue of the static pair (W, 0): sqrt(3) r^(3/2) W(r)."""
-    r = np.asarray(r, dtype=float)
-    w, _ = ground_state(r)
-    out = np.sqrt(3.0) * r ** 1.5 * w
-    return out if out.ndim else float(out)
+    return math.sqrt(3.0) * r ** 1.5 * ground_state(r)[0]
 
 
 def compute_c2(rho: float) -> float:
     """The radius on the decreasing branch (r > sqrt(15)) where the
     ground-state residue sqrt(3) r^(3/2) W(r) equals ``rho``."""
-    r_peak = np.sqrt(15.0)
+    r_peak = math.sqrt(15.0)
     peak = tau2_of_ground_state(r_peak)
     if not (0.0 < rho < peak):
         raise ValueError(f"rho must lie in (0, {peak}) to meet the decreasing branch")
@@ -675,5 +658,5 @@ def compute_c2(rho: float) -> float:
             raise ValueError("failed to bracket the residue radius")
     # hi < 2 c2 here, so the width stays below 4 eps c2
     lo, hi = bisect(lambda r: tau2_of_ground_state(r) - rho, r_peak, hi, peak - rho,
-                    2.0 * np.finfo(float).eps * hi)
+                    2.0 * math.ulp(1.0) * hi)
     return 0.5 * (lo + hi)

@@ -5,15 +5,13 @@ from exwave import radiation as rad
 
 
 def random_smooth_profile(rng, lo=-1.5, hi=1.5):
-    """Random C^2 compactly supported profile on [lo, hi] (fast moment engine)."""
+    """Random C^2 compactly supported profile on [lo, hi] (spline moments)."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    coefs = rng.uniform(-1.0, 1.0, size=3)
+    c0, c1, c2 = rng.uniform(-1.0, 1.0, size=3).tolist()
 
-    def fn(s):
-        s = np.asarray(s, dtype=float)
+    def fn(s):   # a profile function takes a float
         x = (s - mid) / half
-        poly = coefs[0] + coefs[1] * x + coefs[2] * x * x
-        return np.where(np.abs(x) < 1.0, (1.0 - x * x) ** 3 * poly, 0.0)
+        return (1.0 - x * x) ** 3 * (c0 + c1 * x + c2 * x * x) if abs(x) < 1.0 else 0.0
 
     return rad.RadiationProfile.from_function(fn, support=(lo, hi), smooth=True)
 

@@ -143,7 +143,7 @@ _UNUSED_MODULES = {
 
 
 # subcommands that compute on floats only, so they never import numpy
-_NO_NUMPY = {"constants", "table1", "verify"}
+_NO_NUMPY = {"constants", "table1", "verify", "radiation"}
 
 
 def _assert_loads_only_its_modules(proc, command):
@@ -172,7 +172,8 @@ def test_package_import_loads_no_numpy():
         "import sys, exwave\n"
         "assert 'numpy' not in sys.modules\n"
         "assert exwave.radiation.__name__ == 'exwave.radiation'\n"
-        "assert 'numpy' in sys.modules and 'exwave.pdesim' not in sys.modules\n"
+        "assert 'numpy' not in sys.modules and 'exwave.pdesim' not in sys.modules\n"
+        "assert exwave.pdesim.__name__ == 'exwave.pdesim' and 'numpy' in sys.modules\n"
         "assert not hasattr(exwave, 'no_such_module')\n")
     assert proc.returncode == 0, proc.stderr
 
@@ -476,6 +477,77 @@ def test_radiation_too_few_samples_exits_1(tmp_path, capsys, n):
     assert run_cli(["radiation", "to-data", "--in", _profile_csv(tmp_path),
                     "--n", n, "--out", str(out)]) == 1
     assert "--n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")   # a RuntimeWarning would escape main
+def test_radiation_residues_tiny_radius_exits_1_without_warnings(tmp_path, capsys):
+    # R^(3/2) underflows to 0: no NaN in the JSON
+    assert run_cli(["radiation", "residues", "--in", _profile_csv(tmp_path), "--R", "1e-320"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: radius 1e-320 is out of range: r**1.5 is 0.0\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_radiation_to_data_tiny_rmin_exits_1_without_warnings(tmp_path, capsys):
+    out = tmp_path / "data.csv"
+    assert run_cli(["radiation", "to-data", "--in", _profile_csv(tmp_path), "--rmin", "1e-300",
+                    "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: radius 1e-300 is out of range: r**3 is 0.0\n"
+    assert not out.exists()
+
+
+def test_radiation_from_data_negative_radius_exits_1(tmp_path, capsys):
+    data_csv = tmp_path / "data.csv"
+    data_csv.write_text("r,u0,u1\n-1,0,0\n0,1,0\n1,0.5,0\n2,0,0\n")
+    out = tmp_path / "back.csv"
+    assert run_cli(["radiation", "from-data", "--in", str(data_csv), "--out", str(out)]) == 1
+    assert "nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("r,u0,u1\n", "no data"),
+    ("r,u0,u1\n0.5,0,0\n1,0.5\n2,0,0\n", ":3: expected 3 columns, got 2"),
+    ("r,u0,u1\n0.5,0,0\n1,0.5,0,7\n2,0,0\n", ":3: expected 3 columns, got 4"),
+    ("r,u0,u1\n0.5,0,0\n1,abc,0\n2,0,0\n", ":3: not a number"),
+])
+@pytest.mark.filterwarnings("error")   # a warning before the error would escape main
+def test_malformed_data_csv_exits_1_naming_the_file(tmp_path, capsys, text, problem):
+    data_csv = tmp_path / "data.csv"
+    data_csv.write_text(text)
+    out = tmp_path / "back.csv"
+    assert run_cli(["radiation", "from-data", "--in", str(data_csv), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data_csv}")
+    assert problem in err
+    assert not out.exists()
+
+
+def test_data_csv_reader_skips_blank_and_comment_lines(tmp_path):
+    data_csv = tmp_path / "data.csv"
+    data_csv.write_text("r,u0,u1\n0.5, 1 ,2\n\n# a comment\n1e0,3,4  # trailing\n")
+    assert cli._read_csv_columns(str(data_csv), 3) == [[0.5, 1.0], [1.0, 3.0], [2.0, 4.0]]
+
+
+def test_radiation_n_over_budget_exits_1_allocating_nothing(tmp_path, capsys):
+    import tracemalloc
+
+    from exwave import radiation  # noqa: F401 -- imported before the measurement
+
+    out = tmp_path / "data.csv"
+    argv = ["radiation", "to-data", "--in", _profile_csv(tmp_path),
+            "--n", str(cli.MAX_SAMPLES + 1), "--out", str(out)]
+    tracemalloc.start()
+    try:
+        code = run_cli(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert peak < 1 << 20   # bytes; a list of 10^6 floats alone takes 32 MB
+    assert "budget" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -69,6 +69,14 @@ def test_ground_state_rejects_non_finite_input(r, lam):
         ground_state(r, lam)
 
 
+@pytest.mark.parametrize("r", [0.0, 1.0, np.linspace(0.0, 5.0, 11)])
+def test_ground_state_rejects_a_scale_whose_powers_overflow(r):
+    # lam^(-5/2) overflows below about 1e-123; a float ** raises OverflowError there
+    with pytest.raises(ValueError, match="lambda=1e-300"):
+        ground_state(r, 1e-300)
+    assert ground_state(0.0, 1e-120)[0] == pytest.approx(1e180, rel=1e-14)
+
+
 def test_pointwise_functions_take_floats_and_arrays():
     # one formula for both; numpy's vectorised ** may round the last bit
     # differently from the float ** of libm

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -223,6 +224,79 @@ def test_recovered_profile_array_matches_pointwise():
     for d in (sampled, ground_state_data()):
         G = rad.profile_from_data(d)
         assert np.array_equal(G.value(s), [G.value(float(x)) for x in s])
+
+
+def test_array_arguments_give_the_float_calls_bit_for_bit():
+    # on a sampled profile and sampled data, every function that maps itself
+    # over an array gives what its float calls give
+    grid = np.linspace(-1.5, 1.5, 121)
+    vals = np.cos(2.0 * grid) * (1.0 - grid * grid / 2.25) ** 3
+    G = rad.RadiationProfile.from_samples(grid, vals)
+    grid = np.linspace(0.1, 3.0, 97)
+    u0, u1 = np.exp(-grid) * np.cos(3.0 * grid), np.sin(2.0 * grid)
+    data = [rad.RadialData.from_samples(grid, u0, u1, tail=tail) for tail in ("r3", "none")]
+    s = np.array([[-2.0, -1.5, -0.7, 0.0], [0.3, 1.1, 1.5, 2.5]])
+    r = np.array([0.05, 0.1, 0.77, 1.5, 2.999, 3.0, 4.5])
+    of_s = [G.value, G._spline, G._spline.derivative(), G._spline.antiderivative()]
+    of_s += [rad.profile_from_data(d).value for d in data]
+    of_r = [lambda x, f=f, t=t: f(G, x, t) for t in (0.0, 0.4)
+            for f in (rad.free_wave, rad.free_wave_velocity, rad.free_wave_gradient)]
+    of_r += [f for d in data for f in (d.u0, d.du0, d.u1, d.u1_tail)]
+    for fn, x in [(fn, x) for fn in of_s for x in (s, r)] + [(fn, r) for fn in of_r]:
+        got = fn(x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, np.reshape([fn(float(v)) for v in x.ravel()], x.shape))
+        assert type(fn(float(x.flat[1]))) is float
+    a, b = s, s[::-1, ::-1]
+    for vec, scalar in ((G.moment0_vec, G.moment0), (G.moment1_vec, G.moment1)):
+        assert np.array_equal(vec(a, b), [[scalar(x, y) for x, y in zip(*row)]
+                                          for row in zip(a, b)])
+
+
+@pytest.mark.parametrize("start, stop, num", [(0.1, 3.0, 2001), (-1.5, 1.5, 4097),
+                                              (-3.0, 3.0, 2), (1e-3, 7.0, 3), (2.0, 2.0, 5)])
+def test_float_linspace_is_numpys_bit_for_bit(start, stop, num):
+    from exwave._spline import linspace
+
+    assert linspace(start, stop, num) == np.linspace(start, stop, num).tolist()
+
+
+def test_sampled_data_reject_radii_out_of_range():
+    with pytest.raises(ValueError, match="nonnegative"):
+        rad.RadialData.from_samples([-1.0, 0.0, 1.0, 2.0], [0.0, 1.0, 0.5, 0.0], [0.0] * 4)
+    for tail in ("r3", "none"):
+        with pytest.raises(ValueError, match=re.escape("radius 1e+80 is out of range: r**4")):
+            rad.RadialData.from_samples([1.0, 2.0, 1e80], [1.0, 0.5, 0.0], [0.0] * 3, tail=tail)
+    with pytest.raises(ValueError, match="compact_support_bound"):
+        rad.RadialData.from_samples([0.5, 1.0, 2.0], [1.0, 0.5, 0.0], [0.0, 0.1, 0.0],
+                                    compact_support_bound=0.0)
+    # r[0] = 0 is allowed: the even continuation holds u0 at its value there
+    d = rad.RadialData.from_samples([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.2, 0.1], [0.0] * 4,
+                                    tail="r3")
+    assert d.u0(0.0) == 1.0
+
+
+_BY_RADIUS = {"free_wave": lambda G, R: rad.free_wave(G, R, 0.0),
+              "velocity": lambda G, R: rad.free_wave_velocity(G, R, 0.0),
+              "identity": rad.exterior_energy_identity,
+              "residues": rad.residues}
+
+
+@pytest.mark.parametrize("name, R, power", [
+    ("free_wave", 1e-300, 3), ("free_wave", 1e250, 3), ("velocity", 1e-120, 3),
+    ("identity", 1e-300, 3), ("identity", 1e110, 3), ("residues", 1e-320, 1.5),
+    ("residues", 1e250, 1.5)])
+def test_radii_whose_powers_under_or_overflow_are_rejected(name, R, power):
+    G = rad.RadiationProfile.from_function(lambda s: 1.0, support=(-1.0, 1.0))
+    with pytest.raises(ValueError, match=re.escape(f"radius {R!r} is out of range: r**{power}")):
+        _BY_RADIUS[name](G, R)
+
+
+def test_residues_of_a_tiny_radius_whose_power_stays_finite():
+    G = rad.RadiationProfile.from_function(lambda s: 1.0, support=(-1.0, 1.0))
+    pair = rad.residues(G, 1e-200)   # R^(3/2) = 1e-300
+    assert pair.tau1 == pytest.approx(-2e-200 / 1e-100, rel=1e-14)
+    assert pair.tau2 == 0.0
 
 
 def test_ground_state_residue_profile():
@@ -504,6 +578,12 @@ def _nonuniform_grid(n):
     # strictly increasing, spacings varying by a factor of about 3
     u = np.linspace(0.0, 1.0, n)
     return -1.0 + 3.0 * u + 0.3 * np.sin(2.0 * np.pi * u) / np.pi
+
+
+def test_spline_rejects_breakpoints_whose_spacing_squared_overflows():
+    with pytest.raises(ValueError, match="too far apart"):
+        rad.RadiationProfile.from_samples([0.0, 1e160, 2e160, 3e160, 4e160],
+                                          [0.0, 1.0, 0.0, 1.0, 0.0])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 601])
