@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from collections.abc import Callable
 
 __all__ = ["IntegrationFailure", "DenseSolution", "OdeResult", "bisect", "solve_dopri5"]
@@ -116,13 +116,8 @@ def _pointwise(fn, *args):
     return out if out.ndim else float(out)
 
 
-@dataclass
-class OdeResult:
-    status: str            # "finished" or "event"
-    t: float
-    y: tuple
-    sol: DenseSolution
-    nsteps: int
+# status is "finished" or "event"; sol is the DenseSolution over [t0, t]
+OdeResult = namedtuple("OdeResult", "status t y sol nsteps")
 
 
 def _dot(weights, values):

@@ -16,10 +16,11 @@ SIGPIPE kills); the last stops quietly, with nothing on stderr.
 
 Each subcommand imports only the exwave modules it runs: radiation loads no
 pdesim, profiles or verify, and table1 and verify load no radiation, _spline
-or pdesim.  Only simulate and profile load numpy: constants, table1, verify
+or pdesim.  Only simulate loads numpy: constants, profile, table1, verify
 and radiation compute on floats and read their CSV input with the standard
-library.  The process defaults OPENBLAS_NUM_THREADS to 1 (see below); set
-the variable to override it.
+library, and all but radiation load no dataclasses either.  The process
+defaults OPENBLAS_NUM_THREADS to 1 (see below); set the variable to
+override it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import sys
 import tempfile
 
 # numpy is imported only inside the functions that compute on arrays, so
-# constants, table1, verify and radiation never load it.  exwave's one BLAS/LAPACK call
+# only simulate loads it.  exwave's one BLAS/LAPACK call
 # is pdesim's 3 x 3 np.linalg.solve, far below OpenBLAS's threading
 # threshold, so its worker pool only costs start-up CPU and one thread gives
 # the same results.  The default is set here, before any numpy import;

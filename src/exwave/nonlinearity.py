@@ -9,7 +9,7 @@ formula serves a float, which gives a float, and a numpy array alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .quadrature import integrate_tail
 
@@ -45,13 +45,10 @@ def dg(z):
     return 2.0 - (7.0 / 3.0) * abs(z) ** (4.0 / 3.0)
 
 
-@dataclass(frozen=True)
-class GConstants:
+class GConstants(namedtuple("GConstants", "z0 z_max g_max")):
     """Closed-form landmarks of g: its positive zero, argmax and maximum."""
 
-    z0: float
-    z_max: float
-    g_max: float
+    __slots__ = ()
 
 
 def g_constants() -> GConstants:
@@ -65,7 +62,9 @@ def ground_state(r, lam: float = 1.0):
     W(x) = (1 + |x|^2/15)^(-3/2) and W_lam(r) = lam^(-3/2) W(r/lam).
     Returns the pair (W_lam(r), d/dr W_lam(r)), floats for a number r and
     arrays for an array.  A non-finite lam or number r raises ValueError,
-    and so does a lam so small that lam^(-5/2) overflows.
+    and so does a lam so small that lam^(-5/2) overflows, or a number r
+    whose pair is not finite (with r/lam ~ 1e120, q^(-5/2) underflows to 0
+    while lam^(-5/2) x/5 overflows).
     """
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"scale lambda must be finite and positive, got {lam!r}")
@@ -79,13 +78,15 @@ def ground_state(r, lam: float = 1.0):
     q = 1.0 + x * x / 15.0
     w = scale_w * q ** (-1.5)
     dw = -scale_dw * (x / 5.0) * q ** (-2.5)
+    if isinstance(r, (int, float)) and not (math.isfinite(w) and math.isfinite(dw)):
+        raise ValueError(f"ground state at r={r!r}, lambda={lam!r} is not finite: ({w}, {dw})")
     return w, dw
 
 
 def ground_state_residual(r: float) -> float:
     """-W'' - (4/r) W' - F(W) at radius r > 0; identically zero for the exact W."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError(f"radius must be finite and positive, got {r!r}")
     q = 1.0 + r * r / 15.0
     w = q ** (-1.5)
     dw = -(r / 5.0) * q ** (-2.5)
@@ -109,9 +110,11 @@ def ground_state_energy(tol: float = 1e-10) -> float:
 def m_k(z_lo: float, z_hi: float) -> float:
     """min of g over [z_lo, z_hi] taken at the endpoints.
 
-    Valid because g is monotone between consecutive breakpoints of the
-    z-ladder used by the verification table.
+    Exact because g is concave on z >= 0 (g'' = -(28/9) z^(1/3)), so its
+    minimum over an interval is at an end, also on an interval that holds
+    the maximum z_max ~ 0.8909, such as row 9's [0.8, 0.9] of the
+    verification table.
     """
-    if not (0.0 <= z_lo < z_hi):
-        raise ValueError("need 0 <= z_lo < z_hi")
+    if not (0.0 <= z_lo < z_hi < math.inf):
+        raise ValueError(f"need 0 <= z_lo < z_hi < inf, got {z_lo!r}, {z_hi!r}")
     return min(g(z_lo), g(z_hi))

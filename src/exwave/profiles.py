@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from functools import cached_property
+from collections import namedtuple
 
 from ._ode import IntegrationFailure, _pointwise, bisect, solve_dopri5
 from .quadrature import integrate_adaptive
@@ -83,15 +82,13 @@ class BracketingError(ProfileError):
         self.scan = scan
 
 
-@dataclass(frozen=True)
-class BlowUp:
+class BlowUp(namedtuple("BlowUp", "y_plus")):
     """Category (i): |phi| -> infinity at y_plus in (0, 1]."""
 
-    y_plus: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Global:
+class Global(namedtuple("Global", "limit_phi limit_flux")):
     """Category (ii): phi and the endpoint flux converge as y -> 1.
 
     ``limit_flux`` is signed: it equals s*|s| where s = lim phi_theta at
@@ -100,17 +97,15 @@ class Global:
     (-) at the endpoint, so it changes sign at :func:`find_nu2`'s slope.
     """
 
-    limit_phi: float
-    limit_flux: float
+    __slots__ = ()
 
 
 class _ProfileBase:
     """Shared dense-output plumbing for nonlinear and linear profiles.
 
     ``y_nodes`` and ``phi_nodes`` are float lists of the accepted steps up to
-    ``_THETA_CAP``, mapped from theta to y; ``grid``, ``phi`` and ``dphi``
-    are the same steps as numpy arrays, built (and numpy imported) on first
-    access.
+    ``_THETA_CAP``, mapped from theta to y; phi'(y) at a node is
+    phi_theta / cos(theta), from ``_phi_theta`` and ``_theta``.
     """
 
     def __init__(self, sol, theta_end):
@@ -121,24 +116,6 @@ class _ProfileBase:
         self.y_nodes = [math.sin(t) for t in self._theta]
         self.phi_nodes = [state[0] for state in sol.ys[:n]]
         self._phi_theta = [state[1] for state in sol.ys[:n]]
-
-    @cached_property
-    def grid(self):
-        import numpy as np
-
-        return np.array(self.y_nodes)
-
-    @cached_property
-    def phi(self):
-        import numpy as np
-
-        return np.array(self.phi_nodes)
-
-    @cached_property
-    def dphi(self):
-        import numpy as np
-
-        return np.array(self._phi_theta) / np.cos(self._theta)
 
     def _state(self, y):
         if not 0.0 <= y <= self.y_max + 1e-15:
@@ -265,8 +242,11 @@ def inverse_phi(p: SelfSimilarProfile, z: float, tol: float = 1e-14) -> float:
     default, independent of the integration tolerance).  Raises
     :class:`NoSolutionError` when z exceeds the supremum and
     :class:`AmbiguousRootError` (reporting every crossing) when the value is
-    attained more than once on the computed range.
+    attained more than once on the computed range.  A non-finite z raises
+    ValueError.
     """
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z!r}")
     grid, phi = p.y_nodes, p.phi_nodes
     if z == phi[0]:
         return grid[0]
@@ -386,6 +366,7 @@ def wronskian_compare(c: float, y: float, tol: float = 1e-12):
 def profile_to_csv(p: _ProfileBase) -> str:
     """CSV text of the profile grid with columns y, phi, dphi, H."""
     lines = ["y,phi,dphi,H"]
-    for row in zip(p.grid, p.phi, p.dphi, p.energy_at(p.grid)):
+    for y, phi, theta, s in zip(p.y_nodes, p.phi_nodes, p._theta, p._phi_theta):
+        row = (y, phi, s / math.cos(theta), p.energy_at(y))
         lines.append(",".join(f"{v:.12g}" for v in row))
     return "\n".join(lines) + "\n"

@@ -24,6 +24,8 @@ floats.  A public function given an array evaluates it point by point
 from __future__ import annotations
 
 import math
+# RadialData stays a dataclass: bench/tracing.py rebuilds it with
+# dataclasses.replace to count the calls of its u0 and u1
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -366,8 +368,15 @@ def check_radius(r, power=3):
         raise ValueError(f"radius {r!r} is out of range: r**{power} is {scaled}")
 
 
+def _check_time(t):
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t!r}")
+
+
 def free_wave(G: RadiationProfile, r, t: float):
     """u(r, t) = r^-3 int_{t-r}^{t+r} (s - t) G(s) ds."""
+    _check_time(t)
+
     def one(r):
         check_radius(r)
         return (G.moment1(t - r, t + r) - t * G.moment0(t - r, t + r)) / r ** 3
@@ -377,6 +386,8 @@ def free_wave(G: RadiationProfile, r, t: float):
 
 def free_wave_velocity(G: RadiationProfile, r, t: float):
     """Time derivative of :func:`free_wave`."""
+    _check_time(t)
+
     def one(r):   # r * r, not r ** 2: numpy squared an array by multiplying
         check_radius(r)
         return (G._at(t + r) + G._at(t - r)) / (r * r) - G.moment0(t - r, t + r) / r ** 3
@@ -386,6 +397,8 @@ def free_wave_velocity(G: RadiationProfile, r, t: float):
 
 def free_wave_gradient(G: RadiationProfile, r, t: float):
     """Radial derivative of :func:`free_wave`."""
+    _check_time(t)
+
     def one(r):
         u = free_wave(G, r, t)   # checks r
         return -3.0 * u / r + (G._at(t + r) - G._at(t - r)) / (r * r)

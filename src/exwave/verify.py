@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import nonlinearity as nl
 from . import profiles
@@ -80,36 +80,15 @@ REFERENCE_PUSHUP = 0.604556
 REFERENCE_NU2 = 1.575
 
 
-@dataclass(frozen=True)
-class Table1Row:
-    k: int
-    z_lo: float
-    z_hi: float
-    y_k: float
-    lambda_k: float
-    min_g: float
-    product_k: float
-    contribution_k: float
+Table1Row = namedtuple(
+    "Table1Row", "k z_lo z_hi y_k lambda_k min_g product_k contribution_k")
+
+Table1Summary = namedtuple("Table1Summary", "nu0 sup_phi y0 kappa0 g_minus total")
 
 
-@dataclass(frozen=True)
-class Table1Summary:
-    nu0: float
-    sup_phi: float
-    y0: float
-    kappa0: float
-    g_minus: float
-    total: float
-
-
-@dataclass
-class ReportItem:
-    name: str
-    computed: float
-    target: float
-    tolerance: float
-    passed: bool
-    note: str = ""
+class ReportItem(namedtuple("ReportItem", "name computed target tolerance passed note",
+                            defaults=("",))):
+    __slots__ = ()
 
     def as_dict(self):
         return {
@@ -122,15 +101,15 @@ class ReportItem:
         }
 
 
-@dataclass
 class VerificationReport:
     """Report items in a fixed order.  ``table`` keeps the (rows, summary) of
     the table block, or ``table_error`` why it failed; neither enters the
     JSON."""
 
-    items: list = field(default_factory=list)
-    table: tuple | None = None
-    table_error: str = ""
+    def __init__(self):
+        self.items = []
+        self.table = None
+        self.table_error = ""
 
     @property
     def overall(self):
@@ -143,17 +122,12 @@ class VerificationReport:
         return json.dumps(self.as_dict(), indent=2, allow_nan=True)
 
 
-@dataclass(frozen=True)
-class _Check:
+class _Check(namedtuple("_Check", "name target tolerance rule note", defaults=("",))):
     """The declaration of one report item: ``rule`` names the comparison in
     ``_RULES`` that decides ``passed`` from (computed, target, tolerance).
     A target of None is supplied by the run."""
 
-    name: str
-    target: float | None
-    tolerance: float
-    rule: str
-    note: str = ""
+    __slots__ = ()
 
     def judge(self, computed, target=None) -> ReportItem:
         target = self.target if target is None else target

@@ -129,7 +129,7 @@ def _python_with_exwave(code):
 _SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
 _MODULES_LOADED = (_SCIPY_LOADED + "\n"
                    "print(*sorted(m[7:] for m in sys.modules if m.startswith('exwave.')))\n"
-                   "print('numpy' in sys.modules)")
+                   "print(*sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules)))")
 
 # exwave modules each subcommand must not load: it imports only what it runs
 _UNUSED_MODULES = {
@@ -143,16 +143,22 @@ _UNUSED_MODULES = {
 
 
 # subcommands that compute on floats only, so they never import numpy
-_NO_NUMPY = {"constants", "table1", "verify", "radiation"}
+_NO_NUMPY = {"constants", "profile", "table1", "verify", "radiation"}
+# subcommands whose records are namedtuples, so they never import dataclasses
+# (nor inspect, which dataclasses imports)
+_NO_DATACLASSES = {"constants", "profile", "table1", "verify"}
 
 
 def _assert_loads_only_its_modules(proc, command):
     assert proc.returncode == 0, proc.stderr
-    scipy_modules, exwave_modules, numpy_loaded = proc.stdout.splitlines()
+    scipy_modules, exwave_modules, stdlib_modules = proc.stdout.splitlines()
     assert scipy_modules == "[]"
     assert not _UNUSED_MODULES[command] & set(exwave_modules.split())
+    loaded = set(stdlib_modules.split())
     if command in _NO_NUMPY:
-        assert numpy_loaded == "False"
+        assert "numpy" not in loaded
+    if command in _NO_DATACLASSES:
+        assert not {"dataclasses", "inspect"} & loaded
 
 
 def test_cli_import_loads_no_scipy():

@@ -77,6 +77,17 @@ def test_ground_state_rejects_a_scale_whose_powers_overflow(r):
     assert ground_state(0.0, 1e-120)[0] == pytest.approx(1e180, rel=1e-14)
 
 
+def test_ground_state_rejects_a_non_finite_pair():
+    # at r/lam = 1e120, q^(-5/2) underflows to 0 while lam^(-5/2) x/5
+    # overflows, and their product is NaN
+    with pytest.raises(ValueError, match="not finite"):
+        ground_state(1.0, 1e-120)
+    w, dw = ground_state(1e-121, 1e-120)
+    w_unit, dw_unit = ground_state(0.1)
+    assert w == pytest.approx(1e180 * w_unit, rel=1e-14)
+    assert dw == pytest.approx(1e300 * dw_unit, rel=1e-14)
+
+
 def test_pointwise_functions_take_floats_and_arrays():
     # one formula for both; numpy's vectorised ** may round the last bit
     # differently from the float ** of libm
@@ -136,6 +147,10 @@ def test_m_k_reference_rows():
     assert m_k(1.6, z0) == pytest.approx(0.000000, abs=5e-5)
     assert m_k(0.9, 1.0) == pytest.approx(1.000000, abs=5e-5)
     assert m_k(0.1, 0.2) == pytest.approx(0.195358, abs=5e-5)
+    # row 9 holds the maximum z_max ~ 0.8909 of g; the endpoint minimum is
+    # still the minimum because g is concave
+    assert m_k(0.8, 0.9) == pytest.approx(1.005877, abs=5e-5)
+    assert m_k(0.8, 0.9) == min(g(z) for z in np.linspace(0.8, 0.9, 10001).tolist())
     with pytest.raises(ValueError):
         m_k(0.5, 0.5)
 

@@ -11,20 +11,25 @@ from exwave.profiles import (AmbiguousRootError, BlowUp, Global, NoSolutionError
                              profile_to_csv, quarter_period, wronskian_compare)
 
 
+def _dphi_nodes(p):
+    """phi'(y) = phi_theta / cos(theta) at every node of p."""
+    return [s / math.cos(t) for t, s in zip(p._theta, p._phi_theta)]
+
+
 def test_grid_anchoring_invariants():
     for nu in (0.05, 1.0, 1.86):
         p = integrate_profile(nu, 1e-12)
-        assert np.all(np.diff(p.grid) > 0.0)
-        assert p.grid[0] == 0.0
-        assert p.phi[0] == 0.0
-        assert p.dphi[0] == pytest.approx(nu, abs=1e-14)
+        assert all(a < b for a, b in zip(p.y_nodes, p.y_nodes[1:]))
+        assert p.y_nodes[0] == 0.0
+        assert p.phi_nodes[0] == 0.0
+        assert _dphi_nodes(p)[0] == pytest.approx(nu, abs=1e-14)
 
 
 def test_zero_slope_gives_zero_profile():
     p = integrate_profile(0.0, 1e-12)
     assert isinstance(p.category, Global)
     assert p.sup_phi == 0.0
-    assert np.all(p.phi == 0.0)
+    assert all(v == 0.0 for v in p.phi_nodes)
 
 
 def test_reference_slope_supremum():
@@ -36,14 +41,14 @@ def test_reference_slope_supremum():
 def test_positive_profile_at_nu_two():
     p = integrate_profile(2.0, 1e-12)
     assert isinstance(p.category, Global)
-    assert np.all(p.phi[1:] > 0.0)
+    assert all(v > 0.0 for v in p.phi_nodes[1:])
 
 
 def test_blowup_category_for_large_slope():
     p = integrate_profile(20.0, 1e-12)
     assert isinstance(p.category, BlowUp)
     assert 0.0 < p.category.y_plus < 1.0
-    assert p.phi.max() <= profiles.PHI_BLOWUP * 1.001
+    assert max(p.phi_nodes) <= profiles.PHI_BLOWUP * 1.001
 
 
 def test_negative_slope_rejected():
@@ -72,15 +77,15 @@ def test_positivity_and_sublinearity():
     # phi > 0 and phi < nu*y on (0, 1/2]
     for nu in (0.05, 0.5, 1.0, 1.5, 2.0):
         p = integrate_profile(nu, 1e-12)
-        mask = (p.grid > 0.0) & (p.grid <= 0.5)
-        assert np.all(p.phi[mask] > 0.0)
-        assert np.all(p.phi[mask] < nu * p.grid[mask])
+        inner = [(y, phi) for y, phi in zip(p.y_nodes, p.phi_nodes) if 0.0 < y <= 0.5]
+        assert all(phi > 0.0 for _, phi in inner)
+        assert all(phi < nu * y for y, phi in inner)
 
 
 def test_monotone_for_large_slopes():
     for nu in (1.9, 2.5, 5.0):
         p = integrate_profile(nu, 1e-12)
-        assert np.all(p.dphi > 0.0), f"nu={nu} not strictly increasing"
+        assert all(d > 0.0 for d in _dphi_nodes(p)), f"nu={nu} not strictly increasing"
 
 
 def test_inverse_phi_reference_values():
@@ -113,13 +118,13 @@ def test_linear_profile_energy_at_is_its_conserved_energy():
 def test_linear_profile_matches_closed_form():
     tol = 1e-12
     lp = integrate_linear_profile(tol)
-    gap = np.max(np.abs(lp.phi - phi_star_exact(lp.grid)))
+    gap = max(abs(phi - phi_star_exact(y)) for y, phi in zip(lp.y_nodes, lp.phi_nodes))
     assert gap < 10.0 * max(tol, 1e-13)
     assert lp.energy_drift < 1e-10
     # bounded by 2/3 and positive on (0, 1)
-    inner = (lp.grid > 0.0) & (lp.grid < 1.0)
-    assert np.all(lp.phi[inner] > 0.0)
-    assert np.all(lp.phi[inner] <= 2.0 / 3.0 + 1e-12)
+    inner = [phi for y, phi in zip(lp.y_nodes, lp.phi_nodes) if 0.0 < y < 1.0]
+    assert all(phi > 0.0 for phi in inner)
+    assert all(phi <= 2.0 / 3.0 + 1e-12 for phi in inner)
 
 
 def test_linear_profile_phi_at_off_grid_matches_closed_form():
@@ -249,3 +254,14 @@ def test_csv_export(tmp_path):
     assert first[3] == pytest.approx(0.5, abs=1e-12)
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.all(np.diff(data[:, 0]) > 0.0)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.575, 1.86, 5.0, None], ids=lambda nu: f"nu={nu}")
+def test_profile_to_csv_is_the_array_formula(nu):
+    # the CSV as it was written from numpy arrays of the nodes, dphi by np.cos
+    p = integrate_linear_profile() if nu is None else integrate_profile(nu)
+    grid = np.array(p.y_nodes)
+    dphi = np.array(p._phi_theta) / np.cos(p._theta)
+    rows = zip(grid, np.array(p.phi_nodes), dphi, p.energy_at(grid))
+    want = "".join(",".join(f"{v:.12g}" for v in row) + "\n" for row in rows)
+    assert profile_to_csv(p) == "y,phi,dphi,H\n" + want

@@ -5,6 +5,8 @@ import time
 import numpy as np
 import pytest
 
+from exwave import nonlinearity as nl
+from exwave import profiles
 from exwave import radiation as rad
 from exwave.nonlinearity import SIGMA4, ground_state
 from tests.conftest import random_smooth_profile
@@ -54,6 +56,26 @@ def test_free_wave_box_far_field():
         assert rad.free_wave_velocity(box, r, t) == pytest.approx(-2.0 / r ** 3, abs=1e-13)
     with pytest.raises(ValueError):
         rad.free_wave(box, -1.0, 0.0)
+
+
+_NAN, _INF = float("nan"), float("inf")
+_NON_FINITE_PROBES = {
+    "m_k(0,inf)": lambda: nl.m_k(0.0, _INF),
+    "ground_state_residual(nan)": lambda: nl.ground_state_residual(_NAN),
+    "ground_state_residual(inf)": lambda: nl.ground_state_residual(_INF),
+    "free_wave(t=nan)": lambda: rad.free_wave(box_profile(), 2.0, _NAN),
+    "free_wave(t=inf)": lambda: rad.free_wave(box_profile(), 2.0, _INF),
+    "free_wave_velocity(t=nan)": lambda: rad.free_wave_velocity(box_profile(), 2.0, _NAN),
+    "free_wave_gradient(t=-inf)": lambda: rad.free_wave_gradient(box_profile(), 2.0, -_INF),
+    "inverse_phi(nan)": lambda: profiles.inverse_phi(profiles.integrate_profile(1.86, 1e-10),
+                                                     _NAN),
+}
+
+
+@pytest.mark.parametrize("probe", _NON_FINITE_PROBES.values(), ids=_NON_FINITE_PROBES.keys())
+def test_non_finite_input_raises_value_error(probe):
+    with pytest.raises(ValueError):
+        probe()
 
 
 def test_velocity_matches_time_difference(rng):

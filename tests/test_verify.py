@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -60,8 +59,7 @@ def test_main_inequality(table):
 
 def test_main_inequality_fails_when_truncated(table):
     rows, summary, _ = table
-    summary = dataclasses.replace(
-        summary, total=sum(row.contribution_k for row in rows[:11]))
+    summary = summary._replace(total=sum(row.contribution_k for row in rows[:11]))
     item = verify.check_main_inequality(rows[:11], summary)
     assert not item.passed  # the 11-row total clears g_minus but not the margin
     assert summary.total > summary.g_minus
