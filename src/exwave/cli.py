@@ -18,9 +18,10 @@ Each subcommand imports only the exwave modules it runs: radiation loads no
 pdesim, profiles or verify, and table1 and verify load no radiation, _spline
 or pdesim.  Only simulate loads numpy: constants, profile, table1, verify
 and radiation compute on floats and read their CSV input with the standard
-library, and all but radiation load no dataclasses either.  The process
-defaults OPENBLAS_NUM_THREADS to 1 (see below); set the variable to
-override it.
+library, and all but radiation load no dataclasses either.  simulate loads
+radiation, _spline and quadrature only where it reads a data CSV (--data)
+or a profile (the free-wave preset).  The process defaults
+OPENBLAS_NUM_THREADS to 1 (see below); set the variable to override it.
 """
 
 from __future__ import annotations
@@ -32,12 +33,15 @@ import os
 import stat
 import sys
 import tempfile
+from types import SimpleNamespace
 
 # numpy is imported only inside the functions that compute on arrays, so
-# only simulate loads it.  exwave's one BLAS/LAPACK call
-# is pdesim's 3 x 3 np.linalg.solve, far below OpenBLAS's threading
-# threshold, so its worker pool only costs start-up CPU and one thread gives
-# the same results.  The default is set here, before any numpy import;
+# only simulate loads it.  exwave makes two BLAS/LAPACK calls, both in
+# pdesim: a 3 x 3 np.linalg.solve, far below OpenBLAS's threading
+# threshold, and the blow-up guard's ddot, which only filters rows for an
+# exact test, so its summation order never reaches the output.  The worker
+# pool thus only costs start-up CPU, and one thread gives the same results.
+# The default is set here, before any numpy import;
 # setdefault keeps a value the user set, and the library itself leaves the
 # variable alone, so importing exwave never changes the BLAS of the program
 # that imports it.
@@ -299,29 +303,29 @@ def _levels_read(cfg, n_levels, free_wave):
 def _cmd_simulate(args) -> int:
     import numpy as np
 
-    from . import nonlinearity as nl, pdesim, radiation
+    from . import nonlinearity as nl, pdesim
 
     boundary = "domain-of-dependence"
     bv = None
     if (args.preset is None) == (args.data is None):
         raise ValueError("exactly one of --preset and --data is required")
+    # pdesim.simulate reads only d.u0 and d.u1, so the closed-form presets
+    # pass a plain pair and never load radiation.
     if args.data is not None:
+        from . import radiation
+
         r, u0_vals, u1_vals = _read_csv_columns(args.data, 3)
         d = radiation.RadialData.from_samples(r, u0_vals, u1_vals)
         nonlin = "focusing"
     elif args.preset == "ground-state":
-        def u0(r):
-            return nl.ground_state(r)[0]
-
-        def u1(r):
-            return np.zeros_like(np.asarray(r, dtype=float))
-
-        d = radiation.RadialData(u0=u0, u1=u1, du0=lambda r: nl.ground_state(r)[1],
-                                 decay=3.0)
+        d = SimpleNamespace(u0=lambda r: nl.ground_state(r)[0],
+                            u1=lambda r: np.zeros_like(np.asarray(r, dtype=float)))
         boundary = "dirichlet-exact"
         bv = lambda r, t: nl.ground_state(r)[0]
         nonlin = "focusing"
     elif args.preset == "free-wave":
+        from . import radiation
+
         G = _parse_gspec(args.gspec)
         d = radiation.data_from_profile(G)
         boundary = "dirichlet-exact"
@@ -329,15 +333,8 @@ def _cmd_simulate(args) -> int:
         nonlin = "linear"
     elif args.preset == "self-similar":
         nu = args.nu
-        def u0(r):
-            return np.zeros_like(np.asarray(r, dtype=float))
-
-        def u1(r):
-            return nu * np.asarray(r, dtype=float) ** (-2.5)
-
-        d = radiation.RadialData(u0=u0, u1=u1,
-                                 du0=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-                                 decay=2.5)
+        d = SimpleNamespace(u0=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+                            u1=lambda r: nu * np.asarray(r, dtype=float) ** (-2.5))
         nonlin = "focusing"
     else:
         raise ValueError(f"unknown preset {args.preset!r}")
@@ -354,13 +351,15 @@ def _cmd_simulate(args) -> int:
         n_levels = len(tr.times)
         tr = pdesim.simulate(d, cfg, levels=_levels_read(cfg, n_levels, free_wave))
     snap_idx = _snapshot_levels(n_levels)
-    r_text = _format_column(tr.r.tolist())
+    # One line template per radius, the time joined in front of each, then a
+    # single %-format per snapshot: '%.12g' % v is f"{v:.12g}" for every
+    # float, and no formatted number holds a '%'.
+    templates = [""] + [f",{x:.12g},%.12g\n" for x in tr.r.tolist()]
 
     def snapshots():  # one chunk per snapshot, so the whole CSV never sits in memory
         yield "t,r,u\n"
         for n in snap_idx:
-            t_text = f"{tr.times[n]:.12g}"
-            yield _csv_rows([t_text] * len(r_text), r_text, _format_column(tr.u_level(n).tolist()))
+            yield f"{tr.times[n]:.12g}".join(templates) % tuple(tr.u_level(n).tolist())
 
     _emit(snapshots(), args.out)
 

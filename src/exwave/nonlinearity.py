@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .quadrature import integrate_tail
-
 __all__ = [
     "SIGMA4",
     "GConstants",
@@ -62,25 +60,44 @@ def ground_state(r, lam: float = 1.0):
     W(x) = (1 + |x|^2/15)^(-3/2) and W_lam(r) = lam^(-3/2) W(r/lam).
     Returns the pair (W_lam(r), d/dr W_lam(r)), floats for a number r and
     arrays for an array.  A non-finite lam or number r raises ValueError,
-    and so does a lam so small that lam^(-5/2) overflows, or a number r
-    whose pair is not finite (with r/lam ~ 1e120, q^(-5/2) underflows to 0
-    while lam^(-5/2) x/5 overflows).
+    and so does a lam so small that lam^(-5/2) overflows, or an r at which
+    the pair is not finite (with r/lam ~ 1e120, q^(-5/2) underflows to 0
+    while lam^(-5/2) x/5 overflows; a non-finite entry of an array).
     """
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"scale lambda must be finite and positive, got {lam!r}")
-    if isinstance(r, (int, float)) and not math.isfinite(r):
+    number = isinstance(r, (int, float))
+    if number and not math.isfinite(r):
         raise ValueError(f"radius must be finite, got {r!r}")
     try:
         scale_w, scale_dw = lam ** (-1.5), lam ** (-2.5)
     except OverflowError:
         raise ValueError(f"scale lambda={lam!r} is too small: lambda**-2.5 overflows") from None
-    x = r / lam
-    q = 1.0 + x * x / 15.0
-    w = scale_w * q ** (-1.5)
-    dw = -scale_dw * (x / 5.0) * q ** (-2.5)
-    if isinstance(r, (int, float)) and not (math.isfinite(w) and math.isfinite(dw)):
-        raise ValueError(f"ground state at r={r!r}, lambda={lam!r} is not finite: ({w}, {dw})")
+    if number:
+        w, dw = _ground_pair(r / lam, scale_w, scale_dw)
+        if not (math.isfinite(w) and math.isfinite(dw)):
+            raise _not_finite(r, lam, w, dw)
+        return w, dw
+    import numpy as np  # arrays only, so the float callers never load numpy
+
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+        w, dw = _ground_pair(r / lam, scale_w, scale_dw)
+    finite = np.isfinite(w) & np.isfinite(dw)
+    if not finite.all():
+        r, w, dw = (float(np.asarray(v)[~finite][0]) for v in (r, w, dw))  # first failure
+        raise _not_finite(r, lam, w, dw)
     return w, dw
+
+
+def _ground_pair(x, scale_w, scale_dw):
+    """(W, W') of the scaled ground state at x = r / lam: one formula for a
+    float and an array."""
+    q = 1.0 + x * x / 15.0
+    return scale_w * q ** (-1.5), -scale_dw * (x / 5.0) * q ** (-2.5)
+
+
+def _not_finite(r, lam, w, dw):
+    return ValueError(f"ground state at r={r!r}, lambda={lam!r} is not finite: ({w}, {dw})")
 
 
 def ground_state_residual(r: float) -> float:
@@ -91,7 +108,10 @@ def ground_state_residual(r: float) -> float:
     w = q ** (-1.5)
     dw = -(r / 5.0) * q ** (-2.5)
     d2w = -0.2 * q ** (-2.5) + (r * r / 15.0) * q ** (-3.5)
-    return float(-d2w - 4.0 / r * dw - F(w))
+    res = float(-d2w - 4.0 / r * dw - F(w))
+    if not math.isfinite(res):  # past r ~ 1e154, r * r overflows and inf * 0 is nan
+        raise ValueError(f"residual at r={r!r} is not finite: {res}")
+    return res
 
 
 def ground_state_energy(tol: float = 1e-10) -> float:
@@ -100,6 +120,8 @@ def ground_state_energy(tol: float = 1e-10) -> float:
     E = sigma4 * int_0^inf (|W'|^2/2 - (3/10) W^(10/3)) rho^4 drho.  The
     integrand decays like rho^-4, declared explicitly for the tail rule.
     """
+    from .quadrature import integrate_tail  # here, so simulate never loads it
+
     def density(rho):
         w, dw = ground_state(rho)
         return (0.5 * dw * dw - 0.3 * w ** (10.0 / 3.0)) * rho ** 4

@@ -139,6 +139,10 @@ _UNUSED_MODULES = {
     "verify": {"radiation", "_spline", "pdesim"},
     "radiation": {"pdesim", "profiles", "verify"},
     "simulate": {"profiles", "verify"},
+    # the closed-form presets hand pdesim a plain (u0, u1) pair and need
+    # no quadrature
+    "simulate-ground-state": {"radiation", "_spline", "quadrature", "_ode", "profiles", "verify"},
+    "simulate-self-similar": {"radiation", "_spline", "quadrature", "_ode", "profiles", "verify"},
 }
 
 
@@ -230,8 +234,8 @@ _NO_SCIPY_RUNS = {
 }
 
 
-@pytest.mark.parametrize("argv", _NO_SCIPY_RUNS.values(), ids=_NO_SCIPY_RUNS.keys())
-def test_subcommand_loads_no_scipy(tmp_path, argv):
+@pytest.mark.parametrize("run, argv", _NO_SCIPY_RUNS.items(), ids=_NO_SCIPY_RUNS.keys())
+def test_subcommand_loads_no_scipy(tmp_path, run, argv):
     s = np.linspace(-1.0, 1.0, 101)
     r = np.linspace(0.5, 3.0, 101)
     bump = np.where(np.abs(r - 1.5) < 0.8, (1.0 - ((r - 1.5) / 0.8) ** 2) ** 3, 0.0)
@@ -242,7 +246,7 @@ def test_subcommand_loads_no_scipy(tmp_path, argv):
     proc = _python_with_exwave(
         f"import os, sys\nos.chdir({str(tmp_path)!r})\nfrom exwave.cli import main\n"
         f"assert main({[*argv, '--out', 'out.txt']!r}) == 0\n" + _MODULES_LOADED)
-    _assert_loads_only_its_modules(proc, argv[0])
+    _assert_loads_only_its_modules(proc, run if run in _UNUSED_MODULES else argv[0])
 
 
 def test_verify_table_matches_table1(tmp_path):
@@ -594,6 +598,40 @@ def test_simulate_csv_is_the_per_cell_text(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(_SMALL_GROUND_STATE) == 0
     assert capsys.readouterr().out == want
+
+
+def _column_formula_csv(preset):
+    """The simulate CSV as the column writer built it: _csv_rows over
+    _format_column of each snapshot."""
+    from types import SimpleNamespace
+
+    from exwave import nonlinearity as nl, pdesim
+
+    def zero(r):
+        return np.zeros_like(np.asarray(r, dtype=float))
+
+    if preset == "ground-state":
+        d = SimpleNamespace(u0=lambda r: nl.ground_state(r)[0], u1=zero)
+        extra = dict(boundary="dirichlet-exact",
+                     boundary_values=lambda r, t: nl.ground_state(r)[0])
+    else:
+        # 0.05 is the CLI's default --nu
+        d = SimpleNamespace(u0=zero, u1=lambda r: 0.05 * np.asarray(r, dtype=float) ** -2.5)
+        extra = {}
+    tr = pdesim.simulate(d, pdesim.SimConfig(r_min=1.0, r_max=6.0, dr=0.05, T=1.0, **extra))
+    r_text = cli._format_column(tr.r.tolist())
+    return "t,r,u\n" + "".join(
+        cli._csv_rows([f"{tr.times[n]:.12g}"] * len(r_text), r_text,
+                      cli._format_column(tr.u_level(n).tolist()))
+        for n in cli._snapshot_levels(len(tr.times)))
+
+
+@pytest.mark.parametrize("preset", ["ground-state", "self-similar"])
+def test_simulate_csv_is_the_column_formula(tmp_path, preset):
+    out = tmp_path / "traj.csv"
+    assert run_cli(["simulate", "--preset", preset, "--rmin", "1", "--rmax", "6",
+                    "--dr", "0.05", "--T", "1", "--out", str(out)]) == 0
+    assert out.read_text() == _column_formula_csv(preset)
 
 
 def test_radiation_csvs_are_the_per_cell_text(tmp_path):

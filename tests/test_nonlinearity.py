@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -63,7 +65,9 @@ def test_ground_state_scaling():
 
 
 @pytest.mark.parametrize("r, lam", [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 2.0),
-                                    (1.0, np.nan), (1.0, np.inf), (1.0, 0.0)])
+                                    (1.0, np.nan), (1.0, np.inf), (1.0, 0.0),
+                                    (np.array([1.0, np.inf]), 1.0),
+                                    (np.array([0.5, np.nan]), 2.0)])
 def test_ground_state_rejects_non_finite_input(r, lam):
     with pytest.raises(ValueError):
         ground_state(r, lam)
@@ -82,6 +86,10 @@ def test_ground_state_rejects_a_non_finite_pair():
     # overflows, and their product is NaN
     with pytest.raises(ValueError, match="not finite"):
         ground_state(1.0, 1e-120)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a ValueError, not numpy's RuntimeWarnings
+        with pytest.raises(ValueError, match=r"r=1\.0, lambda=1e-120 is not finite"):
+            ground_state(np.array([0.0, 1.0]), 1e-120)
     w, dw = ground_state(1e-121, 1e-120)
     w_unit, dw_unit = ground_state(0.1)
     assert w == pytest.approx(1e180 * w_unit, rel=1e-14)
@@ -108,6 +116,10 @@ def test_ground_state_residual_vanishes():
     assert abs(ground_state_residual(0.01)) < 1e-10
     with pytest.raises(ValueError):
         ground_state_residual(0.0)
+    # past r ~ 1e154, r * r overflows and inf * 0 would make the residual nan
+    assert ground_state_residual(1e150) == 0.0
+    with pytest.raises(ValueError, match="not finite"):
+        ground_state_residual(1e160)
 
 
 def _pohozaev_pieces(tol=1e-10):

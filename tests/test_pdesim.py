@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -190,6 +191,27 @@ def test_blowup_guard_trips_on_negative_fields():
     assert flipped.blowup == fwd.blowup
     assert np.array_equal(flipped.times, fwd.times)
     assert np.array_equal(flipped.w, -fwd.w)
+
+
+def test_guard_filter_passes_a_large_row_below_the_guard():
+    # the sum of squares, 6.5e27, exceeds the guard's square: the exact test decides
+    row = np.full(8001, 0.9e12)
+    assert np.dot(row, row) > pdesim.BLOWUP_GUARD ** 2
+    assert not pdesim._exceeds_guard(row)
+    row[4321] = -pdesim.BLOWUP_GUARD  # at the guard, not past it
+    assert not pdesim._exceeds_guard(row)
+    assert not pdesim._exceeds_guard(np.zeros(8001))
+
+
+@pytest.mark.parametrize("value", [math.nextafter(1e12, math.inf),
+                                   -math.nextafter(1e12, math.inf),
+                                   math.nan, math.inf, -math.inf])
+def test_guard_trips_on_one_entry_past_it(value):
+    row = np.full(8001, 0.5)
+    row[4321] = value
+    assert pdesim._exceeds_guard(row)
+    row[4321] = math.copysign(1e12, value) if math.isfinite(value) else 0.0
+    assert not pdesim._exceeds_guard(row)
 
 
 def test_characteristic_identity_linear_and_focusing():
