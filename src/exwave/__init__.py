@@ -20,6 +20,24 @@ __version__ = "0.1.0"
 __all__ = ["nonlinearity", "pdesim", "profiles", "quadrature", "radiation", "verify"]
 
 
+def _pointwise(fn, *args):
+    """fn at numbers; for arrays (broadcast together), an array of fn at each
+    point, so that it holds what the points give one by one (0-d arrays give
+    a float).  numpy is imported only for an array.  It lives here, where
+    every module can reach it without loading another."""
+    for a in args:
+        if not isinstance(a, (int, float)):
+            break
+    else:
+        return fn(*args)
+    import numpy as np
+
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    points = zip(*(a.ravel().tolist() for a in arrays))
+    out = np.array([fn(*p) for p in points], dtype=float).reshape(arrays[0].shape)
+    return out if out.ndim else float(out)
+
+
 def __getattr__(name):
     """Import a submodule on first access (PEP 562), so `import exwave` loads
     no numpy and each program pays only for the modules it uses."""

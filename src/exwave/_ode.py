@@ -8,7 +8,6 @@ bit-identical trajectories.  The repeat-run tests rely on it
 demo output between two versions of the package.  Supports a
 single terminal event located by bisection on the dense interpolant.
 :func:`bisect` is the package's one bisection loop; every root finder uses it.
-:func:`_pointwise` is the one way a function written on floats takes arrays.
 """
 
 from __future__ import annotations
@@ -97,23 +96,6 @@ def bisect(f, lo, hi, f_lo, width):
         else:
             lo, f_lo = mid, f_mid
     return lo, hi
-
-
-def _pointwise(fn, *args):
-    """fn at numbers; for arrays (broadcast together), an array of fn at each
-    point, so that it holds what the points give one by one (0-d arrays give
-    a float).  numpy is imported only for an array."""
-    for a in args:
-        if not isinstance(a, (int, float)):
-            break
-    else:
-        return fn(*args)
-    import numpy as np
-
-    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
-    points = zip(*(a.ravel().tolist() for a in arrays))
-    out = np.array([fn(*p) for p in points], dtype=float).reshape(arrays[0].shape)
-    return out if out.ndim else float(out)
 
 
 # status is "finished" or "event"; sol is the DenseSolution over [t0, t]

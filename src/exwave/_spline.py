@@ -1,21 +1,24 @@
 """Cubic splines as piecewise polynomials, on float lists.
 
-``PPoly`` holds, for the piece on [x[i], x[i+1]], the coefficients c[i] of
-sum_k c[i][k] (x - x[i])^(deg - k) (scipy's layout, one list per piece), and
-the end pieces extend past the breakpoints.  ``cubic_spline`` is the
-not-a-knot interpolant with scipy's boundary rows (de Boor, *A Practical
-Guide to Splines*, ch. IV), a line for two points and a parabola for three.
-Products and antiderivatives are exact, so moments of a spline close in
-closed form.  Every sum is taken in the order numpy would take it, so the
-results are the ones the array formulas gave.
+``PPoly`` holds, for the piece on [x[i], x[i+1]], the coefficients c[k][i] of
+sum_k c[k][i] (x - x[i])^(deg - k) (scipy's layout, one list per power), and
+the end pieces extend past the breakpoints.  Each operation works on whole
+columns of coefficients and does for every piece what a loop over the
+pieces would.  ``cubic_spline`` is the not-a-knot interpolant with scipy's
+boundary rows (de Boor, *A Practical Guide to Splines*, ch. IV), a line for
+two points and a parabola for three.  Products and antiderivatives are
+exact, so moments of a spline close in closed form.  Every sum is taken in
+the order numpy would take it, so the results are the ones the array
+formulas gave.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate
+from operator import sub
 
-from ._ode import _pointwise
+from . import _pointwise
 
 
 def floats(values) -> list:
@@ -34,8 +37,9 @@ def linspace(start: float, stop: float, num: int) -> list:
 
 
 class PPoly:
-    """Piecewise polynomial with per-piece coefficients ``c`` on the strictly
-    increasing breakpoints ``x`` (float lists)."""
+    """Piecewise polynomial on the strictly increasing breakpoints ``x``,
+    with ``c[k][i]`` the coefficient of (x - x[i])^(deg - k) on piece i
+    (float lists, one per power)."""
 
     def __init__(self, c, x):
         self.c = c
@@ -45,50 +49,57 @@ class PPoly:
         return _pointwise(self.at, x)
 
     def at(self, x: float) -> float:
-        """The value at one float x: bisection for the piece, then Horner's rule."""
-        i = min(max(bisect_right(self.x, x) - 1, 0), len(self.c) - 1)
+        """The value at one float x: bisection for the piece, then Horner's rule.
+        The search runs over x[1:-1], so that points past either end land in
+        the end pieces."""
+        i = bisect_right(self.x, x, 1, len(self.x) - 1) - 1
         dx = x - self.x[i]
         out = 0.0
-        for ck in self.c[i]:
-            out = out * dx + ck
+        for column in self.c:
+            out = out * dx + column[i]
         return out
 
+    def pieces(self, i, j):
+        """The piecewise polynomial of pieces i to j - 1 alone."""
+        return PPoly([column[i:j] for column in self.c], self.x[i:j + 1])
+
     def derivative(self):
-        deg = len(self.c[0]) - 1
-        return PPoly([[ck * (deg - k) for k, ck in enumerate(p[:-1])] for p in self.c],
+        deg = len(self.c) - 1
+        return PPoly([[ck * (deg - k) for ck in column] for k, column in enumerate(self.c[:-1])],
                      self.x)
 
     def antiderivative(self):
         """The antiderivative that vanishes at x[0]."""
-        deg = len(self.c[0]) - 1
-        pieces = [[ck / (deg + 1 - k) for k, ck in enumerate(p)] for p in self.c]
-        rises = []
-        for p, x0, x1 in zip(pieces, self.x, self.x[1:]):
-            h = x1 - x0
-            rise = 0.0
-            for ck in p:
-                rise = (rise + ck) * h
-            rises.append(rise)
+        divisors = range(len(self.c), 0, -1)   # deg + 1, ..., 1
+        columns = [[ck / d for ck in column] for d, column in zip(divisors, self.c)]
+        # each piece's rise over its interval, by Horner's rule
+        widths = list(map(sub, self.x[1:], self.x))
+        rises = [0.0] * len(widths)
+        for column in columns:
+            rises = [(rise + ck) * h for rise, ck, h in zip(rises, column, widths)]
         # each piece starts at the value where the previous one ends
-        starts = [0.0, *accumulate(rises[:-1])]
-        return PPoly([p + [s] for p, s in zip(pieces, starts)], self.x)
+        columns.append([0.0, *accumulate(rises[:-1])])
+        return PPoly(columns, self.x)
 
 
 def product(p: PPoly, q: PPoly) -> PPoly:
-    """p q on the breakpoints the two share: a convolution per piece."""
-    pieces = []
-    for pc, qc in zip(p.c, q.c):
-        c = [0.0] * (len(pc) + len(qc) - 1)
-        for i, a in enumerate(pc):
-            for j, b in enumerate(qc):
-                c[i + j] += a * b
-        pieces.append(c)
-    return PPoly(pieces, p.x)
+    """p q on the breakpoints the two share: a convolution per piece, its
+    terms added in the order of the double loop over p's and q's powers."""
+    columns = [[0.0] * (len(p.x) - 1) for _ in range(len(p.c) + len(q.c) - 1)]
+    for i, pk in enumerate(p.c):
+        for j, qk in enumerate(q.c):
+            columns[i + j] = [c + a * b for c, a, b in zip(columns[i + j], pk, qk)]
+    return PPoly(columns, p.x)
 
 
-def identity(x) -> PPoly:
-    """The polynomial x on the breakpoints x."""
-    return PPoly([[1.0, x0] for x0 in x[:-1]], x)
+def times_x(S: PPoly) -> PPoly:
+    """x S, bit for bit ``product`` of the line x with S: the convolution
+    with [1, x0] written out, in its order of sums.  Each 0.0 + is the
+    convolution's zero start, which turns -0.0 into 0.0."""
+    c, x = S.c, S.x
+    return PPoly([[0.0 + a for a in c[0]]]
+                 + [[0.0 + b + x0 * a for a, b, x0 in zip(hi, lo, x)] for hi, lo in zip(c, c[1:])]
+                 + [[0.0 + x0 * a for a, x0 in zip(c[-1], x)]], x)
 
 
 def cubic_spline(x, y) -> PPoly:
@@ -111,11 +122,10 @@ def cubic_spline(x, y) -> PPoly:
         except OverflowError:
             raise ValueError("spline breakpoints too far apart: a squared spacing "
                              "overflows") from None
-    c = []
-    for i, h in enumerate(dx):
-        t = (s[i] + s[i + 1] - 2.0 * slope[i]) / h
-        c.append([t / h, (slope[i] - s[i]) / h - t, s[i], y[i]])
-    return PPoly(c, x)
+    t = [(s0 + s1 - 2.0 * m) / h for h, m, s0, s1 in zip(dx, slope, s, s[1:])]
+    return PPoly([[ti / h for ti, h in zip(t, dx)],
+                  [(m - s0) / h - ti for m, s0, h, ti in zip(slope, s, dx, t)],
+                  s[:-1], y[:-1]], x)
 
 
 def _not_a_knot_slopes(x, dx, slope):

@@ -15,19 +15,21 @@ reader closed early (128 + SIGPIPE, what the shell reports for a tool that
 SIGPIPE kills); the last stops quietly, with nothing on stderr.
 
 Each subcommand imports only the exwave modules it runs: radiation loads no
-pdesim, profiles or verify, and table1 and verify load no radiation, _spline
-or pdesim.  Only simulate loads numpy: constants, profile, table1, verify
+pdesim, profiles or verify, and no _ode, nonlinearity or quadrature either,
+since a sampled profile takes its moments from its spline; table1 and verify
+load no radiation, _spline or pdesim.  Only the subcommands that write JSON
+load json.  Only simulate loads numpy: constants, profile, table1, verify
 and radiation compute on floats and read their CSV input with the standard
 library, and all but radiation load no dataclasses either.  simulate loads
-radiation, _spline and quadrature only where it reads a data CSV (--data)
-or a profile (the free-wave preset).  The process defaults
+radiation and _spline only where it reads a data CSV (--data) or a profile
+(the free-wave preset), and quadrature only for the box profile, whose
+moments are quadratures.  The process defaults
 OPENBLAS_NUM_THREADS to 1 (see below); set the variable to override it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import stat
@@ -111,6 +113,8 @@ def _csv_rows(*columns) -> str:
 
 
 def _json_dumps(obj) -> str:
+    import json   # here, so that the CSV-only subcommands never load it
+
     return json.dumps(obj, indent=2)
 
 

@@ -32,7 +32,8 @@ import math
 from bisect import bisect_right
 from collections import namedtuple
 
-from ._ode import IntegrationFailure, _pointwise, bisect, solve_dopri5
+from . import _pointwise
+from ._ode import IntegrationFailure, bisect, solve_dopri5
 from .quadrature import integrate_adaptive
 
 __all__ = [

@@ -18,7 +18,10 @@ Profiles are stored in the incoming convention throughout; use
 Everything here computes on floats, and the functions a user supplies (a
 profile's ``fn``, a data pair's ``u0``, ``du0`` and ``u1``) are called on
 floats.  A public function given an array evaluates it point by point
-(``_ode._pointwise``), so an array gives bit for bit what its points give.
+(``exwave._pointwise``), so an array gives bit for bit what its points give.
+The quadrature, the nonlinearity and the bisection are imported inside the
+functions that use them, so converting a smooth or sampled profile loads
+none of them.
 """
 
 from __future__ import annotations
@@ -30,10 +33,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from ._ode import _pointwise, bisect
-from ._spline import cubic_spline, floats, identity, linspace, product
-from .nonlinearity import SIGMA4, ground_state
-from .quadrature import integrate_adaptive, integrate_tail
+from . import _pointwise
+from ._spline import cubic_spline, floats, linspace, product, times_x
 
 __all__ = [
     "RadiationProfile",
@@ -63,6 +64,8 @@ _DU0_STEP = 1e-5       # relative step of the centered-difference fallback for u
 def _piecewise(fn, a, b, knots, tol):
     """int_a^b fn, cut at the knots inside (a, b) so that every quadrature
     panel sees a smooth piece; each piece is integrated to ``tol``."""
+    from .quadrature import integrate_adaptive
+
     cuts = [a] + [x for x in sorted(knots) if a < x < b] + [b]
     return sum(integrate_adaptive(fn, lo, hi, tol) for lo, hi in zip(cuts[:-1], cuts[1:]))
 
@@ -114,14 +117,16 @@ class RadiationProfile:
         self._antiderivatives = {}
 
     def _antiderivative(self, k):
-        """The exact antiderivative of S, s S (k = 1) or S^2 (k = 2) for the
-        spline S, built on first use."""
-        m = self._antiderivatives.get(k)
-        if m is None:
+        """The exact antiderivative m of S, s S (k = 1) or S^2 (k = 2) for the
+        spline S, and its rise m(hi) - m(lo) over the support; built on first
+        use."""
+        pair = self._antiderivatives.get(k)
+        if pair is None:
             S = self._spline
-            integrand = S if k == 0 else product(identity(S.x) if k == 1 else S, S)
-            m = self._antiderivatives[k] = integrand.antiderivative()
-        return m
+            m = (S if k == 0 else times_x(S) if k == 1 else product(S, S)).antiderivative()
+            lo, hi = self.support
+            pair = self._antiderivatives[k] = m, m.at(hi) - m.at(lo)
+        return pair
 
     @classmethod
     def from_function(cls, fn, support=None, decay=None, smooth=False, breakpoints=()):
@@ -144,6 +149,8 @@ class RadiationProfile:
 
     def value(self, s):
         """G(s), 0 outside the support."""
+        if isinstance(s, (int, float)):
+            return self._at(s)
         return _pointwise(self._at, s)
 
     def _at(self, s):
@@ -166,16 +173,27 @@ class RadiationProfile:
 
         return (fn, lambda s: s * fn(s), square)[k]
 
+    def _clamp(self, a, b):
+        """(a, b) clipped to the support, with b >= a, so that an empty
+        interval gives 0."""
+        if self.support is None:
+            return a, b
+        lo, hi = self.support
+        a = min(max(a, lo), hi)
+        return a, min(max(b, a), hi)
+
     def _moment(self, k, a, b):
-        """int_a^b of the k-th integrand (G, s G, G^2), 0 where b <= a: a
-        spline difference when the profile is smooth, else a quadrature
-        split at the breakpoints."""
-        if self.support is not None:
-            lo, hi = self.support
-            a = min(max(a, lo), hi)
-            b = min(max(b, a), hi)   # b >= a, so an empty interval gives 0
+        """int_a^b of the k-th integrand (G, s G, G^2), 0 where b <= a."""
+        return self._clamped_moment(k, *self._clamp(a, b))
+
+    def _clamped_moment(self, k, a, b):
+        """:meth:`_moment` for ends already clamped: a spline difference when
+        the profile is smooth (the stored rise when the ends are the
+        support's), else a quadrature split at the breakpoints."""
         if self._spline is not None:
-            m = self._antiderivative(k)
+            m, rise = self._antiderivative(k)
+            if a == self.support[0] and b == self.support[1]:
+                return rise
             return m.at(b) - m.at(a)
         if not b > a:
             return 0.0
@@ -190,6 +208,8 @@ class RadiationProfile:
         if self.support is not None:
             lo, hi = self.support
             return self._moment(k, lo, -R) + self._moment(k, R, hi)
+        from .quadrature import integrate_tail
+
         fn = self._integrand(k)
         decay = (self.decay, self.decay - 1.0, 2.0 * self.decay)[k]
         return (integrate_tail(fn, R, _QTOL, decay=decay)
@@ -307,12 +327,15 @@ class RadialData:
             b = slope.at(lo) / (2.0 * lo) if lo > 0 else 0.0
             return spline.at(lo) - b * lo * lo, b
 
-        a1, b1 = even(s1, s1.derivative()) if r3 else (0.0, 0.0)   # u1 = a1 + b1 r^2 on (0, lo)
+        # u1 = a1 + b1 r^2 on (0, lo); the slope at lo needs only the first piece
+        a1, b1 = even(s1, s1.pieces(0, 1).derivative()) if r3 else (0.0, 0.0)
         c1 = hi ** 3 * u1_vals[-1] if r3 else 0.0
-        rho_u1 = product(identity(r), s1).antiderivative()
+        rho_u1 = times_x(s1).antiderivative()
         rho_u1_end = rho_u1.at(end)
 
         def u1_tail(s):
+            if not isinstance(s, (int, float)):
+                return _pointwise(u1_tail, s)
             below = min(s, lo)
             return (rho_u1_end - rho_u1.at(min(max(s, lo), end))
                     + 0.5 * a1 * (lo * lo - below * below) + 0.25 * b1 * (lo ** 4 - below ** 4)
@@ -324,23 +347,28 @@ class RadialData:
 
             def extended(f, below, coef, power):
                 def fn(x):
+                    if not isinstance(x, (int, float)):
+                        return _pointwise(fn, x)
                     if x > hi:
                         return coef * x ** power
                     return below(x) if x < lo else f.at(x)
-                return partial(_pointwise, fn)
+                return fn
 
             return cls(u0=extended(s0, lambda x: a0 + b0 * x * x, c0, -3.0),
                        u1=extended(s1, lambda x: a1 + b1 * x * x, c1, -3.0),
                        du0=extended(d0, lambda x: 2.0 * b0 * x, -3.0 * c0, -4.0),
                        tail_radius=hi, tail_c0=c0, tail_c1=c1, decay=3.0,
-                       du0_reduced_accuracy=True, u1_tail=partial(_pointwise, u1_tail))
+                       du0_reduced_accuracy=True, u1_tail=u1_tail)
 
         def clamped(f):
-            return partial(_pointwise, lambda x: f.at(x) if lo <= x <= hi else 0.0)
+            def fn(x):
+                if not isinstance(x, (int, float)):
+                    return _pointwise(fn, x)
+                return f.at(x) if lo <= x <= hi else 0.0
+            return fn
 
         return cls(u0=clamped(s0), u1=clamped(s1), du0=clamped(d0),
-                   compact_support_bound=bound, du0_reduced_accuracy=True,
-                   u1_tail=partial(_pointwise, u1_tail))
+                   compact_support_bound=bound, du0_reduced_accuracy=True, u1_tail=u1_tail)
 
 
 @dataclass(frozen=True)
@@ -379,7 +407,8 @@ def free_wave(G: RadiationProfile, r, t: float):
 
     def one(r):
         check_radius(r)
-        return (G.moment1(t - r, t + r) - t * G.moment0(t - r, t + r)) / r ** 3
+        a, b = G._clamp(t - r, t + r)
+        return (G._clamped_moment(1, a, b) - t * G._clamped_moment(0, a, b)) / r ** 3
 
     return _pointwise(one, r)
 
@@ -390,7 +419,7 @@ def free_wave_velocity(G: RadiationProfile, r, t: float):
 
     def one(r):   # r * r, not r ** 2: numpy squared an array by multiplying
         check_radius(r)
-        return (G._at(t + r) + G._at(t - r)) / (r * r) - G.moment0(t - r, t + r) / r ** 3
+        return (G._at(t + r) + G._at(t - r)) / (r * r) - G._moment(0, t - r, t + r) / r ** 3
 
     return _pointwise(one, r)
 
@@ -418,6 +447,8 @@ def positive_propagator(u1, r: float, t: float, support=None) -> float:
         raise ValueError("the kernel formula requires r > t >= 0")
     if t == 0:
         return 0.0
+    from .quadrature import integrate_adaptive
+
     lo, hi = r - t, r + t
     if support is not None:
         lo, hi = max(lo, support[0]), min(hi, support[1])
@@ -439,9 +470,9 @@ def data_from_profile(G: RadiationProfile) -> RadialData:
         u0(r) = r^-3 int_{-r}^{r} s G ds,
         u1(r) = r^-2 [G(r) + G(-r)] - r^-3 int_{-r}^{r} G ds.
     """
-    u0 = lambda r: free_wave(G, r, 0.0)
-    u1 = lambda r: free_wave_velocity(G, r, 0.0)
-    du0 = lambda r: free_wave_gradient(G, r, 0.0)
+    u0 = partial(free_wave, G, t=0.0)
+    u1 = partial(free_wave_velocity, G, t=0.0)
+    du0 = partial(free_wave_gradient, G, t=0.0)
     tail_radius, tail_c0, tail_c1 = None, 0.0, 0.0
     if G.support is not None:
         S = max(abs(G.support[0]), abs(G.support[1]))
@@ -457,6 +488,8 @@ def _exterior_integral(d: RadialData, integrand, R: float, tail, decay) -> float
     beyond ``tail_radius`` the exact r^-3 tail contributes ``tail(S)`` past
     radius S, beyond ``compact_support_bound`` nothing, and otherwise the
     integrand decays like r^-decay(d.decay)."""
+    from .quadrature import integrate_tail
+
     if d.tail_radius is not None:
         S = max(d.tail_radius, R)
         return _piecewise(integrand, R, S, d.breakpoints, _QTOL) + tail(S)
@@ -490,11 +523,11 @@ def profile_from_data(d: RadialData) -> RadiationProfile:
     u0' falls back to centered differences and the result is flagged.
     Data with neither a support bound nor a declared decay > 2 are rejected.
     """
-    du0 = d.du0
+    u0, du0, u1 = d.u0, d.du0, d.u1
+    u1_tail = d.u1_tail if d.u1_tail is not None else partial(_u1_tail_integral, d)
     reduced = d.du0_reduced_accuracy
     if du0 is None:
         reduced = True
-        u0 = d.u0
 
         def du0(r):
             h = _DU0_STEP * max(1.0, abs(r))
@@ -502,10 +535,10 @@ def profile_from_data(d: RadialData) -> RadiationProfile:
 
     def fn(s):
         if s == 0.0:   # the limit of G_odd; the data need not exist at 0
-            return -0.5 * _u1_tail_integral(d, 0.0)
+            return -0.5 * u1_tail(0.0)
         a = abs(s)
-        g_even = 0.5 * (3.0 * a * d.u0(a) + a * a * du0(a))
-        g_odd = 0.5 * a * a * d.u1(a) - 0.5 * _u1_tail_integral(d, a)
+        g_even = 0.5 * (3.0 * a * u0(a) + a * a * du0(a))
+        g_odd = 0.5 * a * a * u1(a) - 0.5 * u1_tail(a)
         return (g_even if s > 0 else -g_even) + g_odd
 
     support = None
@@ -537,6 +570,8 @@ def exterior_energy(d: RadialData, R: float) -> float:
 
         sigma4 * int_R^inf (|u0'|^2 + |u1|^2) rho^4 drho.
     """
+    from .nonlinearity import SIGMA4
+
     check_radius(R)
     if d.du0 is None:
         raise ValueError("exterior energy needs derivative access to u0")
@@ -556,6 +591,8 @@ def exterior_energy_identity(G: RadiationProfile, R: float) -> float:
         sigma4 * [ 2 ||G||^2_{L2(|s|>R)} + (1/R)(int_{-R}^R G)^2
                    + (3/R^3)(int_{-R}^R s G)^2 ].
     """
+    from .nonlinearity import SIGMA4
+
     check_radius(R)
     m0 = G.moment0(-R, R)
     m1 = G.moment1(-R, R)
@@ -621,6 +658,7 @@ def nonlinear_profile_shift(Fsrc, s: float, *, t_support=None, r_support=None,
     """
     if t_support is None and decay is None:
         raise ValueError("source needs t_support or a declared decay exponent")
+    from .quadrature import integrate_adaptive, integrate_tail
 
     def along_ray(t):
         return (s + t) ** 2 * Fsrc(t, t + s)
@@ -654,12 +692,16 @@ def nonlinear_profile_shift(Fsrc, s: float, *, t_support=None, r_support=None,
 
 def tau2_of_ground_state(r):
     """Second residue of the static pair (W, 0): sqrt(3) r^(3/2) W(r)."""
+    from .nonlinearity import ground_state
+
     return math.sqrt(3.0) * r ** 1.5 * ground_state(r)[0]
 
 
 def compute_c2(rho: float) -> float:
     """The radius on the decreasing branch (r > sqrt(15)) where the
     ground-state residue sqrt(3) r^(3/2) W(r) equals ``rho``."""
+    from ._ode import bisect
+
     r_peak = math.sqrt(15.0)
     peak = tau2_of_ground_state(r_peak)
     if not (0.0 < rho < peak):

@@ -137,7 +137,9 @@ _UNUSED_MODULES = {
     "profile": {"radiation", "_spline", "pdesim", "verify"},
     "table1": {"radiation", "_spline", "pdesim"},
     "verify": {"radiation", "_spline", "pdesim"},
-    "radiation": {"pdesim", "profiles", "verify"},
+    # the quadrature, the nonlinearity and the ODE module serve only
+    # non-smooth profiles and the ground-state residue
+    "radiation": {"pdesim", "profiles", "verify", "_ode", "nonlinearity", "quadrature"},
     "simulate": {"profiles", "verify"},
     # the closed-form presets hand pdesim a plain (u0, u1) pair and need
     # no quadrature

@@ -716,3 +716,165 @@ def test_wide_window_moment_of_decaying_profile(R):
         decay=5.0)
     theta = np.arctan(R)
     assert H.moment1(-R, R) == pytest.approx(theta / 4.0 - np.sin(4.0 * theta) / 16.0, abs=1e-9)
+
+
+# -- bit identity with the per-piece formulas --------------------------------------
+
+
+def _bits(columns):
+    return [[float(c).hex() for c in column] for column in columns]
+
+
+def _line(x):
+    """The polynomial x on the breakpoints x, as a PPoly."""
+    from exwave import _spline
+
+    return _spline.PPoly([[1.0] * (len(x) - 1), list(x[:-1])], list(x))
+
+
+def _per_piece_spline(x, s, y):
+    """The cubic pieces [t/h, (m - s0)/h - t, s0, y0] of knot slopes s, piece by piece."""
+    pieces = []
+    for i in range(len(x) - 1):
+        h = x[i + 1] - x[i]
+        m = (y[i + 1] - y[i]) / h
+        t = (s[i] + s[i + 1] - 2.0 * m) / h
+        pieces.append([t / h, (m - s[i]) / h - t, s[i], y[i]])
+    return pieces
+
+
+def _per_piece_antiderivative(pieces, x):
+    deg = len(pieces[0]) - 1
+    out = [[ck / (deg + 1 - k) for k, ck in enumerate(p)] for p in pieces]
+    start, starts = 0.0, []
+    for i, p in enumerate(out):
+        starts.append(start)
+        rise = 0.0
+        for ck in p:
+            rise = (rise + ck) * (x[i + 1] - x[i])
+        start = rise if i == 0 else start + rise
+    return [p + [s] for p, s in zip(out, starts)]
+
+
+def _per_piece_product(p, q):
+    out = []
+    for pc, qc in zip(p, q):
+        c = [0.0] * (len(pc) + len(qc) - 1)
+        for i, a in enumerate(pc):
+            for j, b in enumerate(qc):
+                c[i + j] += a * b
+        out.append(c)
+    return out
+
+
+def _columns(pieces):
+    return [list(column) for column in zip(*pieces)]
+
+
+# signed zeros among the values, so that the coefficients hold some too
+_SIGNED_X = [-1.5, -0.75, -0.25, 0.0, 0.5, 1.25, 2.0, 2.5]
+_SIGNED_Y = [-0.0, 0.0, -0.0, 1.0, -2.0, -0.0, -0.0, 0.5]
+
+
+def test_spline_calculus_is_the_per_piece_loop():
+    from exwave import _spline
+
+    S = _spline.cubic_spline(_SIGNED_X, _SIGNED_Y)
+    assert any(c == 0.0 and math.copysign(1.0, c) < 0 for column in S.c for c in column)
+    dx = [b - a for a, b in zip(_SIGNED_X, _SIGNED_X[1:])]
+    slope = [(b - a) / h for a, b, h in zip(_SIGNED_Y, _SIGNED_Y[1:], dx)]
+    pieces = _per_piece_spline(_SIGNED_X, _spline._not_a_knot_slopes(_SIGNED_X, dx, slope),
+                               _SIGNED_Y)
+    assert _bits(S.c) == _bits(_columns(pieces))
+    assert _bits(S.derivative().c) == _bits(
+        _columns([[3 * p[0], 2 * p[1], 1 * p[2]] for p in pieces]))
+    assert _bits(S.antiderivative().c) == _bits(
+        _columns(_per_piece_antiderivative(pieces, _SIGNED_X)))
+    assert _bits(_spline.product(S, S).c) == _bits(
+        _columns(_per_piece_product(pieces, pieces)))
+
+
+def test_times_x_is_the_product_with_the_line():
+    from exwave import _spline
+
+    # signed zeros in every power, met by breakpoints of either sign
+    signed = _spline.PPoly([[-0.0, 0.0, 1.0, -0.0], [-0.0, -0.0, 2.0, 0.0],
+                            [-0.0, 1.0, -0.0, -0.0], [-0.0, -0.0, 0.0, -3.0]],
+                           [-1.0, -0.0, 0.5, 1.0, 2.0])
+    for S in (signed, _spline.cubic_spline(_SIGNED_X, _SIGNED_Y)):
+        assert _bits(_spline.times_x(S).c) == _bits(_spline.product(_line(S.x), S).c)
+
+
+def _old_moment(G, m, a, b):
+    """The spline moment as every call computed it: clamp, then m(b) - m(a)."""
+    lo, hi = G.support
+    a = min(max(a, lo), hi)
+    b = min(max(b, a), hi)
+    return m.at(b) - m.at(a)
+
+
+@pytest.mark.parametrize("values", [
+    lambda s: math.sin(3.0 * s) * (1.5 - s) * (s + 0.5),
+    lambda s: -0.0 if round(4.0 * s) % 3 else 0.0,   # total mass exactly 0
+], ids=["asymmetric", "zero-mass"])
+def test_data_from_profile_is_the_free_wave_formula(values):
+    from exwave import _spline
+
+    s = _spline.linspace(-0.5, 1.5, 41)   # an asymmetric support
+    G = rad.RadiationProfile.from_samples(s, [values(x) for x in s])
+    S = G._spline
+    m0 = S.antiderivative()
+    m1 = _spline.product(_line(S.x), S).antiderivative()
+    d = rad.data_from_profile(G)
+    # inside the support, at its two ends and beyond it
+    for r in (0.05, 0.3, 0.5, 0.9, 1.5, 1.7, 2.0, 3.0, 0.3):
+        u0 = (_old_moment(G, m1, -r, r) - 0.0 * _old_moment(G, m0, -r, r)) / r ** 3
+        u1 = (G._at(r) + G._at(-r)) / (r * r) - _old_moment(G, m0, -r, r) / r ** 3
+        assert (d.u0(r).hex(), d.u1(r).hex()) == (u0.hex(), u1.hex()), r
+
+
+def test_recovered_profile_is_the_per_point_formula():
+    from exwave import _spline
+
+    r = _spline.linspace(0.1, 3.0, 301)
+    u0_vals = [math.exp(-x) * math.cos(3.0 * x) for x in r]
+    u1_vals = [math.sin(2.0 * x) / (1.0 + x * x) + 0.5 for x in r]
+    G = rad.profile_from_data(rad.RadialData.from_samples(r, u0_vals, u1_vals, tail="r3"))
+    # the sampled data and the profile formula, one spline evaluation at a time
+    s0, s1 = _spline.cubic_spline(r, u0_vals), _spline.cubic_spline(r, u1_vals)
+    d0 = s0.derivative()
+    lo, hi = r[0], r[-1]
+
+    def even(spline, slope):
+        b = slope.at(lo) / (2.0 * lo)
+        return spline.at(lo) - b * lo * lo, b
+
+    (a0, b0), (a1, b1) = even(s0, d0), even(s1, s1.derivative())
+    c0, c1 = hi ** 3 * u0_vals[-1], hi ** 3 * u1_vals[-1]
+    rho_u1 = _spline.product(_line(r), s1).antiderivative()
+
+    def extended(f, below, coef, power):
+        return lambda x: coef * x ** power if x > hi else below(x) if x < lo else f.at(x)
+
+    u0 = extended(s0, lambda x: a0 + b0 * x * x, c0, -3.0)
+    u1 = extended(s1, lambda x: a1 + b1 * x * x, c1, -3.0)
+    du0 = extended(d0, lambda x: 2.0 * b0 * x, -3.0 * c0, -4.0)
+
+    def tail(s):
+        below = min(s, lo)
+        return (rho_u1.at(hi) - rho_u1.at(min(max(s, lo), hi))
+                + 0.5 * a1 * (lo * lo - below * below) + 0.25 * b1 * (lo ** 4 - below ** 4)
+                + c1 / max(s, hi))
+
+    def fn(s):
+        if s == 0.0:
+            return -0.5 * tail(0.0)
+        a = abs(s)
+        g_even = 0.5 * (3.0 * a * u0(a) + a * a * du0(a))
+        g_odd = 0.5 * a * a * u1(a) - 0.5 * tail(a)
+        return (g_even if s > 0 else -g_even) + g_odd
+
+    points = _spline.linspace(-hi, hi, 241) + [0.0, 0.05, -0.05, 0.1, -0.1]
+    for s in points:
+        assert G.value(s).hex() == fn(s).hex(), s
+    assert G.value(hi + 0.5) == 0.0
