@@ -6,7 +6,10 @@ quadrature    adaptive Gauss-Kronrod integration, sqrt-singular and tail rules
 profiles      self-similar profile ODE: integration, classification, inversion
 nonlinearity  g(z), F(u), the ground state W and derived closed forms
 radiation     radiation profiles of radial free waves: data maps, residues,
-              asymptotic numbers, translation law, Born-level profile shifts
+              asymptotic numbers, translation law
+radial_data   the radial initial-data pair RadialData and its sampled splines
+exterior      exterior energies, positive propagator, residue flow,
+              Born-level profile shifts, the ground-state residue radius
 pdesim        leapfrog simulator for w = r^2 u in exterior regions with
               characteristic-ray, energy and virial diagnostics
 verify        the reference-value verification pipeline (table, inequalities)
@@ -17,7 +20,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = ["nonlinearity", "pdesim", "profiles", "quadrature", "radiation", "verify"]
+__all__ = ["exterior", "nonlinearity", "pdesim", "profiles", "quadrature", "radial_data",
+           "radiation", "verify"]
 
 
 def _pointwise(fn, *args):

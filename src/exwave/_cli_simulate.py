@@ -1,0 +1,150 @@
+"""The simulate subcommand: presets, the run and its CSV and diagnostics.
+
+Kept apart from ``cli`` so that the other subcommands compile none of it;
+``cli`` imports it only for simulate.
+"""
+
+from __future__ import annotations
+
+from types import SimpleNamespace
+
+from ._io import _atomic_write, _emit, _info, _json_dumps, _read_csv_columns
+
+
+def _parse_gspec(spec: str):
+    """Named closed-form profiles: 'bump:lo:hi[:amp]' (C^2 bump) or
+    'box:lo:hi[:amp]' (indicator)."""
+    from . import radiation
+
+    parts = spec.split(":")
+    kind = parts[0]
+    if kind not in ("bump", "box") or len(parts) not in (3, 4):
+        raise ValueError(f"bad G-spec {spec!r}; use bump:lo:hi[:amp] or box:lo:hi[:amp]")
+    lo, hi = float(parts[1]), float(parts[2])
+    amp = float(parts[3]) if len(parts) == 4 else 1.0
+    if hi <= lo:
+        raise ValueError("G-spec needs lo < hi")
+    if kind == "box":
+        return radiation.RadiationProfile.from_function(
+            lambda s: amp if lo <= s <= hi else 0.0, support=(lo, hi))
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+    def fn(s):
+        x = (s - mid) / half
+        return amp * ((1.0 - x * x) ** 3 if abs(x) < 1.0 else 0.0)
+
+    return radiation.RadiationProfile.from_function(fn, support=(lo, hi), smooth=True)
+
+
+_EXTRACTION_S = [-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def _snapshot_levels(n_levels):
+    """Up to 9 evenly spread levels of a run of n_levels levels."""
+    n_snap = min(n_levels, 9)
+    return sorted({int(round(k * (n_levels - 1) / max(n_snap - 1, 1))) for k in range(n_snap)})
+
+
+def _levels_read(cfg, n_levels, free_wave):
+    """Every level the simulate output reads: each snapshot with its n +- 1
+    neighbours (centered velocity in energy and virial) and, for a free wave,
+    the levels of the profile extraction."""
+    from . import pdesim
+
+    keep = {m for n in _snapshot_levels(n_levels) for m in (n - 1, n, n + 1)
+            if 0 <= m < n_levels}
+    if free_wave:
+        try:
+            for s in _EXTRACTION_S:
+                keep.update(pdesim.outgoing_levels(cfg, n_levels, s))
+        except pdesim.ConeCoverageError:
+            pass  # the extraction reports it
+    return keep
+
+
+def run(args) -> int:
+    import numpy as np
+
+    from . import nonlinearity as nl, pdesim
+
+    boundary = "domain-of-dependence"
+    bv = None
+    if (args.preset is None) == (args.data is None):
+        raise ValueError("exactly one of --preset and --data is required")
+    # pdesim.simulate reads only d.u0 and d.u1, so the closed-form presets
+    # pass a plain pair and never load radiation.
+    if args.data is not None:
+        from . import radiation
+
+        r, u0_vals, u1_vals = _read_csv_columns(args.data, 3)
+        d = radiation.RadialData.from_samples(r, u0_vals, u1_vals)
+        nonlin = "focusing"
+    elif args.preset == "ground-state":
+        d = SimpleNamespace(u0=lambda r: nl.ground_state(r)[0],
+                            u1=lambda r: np.zeros_like(np.asarray(r, dtype=float)))
+        boundary = "dirichlet-exact"
+        bv = lambda r, t: nl.ground_state(r)[0]
+        nonlin = "focusing"
+    elif args.preset == "free-wave":
+        from . import radiation
+
+        G = _parse_gspec(args.gspec)
+        d = radiation.data_from_profile(G)
+        boundary = "dirichlet-exact"
+        bv = lambda r, t: radiation.free_wave(G, r, t)
+        nonlin = "linear"
+    elif args.preset == "self-similar":
+        nu = args.nu
+        d = SimpleNamespace(u0=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+                            u1=lambda r: nu * np.asarray(r, dtype=float) ** (-2.5))
+        nonlin = "focusing"
+    else:
+        raise ValueError(f"unknown preset {args.preset!r}")
+
+    cfg = pdesim.SimConfig(r_min=args.rmin, r_max=args.rmax, dr=args.dr, T=args.T,
+                           cfl=args.cfl, nonlinearity=nonlin, boundary=boundary,
+                           boundary_values=bv)
+    free_wave = args.preset == "free-wave"
+    n_levels = cfg.n_t + 1
+    tr = pdesim.simulate(d, cfg, levels=_levels_read(cfg, n_levels, free_wave))
+    if len(tr.times) < n_levels:
+        # Blow-up: the snapshots sit on the truncated run.  The scheme is
+        # deterministic, so the rerun stops at the same level.
+        n_levels = len(tr.times)
+        tr = pdesim.simulate(d, cfg, levels=_levels_read(cfg, n_levels, free_wave))
+    snap_idx = _snapshot_levels(n_levels)
+    # One line template per radius, the time joined in front of each, then a
+    # single %-format per snapshot: '%.12g' % v is f"{v:.12g}" for every
+    # float, and no formatted number holds a '%'.
+    templates = [""] + [f",{x:.12g},%.12g\n" for x in tr.r.tolist()]
+
+    def snapshots():  # one chunk per snapshot, so the whole CSV never sits in memory
+        yield "t,r,u\n"
+        for n in snap_idx:
+            yield f"{tr.times[n]:.12g}".join(templates) % tuple(tr.u_level(n).tolist())
+
+    _emit(snapshots(), args.out)
+
+    diag = {"times": [], "energy": [], "virial": []}
+    for n in snap_idx:
+        t = float(tr.times[n])
+        if n >= len(tr.times) - 1 and n > 0:
+            continue
+        diag["times"].append(t)
+        diag["energy"].append(pdesim.energy(tr, t, args.rmin))
+        scale = tr.r[-1] / 3.0
+        j, jp, jpp = pdesim.virial(tr, t, scale)
+        diag["virial"].append([j, jp, jpp])
+    if free_wave:
+        try:
+            diag["extracted_profile"] = [[s, pdesim.extract_outgoing(tr, s)]
+                                         for s in _EXTRACTION_S]
+        except pdesim.ConeCoverageError as exc:
+            diag["extracted_profile_error"] = str(exc)
+    if tr.blowup is not None:
+        diag["blowup"] = {"time": tr.blowup.time, "radius": tr.blowup.radius}
+    if args.diag is not None:
+        _atomic_write(args.diag, _json_dumps(diag))
+    _info(f"simulated {len(tr.times)} levels to t={tr.times[-1]:.12g} on {len(tr.r)} radii"
+          + (f"; BLOW-UP at t={tr.blowup.time}" if tr.blowup else ""))
+    return 0

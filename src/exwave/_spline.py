@@ -52,8 +52,9 @@ class PPoly:
         """The value at one float x: bisection for the piece, then Horner's rule.
         The search runs over x[1:-1], so that points past either end land in
         the end pieces."""
-        i = bisect_right(self.x, x, 1, len(self.x) - 1) - 1
-        dx = x - self.x[i]
+        xs = self.x
+        i = bisect_right(xs, x, 1, len(xs) - 1) - 1
+        dx = x - xs[i]
         out = 0.0
         for column in self.c:
             out = out * dx + column[i]

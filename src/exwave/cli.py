@@ -16,11 +16,16 @@ SIGPIPE kills); the last stops quietly, with nothing on stderr.
 
 Each subcommand imports only the exwave modules it runs: radiation loads no
 pdesim, profiles or verify, and no _ode, nonlinearity or quadrature either,
-since a sampled profile takes its moments from its spline; table1 and verify
-load no radiation, _spline or pdesim.  Only the subcommands that write JSON
+since a sampled profile takes its moments from its spline, nor exterior,
+whose tools no subcommand runs; table1 and verify load no radiation, _spline
+or pdesim.  The simulate subcommand's own code is in _cli_simulate and the
+file input and output that all subcommands share in _io, so the others
+compile none of simulate's code: a process compiles each module it imports
+unless Python may cache bytecode.  Only the subcommands that write JSON
 load json.  Only simulate loads numpy: constants, profile, table1, verify
 and radiation compute on floats and read their CSV input with the standard
-library, and all but radiation load no dataclasses either.  simulate loads
+library; of these only radiation's to-data and from-data, which make a
+data pair, load dataclasses.  simulate loads
 radiation and _spline only where it reads a data CSV (--data) or a profile
 (the free-wave preset), and quadrature only for the box profile, whose
 moments are quadratures.  The process defaults
@@ -30,12 +35,11 @@ OPENBLAS_NUM_THREADS to 1 (see below); set the variable to override it.
 from __future__ import annotations
 
 import argparse
-import math
 import os
-import stat
 import sys
-import tempfile
-from types import SimpleNamespace
+
+from ._io import (_atomic_write, _csv_rows, _emit, _format_column, _info, _json_dumps,
+                  _read_csv_columns)
 
 # numpy is imported only inside the functions that compute on arrays, so
 # only simulate loads it.  exwave makes two BLAS/LAPACK calls, both in
@@ -55,71 +59,6 @@ __all__ = ["main", "entry"]
 # to-data on 2 x 10^5 radii takes 5 s and 90 MB (2-vCPU VM), so 10^6 points
 # stay under half a minute and half a GB.
 MAX_SAMPLES = 10 ** 6
-
-
-def _chunks(text):
-    """A str is one chunk; anything else is an iterable of str chunks."""
-    return (text,) if isinstance(text, str) else text
-
-
-def _atomic_write(path: str, text) -> None:
-    path = os.path.realpath(path)
-    if os.path.exists(path) and not os.path.isfile(path):
-        # a device or FIFO: renaming over it would replace it with a file
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(_chunks(text))
-        return
-    try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)
-    except FileNotFoundError:  # a new file gets what open() gives under the umask
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-exwave-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            os.fchmod(fh.fileno(), mode)
-            fh.writelines(_chunks(text))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _emit(text, out: str | None) -> None:
-    """Write text (a str or an iterable of str chunks) to out or stdout;
-    stdout always gets a final newline."""
-    if out is not None:
-        _atomic_write(out, text)
-        return
-    last = ""
-    for chunk in _chunks(text):
-        sys.stdout.write(chunk)
-        last = chunk or last
-    if not last.endswith("\n"):
-        sys.stdout.write("\n")
-    sys.stdout.flush()  # a closed reader shows here, before the summary
-
-
-def _format_column(values) -> list[str]:
-    """Each float of a list as 12-significant-digit text, formatted once."""
-    return [f"{v:.12g}" for v in values]
-
-
-def _csv_rows(*columns) -> str:
-    """One CSV line per row of equally long columns of text."""
-    return "".join(",".join(row) + "\n" for row in zip(*columns))
-
-
-def _json_dumps(obj) -> str:
-    import json   # here, so that the CSV-only subcommands never load it
-
-    return json.dumps(obj, indent=2)
-
-
-def _info(msg: str) -> None:
-    print(msg, file=sys.stderr)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -181,33 +120,6 @@ def _cmd_verify(args) -> int:
     return 0 if report.overall else 3
 
 
-def _read_csv_columns(path, n_cols):
-    """The n_cols float columns of a CSV file with one header line; blank
-    lines and '#' comments are skipped.  ValueError, naming the file and
-    line, for a file with no data, a row of another width, a cell that is no
-    number and a non-finite value."""
-    columns = [[] for _ in range(n_cols)]
-    with open(path, encoding="utf-8") as fh:
-        next(fh, None)  # the header
-        for lineno, line in enumerate(fh, start=2):
-            cells = line.split("#", 1)[0].split(",")
-            if len(cells) == 1 and not cells[0].strip():
-                continue
-            if len(cells) != n_cols:
-                raise ValueError(f"{path}:{lineno}: expected {n_cols} columns, got {len(cells)}")
-            try:
-                row = [float(c) for c in cells]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: not a number in {line.strip()!r}") from None
-            if not all(map(math.isfinite, row)):
-                raise ValueError(f"{path}:{lineno}: non-finite value")
-            for column, v in zip(columns, row):
-                column.append(v)
-    if not columns[0]:
-        raise ValueError(f"{path}: no data rows below the header")
-    return columns
-
-
 def _load_profile(path):
     from . import radiation
 
@@ -253,143 +165,10 @@ def _cmd_radiation(args) -> int:
     return 0
 
 
-def _parse_gspec(spec: str):
-    """Named closed-form profiles: 'bump:lo:hi[:amp]' (C^2 bump) or
-    'box:lo:hi[:amp]' (indicator)."""
-    from . import radiation
-
-    parts = spec.split(":")
-    kind = parts[0]
-    if kind not in ("bump", "box") or len(parts) not in (3, 4):
-        raise ValueError(f"bad G-spec {spec!r}; use bump:lo:hi[:amp] or box:lo:hi[:amp]")
-    lo, hi = float(parts[1]), float(parts[2])
-    amp = float(parts[3]) if len(parts) == 4 else 1.0
-    if hi <= lo:
-        raise ValueError("G-spec needs lo < hi")
-    if kind == "box":
-        return radiation.RadiationProfile.from_function(
-            lambda s: amp if lo <= s <= hi else 0.0, support=(lo, hi))
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-
-    def fn(s):
-        x = (s - mid) / half
-        return amp * ((1.0 - x * x) ** 3 if abs(x) < 1.0 else 0.0)
-
-    return radiation.RadiationProfile.from_function(fn, support=(lo, hi), smooth=True)
-
-
-_EXTRACTION_S = [-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0]
-
-
-def _snapshot_levels(n_levels):
-    """Up to 9 evenly spread levels of a run of n_levels levels."""
-    n_snap = min(n_levels, 9)
-    return sorted({int(round(k * (n_levels - 1) / max(n_snap - 1, 1))) for k in range(n_snap)})
-
-
-def _levels_read(cfg, n_levels, free_wave):
-    """Every level the simulate output reads: each snapshot with its n +- 1
-    neighbours (centered velocity in energy and virial) and, for a free wave,
-    the levels of the profile extraction."""
-    from . import pdesim
-
-    keep = {m for n in _snapshot_levels(n_levels) for m in (n - 1, n, n + 1)
-            if 0 <= m < n_levels}
-    if free_wave:
-        try:
-            for s in _EXTRACTION_S:
-                keep.update(pdesim.outgoing_levels(cfg, n_levels, s))
-        except pdesim.ConeCoverageError:
-            pass  # the extraction reports it
-    return keep
-
-
 def _cmd_simulate(args) -> int:
-    import numpy as np
+    from ._cli_simulate import run   # compiled only when simulate runs
 
-    from . import nonlinearity as nl, pdesim
-
-    boundary = "domain-of-dependence"
-    bv = None
-    if (args.preset is None) == (args.data is None):
-        raise ValueError("exactly one of --preset and --data is required")
-    # pdesim.simulate reads only d.u0 and d.u1, so the closed-form presets
-    # pass a plain pair and never load radiation.
-    if args.data is not None:
-        from . import radiation
-
-        r, u0_vals, u1_vals = _read_csv_columns(args.data, 3)
-        d = radiation.RadialData.from_samples(r, u0_vals, u1_vals)
-        nonlin = "focusing"
-    elif args.preset == "ground-state":
-        d = SimpleNamespace(u0=lambda r: nl.ground_state(r)[0],
-                            u1=lambda r: np.zeros_like(np.asarray(r, dtype=float)))
-        boundary = "dirichlet-exact"
-        bv = lambda r, t: nl.ground_state(r)[0]
-        nonlin = "focusing"
-    elif args.preset == "free-wave":
-        from . import radiation
-
-        G = _parse_gspec(args.gspec)
-        d = radiation.data_from_profile(G)
-        boundary = "dirichlet-exact"
-        bv = lambda r, t: radiation.free_wave(G, r, t)
-        nonlin = "linear"
-    elif args.preset == "self-similar":
-        nu = args.nu
-        d = SimpleNamespace(u0=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-                            u1=lambda r: nu * np.asarray(r, dtype=float) ** (-2.5))
-        nonlin = "focusing"
-    else:
-        raise ValueError(f"unknown preset {args.preset!r}")
-
-    cfg = pdesim.SimConfig(r_min=args.rmin, r_max=args.rmax, dr=args.dr, T=args.T,
-                           cfl=args.cfl, nonlinearity=nonlin, boundary=boundary,
-                           boundary_values=bv)
-    free_wave = args.preset == "free-wave"
-    n_levels = cfg.n_t + 1
-    tr = pdesim.simulate(d, cfg, levels=_levels_read(cfg, n_levels, free_wave))
-    if len(tr.times) < n_levels:
-        # Blow-up: the snapshots sit on the truncated run.  The scheme is
-        # deterministic, so the rerun stops at the same level.
-        n_levels = len(tr.times)
-        tr = pdesim.simulate(d, cfg, levels=_levels_read(cfg, n_levels, free_wave))
-    snap_idx = _snapshot_levels(n_levels)
-    # One line template per radius, the time joined in front of each, then a
-    # single %-format per snapshot: '%.12g' % v is f"{v:.12g}" for every
-    # float, and no formatted number holds a '%'.
-    templates = [""] + [f",{x:.12g},%.12g\n" for x in tr.r.tolist()]
-
-    def snapshots():  # one chunk per snapshot, so the whole CSV never sits in memory
-        yield "t,r,u\n"
-        for n in snap_idx:
-            yield f"{tr.times[n]:.12g}".join(templates) % tuple(tr.u_level(n).tolist())
-
-    _emit(snapshots(), args.out)
-
-    diag = {"times": [], "energy": [], "virial": []}
-    for n in snap_idx:
-        t = float(tr.times[n])
-        if n >= len(tr.times) - 1 and n > 0:
-            continue
-        diag["times"].append(t)
-        diag["energy"].append(pdesim.energy(tr, t, args.rmin))
-        scale = tr.r[-1] / 3.0
-        j, jp, jpp = pdesim.virial(tr, t, scale)
-        diag["virial"].append([j, jp, jpp])
-    if free_wave:
-        try:
-            diag["extracted_profile"] = [[s, pdesim.extract_outgoing(tr, s)]
-                                         for s in _EXTRACTION_S]
-        except pdesim.ConeCoverageError as exc:
-            diag["extracted_profile_error"] = str(exc)
-    if tr.blowup is not None:
-        diag["blowup"] = {"time": tr.blowup.time, "radius": tr.blowup.radius}
-    if args.diag is not None:
-        _atomic_write(args.diag, _json_dumps(diag))
-    _info(f"simulated {len(tr.times)} levels to t={tr.times[-1]:.12g} on {len(tr.r)} radii"
-          + (f"; BLOW-UP at t={tr.blowup.time}" if tr.blowup else ""))
-    return 0
+    return run(args)
 
 
 # -- parser ----------------------------------------------------------------------

@@ -157,7 +157,6 @@ class Trajectory:
         self.rows = np.arange(len(times)) if rows is None else rows
         self.u1_initial = u1_initial
         self.blowup = blowup
-        self._last_fields = None      # (level, (u, u_t, u_r)) of the last fields asked for
 
     def level(self, t: float) -> int:
         if not math.isfinite(t):
@@ -371,18 +370,11 @@ def energy(tr: Trajectory, t: float, R: float) -> float:
 
 def _fields(tr, t):
     """(u, u_t, u_r) at time t; a request for the final stored level falls
-    back one step, since the centered velocity needs a forward level.  The
-    trajectory keeps the last level's fields, read-only, so that energy and
-    virial at one time compute them once."""
+    back one step, since the centered velocity needs a forward level."""
     n = tr.level(t)
     if n == len(tr.times) - 1 and n > 0:
         n -= 1
-    if tr._last_fields is None or tr._last_fields[0] != n:
-        fields = tr.u_level(n), tr.ut_level(n), tr.ur_level(n)
-        for a in fields:
-            a.flags.writeable = False
-        tr._last_fields = n, fields
-    return tr._last_fields[1]
+    return tr.u_level(n), tr.ut_level(n), tr.ur_level(n)
 
 
 def _wt_level(tr, n):

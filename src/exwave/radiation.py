@@ -6,11 +6,15 @@ the incoming (past) time direction:
     u(r, t) = r^-3 * int_{t-r}^{t+r} (s - t) G(s) ds,
 
 and the outgoing profile is the reflection G_+(s) = G(-s).  This module
-converts between profiles and initial data, evaluates exterior energies and
-their profile-side identity, computes the weighted moments (radiation
-residues) tau_1, tau_2 and the asymptotic numbers alpha_1, alpha_2, applies
-time translations, and evaluates the first-order (Born) correction to the
-outgoing profile produced by a source term.
+converts between profiles and initial data, computes the weighted moments
+(radiation residues) tau_1, tau_2 and the asymptotic numbers alpha_1,
+alpha_2, and applies time translations.  The exterior energies and their
+profile-side identity, the positive propagator, the residue flow, the
+first-order (Born) correction to the outgoing profile and the ground-state
+residue radius are defined in :mod:`exwave.exterior`, and the data pair
+:class:`RadialData` in :mod:`exwave.radial_data`; this module imports
+either on first access to one of its names, so each is also
+``exwave.radiation.<name>``.
 
 Profiles are stored in the incoming convention throughout; use
 :meth:`RadiationProfile.reflect` where the outgoing profile is needed.
@@ -19,22 +23,22 @@ Everything here computes on floats, and the functions a user supplies (a
 profile's ``fn``, a data pair's ``u0``, ``du0`` and ``u1``) are called on
 floats.  A public function given an array evaluates it point by point
 (``exwave._pointwise``), so an array gives bit for bit what its points give.
-The quadrature, the nonlinearity and the bisection are imported inside the
-functions that use them, so converting a smooth or sampled profile loads
-none of them.
+The quadrature is imported inside the functions that use it, so converting
+a smooth or sampled profile loads no quadrature.
 """
 
 from __future__ import annotations
 
 import math
-# RadialData stays a dataclass: bench/tracing.py rebuilds it with
-# dataclasses.replace to count the calls of its u0 and u1
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
-from typing import Callable
+from typing import TYPE_CHECKING
 
 from . import _pointwise
-from ._spline import cubic_spline, floats, linspace, product, times_x
+from ._spline import cubic_spline, linspace, product, times_x
+
+if TYPE_CHECKING:
+    from .radial_data import RadialData
 
 __all__ = [
     "RadiationProfile",
@@ -179,8 +183,17 @@ class RadiationProfile:
         if self.support is None:
             return a, b
         lo, hi = self.support
-        a = min(max(a, lo), hi)
-        return a, min(max(b, a), hi)
+        # min(max(a, lo), hi) and min(max(b, a), hi), NaN and signed zeros
+        # alike, without the builtin calls
+        if a < lo:
+            a = lo
+        elif a > hi:
+            a = hi
+        if b < a:
+            b = a
+        elif b > hi:
+            b = hi
+        return a, b
 
     def _moment(self, k, a, b):
         """int_a^b of the k-th integrand (G, s G, G^2), 0 where b <= a."""
@@ -264,120 +277,10 @@ class RadiationProfile:
                                 breakpoints=tuple(b - t0 for b in self.breakpoints))
 
 
-@dataclass(frozen=True)
-class RadialData:
-    """Radial initial-data pair (u0, u1) with optional exact r^-3 tails.
-
-    ``u0``, ``du0`` and ``u1`` are callables of r > 0; this module calls them
-    on floats, and the solver in ``pdesim`` on arrays.  When ``tail_radius``
-    is set, the data equal exactly
-
-        u0(r) = tail_c0 * r^-3,   u1(r) = tail_c1 * r^-3   for r >= tail_radius,
-
-    which is the generic far field of data with a compactly supported
-    profile; tail integrals then close in closed form.  ``u1_tail``, when
-    set, is s -> int_s^inf rho u1(rho) drho in closed form.
-    """
-
-    u0: Callable
-    u1: Callable
-    du0: Callable | None = None
-    compact_support_bound: float | None = None
-    decay: float | None = None
-    tail_radius: float | None = None
-    tail_c0: float = 0.0
-    tail_c1: float = 0.0
-    du0_reduced_accuracy: bool = False
-    breakpoints: tuple = ()   # radii where u0/u1 may jump or kink
-    u1_tail: Callable | None = None
-
-    @classmethod
-    def from_samples(cls, r, u0_vals, u1_vals, compact_support_bound=None,
-                     tail="none"):
-        """Sampled data: not-a-knot cubic splines on the strictly increasing
-        grid 0 <= r[0] <= r <= r[-1]; u0' comes from the interpolant and is
-        flagged.  Each callable takes a float or, point by point, an array.
-
-        ``tail="none"`` gives zero outside the grid (compact data).
-        ``tail="r3"`` continues u0 and u1 below the grid evenly, as
-        a + b r^2 matched to the spline's value and slope at r[0] (smooth
-        radial data are even in r), with u0' = 2 b r there; beyond the grid
-        it continues them with the generic far field c/r^3, the coefficients
-        read off the last sample.  Either way ``u1_tail`` integrates exactly
-        these data: rho times the u1 spline is a piecewise quartic.
-        """
-        if tail not in ("none", "r3"):
-            raise ValueError("tail must be 'none' or 'r3'")
-        r, u0_vals, u1_vals = floats(r), floats(u0_vals), floats(u1_vals)
-        s0 = cubic_spline(r, u0_vals)
-        s1 = cubic_spline(r, u1_vals)
-        lo, hi = r[0], r[-1]
-        if not lo >= 0.0:
-            raise ValueError(f"sample radii must be nonnegative, got r[0] = {lo!r}")
-        check_radius(hi, 4)   # the closed forms take hi^3 and lo^4 <= hi^4
-        r3 = tail == "r3"
-        d0 = s0.derivative()
-        bound = hi if compact_support_bound is None else compact_support_bound
-        if not bound > 0.0:
-            raise ValueError(f"compact_support_bound must be positive, got {bound!r}")
-        end = hi if r3 else min(hi, bound)
-
-        def even(spline, slope):
-            """(a, b) of a + b r^2 through the spline's value and slope at lo."""
-            b = slope.at(lo) / (2.0 * lo) if lo > 0 else 0.0
-            return spline.at(lo) - b * lo * lo, b
-
-        # u1 = a1 + b1 r^2 on (0, lo); the slope at lo needs only the first piece
-        a1, b1 = even(s1, s1.pieces(0, 1).derivative()) if r3 else (0.0, 0.0)
-        c1 = hi ** 3 * u1_vals[-1] if r3 else 0.0
-        rho_u1 = times_x(s1).antiderivative()
-        rho_u1_end = rho_u1.at(end)
-
-        def u1_tail(s):
-            if not isinstance(s, (int, float)):
-                return _pointwise(u1_tail, s)
-            below = min(s, lo)
-            return (rho_u1_end - rho_u1.at(min(max(s, lo), end))
-                    + 0.5 * a1 * (lo * lo - below * below) + 0.25 * b1 * (lo ** 4 - below ** 4)
-                    + c1 / max(s, end))
-
-        if r3:
-            c0 = hi ** 3 * u0_vals[-1]
-            a0, b0 = even(s0, d0)
-
-            def extended(f, below, coef, power):
-                def fn(x):
-                    if not isinstance(x, (int, float)):
-                        return _pointwise(fn, x)
-                    if x > hi:
-                        return coef * x ** power
-                    return below(x) if x < lo else f.at(x)
-                return fn
-
-            return cls(u0=extended(s0, lambda x: a0 + b0 * x * x, c0, -3.0),
-                       u1=extended(s1, lambda x: a1 + b1 * x * x, c1, -3.0),
-                       du0=extended(d0, lambda x: 2.0 * b0 * x, -3.0 * c0, -4.0),
-                       tail_radius=hi, tail_c0=c0, tail_c1=c1, decay=3.0,
-                       du0_reduced_accuracy=True, u1_tail=u1_tail)
-
-        def clamped(f):
-            def fn(x):
-                if not isinstance(x, (int, float)):
-                    return _pointwise(fn, x)
-                return f.at(x) if lo <= x <= hi else 0.0
-            return fn
-
-        return cls(u0=clamped(s0), u1=clamped(s1), du0=clamped(d0),
-                   compact_support_bound=bound, du0_reduced_accuracy=True, u1_tail=u1_tail)
-
-
-@dataclass(frozen=True)
-class ResiduePair:
+class ResiduePair(namedtuple("ResiduePair", "tau1 tau2 radius")):
     """Weighted moments (tau1, tau2) of a profile at a given radius."""
 
-    tau1: float
-    tau2: float
-    radius: float
+    __slots__ = ()
 
 
 # -- free waves from profiles -------------------------------------------------
@@ -404,24 +307,21 @@ def _check_time(t):
 def free_wave(G: RadiationProfile, r, t: float):
     """u(r, t) = r^-3 int_{t-r}^{t+r} (s - t) G(s) ds."""
     _check_time(t)
-
-    def one(r):
-        check_radius(r)
-        a, b = G._clamp(t - r, t + r)
-        return (G._clamped_moment(1, a, b) - t * G._clamped_moment(0, a, b)) / r ** 3
-
-    return _pointwise(one, r)
+    if not isinstance(r, (int, float)):
+        return _pointwise(partial(free_wave, G, t=t), r)
+    check_radius(r)
+    a, b = G._clamp(t - r, t + r)
+    return (G._clamped_moment(1, a, b) - t * G._clamped_moment(0, a, b)) / r ** 3
 
 
 def free_wave_velocity(G: RadiationProfile, r, t: float):
     """Time derivative of :func:`free_wave`."""
     _check_time(t)
-
-    def one(r):   # r * r, not r ** 2: numpy squared an array by multiplying
-        check_radius(r)
-        return (G._at(t + r) + G._at(t - r)) / (r * r) - G._moment(0, t - r, t + r) / r ** 3
-
-    return _pointwise(one, r)
+    if not isinstance(r, (int, float)):
+        return _pointwise(partial(free_wave_velocity, G, t=t), r)
+    check_radius(r)
+    # r * r, not r ** 2: numpy squared an array by multiplying
+    return (G._at(t + r) + G._at(t - r)) / (r * r) - G._moment(0, t - r, t + r) / r ** 3
 
 
 def free_wave_gradient(G: RadiationProfile, r, t: float):
@@ -435,32 +335,6 @@ def free_wave_gradient(G: RadiationProfile, r, t: float):
     return _pointwise(one, r)
 
 
-def positive_propagator(u1, r: float, t: float, support=None) -> float:
-    """Free evolution of (0, u1) for r > t >= 0 via the positive kernel
-
-        u(r, t) = (1 / 4r^3) int_{r-t}^{r+t} rho (r^2 + rho^2 - t^2) u1(rho) drho.
-
-    The kernel is nonnegative on its domain, so nonnegative u1 gives a
-    nonnegative wave.
-    """
-    if not (r > t >= 0):
-        raise ValueError("the kernel formula requires r > t >= 0")
-    if t == 0:
-        return 0.0
-    from .quadrature import integrate_adaptive
-
-    lo, hi = r - t, r + t
-    if support is not None:
-        lo, hi = max(lo, support[0]), min(hi, support[1])
-        if hi <= lo:
-            return 0.0
-
-    def integrand(rho):
-        return rho * (r * r + rho * rho - t * t) * u1(rho)
-
-    return integrate_adaptive(integrand, lo, hi, _QTOL * max(1.0, hi - lo)) / (4.0 * r ** 3)
-
-
 # -- profile <-> data ----------------------------------------------------------
 
 
@@ -470,6 +344,8 @@ def data_from_profile(G: RadiationProfile) -> RadialData:
         u0(r) = r^-3 int_{-r}^{r} s G ds,
         u1(r) = r^-2 [G(r) + G(-r)] - r^-3 int_{-r}^{r} G ds.
     """
+    from .radial_data import RadialData
+
     u0 = partial(free_wave, G, t=0.0)
     u1 = partial(free_wave_velocity, G, t=0.0)
     du0 = partial(free_wave_gradient, G, t=0.0)
@@ -499,13 +375,13 @@ def _exterior_integral(d: RadialData, integrand, R: float, tail, decay) -> float
                           decay=None if d.decay is None else decay(d.decay))
 
 
-def _u1_tail_integral(d: RadialData, s):
-    """int_s^inf rho u1(rho) drho: the stored closed form of sampled data,
-    else a quadrature with the declared tail closed in exact form."""
+def _u1_tail(d: RadialData):
+    """s -> int_s^inf rho u1(rho) drho: the stored closed form of sampled
+    data, else a quadrature with the declared tail closed in exact form."""
     if d.u1_tail is not None:
-        return d.u1_tail(s)
-    return _exterior_integral(d, lambda rho: rho * d.u1(rho), s, lambda S: d.tail_c1 / S,
-                              lambda p: p - 1.0)
+        return d.u1_tail
+    return lambda s: _exterior_integral(d, lambda rho: rho * d.u1(rho), s,
+                                        lambda S: d.tail_c1 / S, lambda p: p - 1.0)
 
 
 def profile_from_data(d: RadialData) -> RadiationProfile:
@@ -524,7 +400,7 @@ def profile_from_data(d: RadialData) -> RadiationProfile:
     Data with neither a support bound nor a declared decay > 2 are rejected.
     """
     u0, du0, u1 = d.u0, d.du0, d.u1
-    u1_tail = d.u1_tail if d.u1_tail is not None else partial(_u1_tail_integral, d)
+    u1_tail = _u1_tail(d)
     reduced = d.du0_reduced_accuracy
     if du0 is None:
         reduced = True
@@ -562,43 +438,6 @@ def profile_from_data(d: RadialData) -> RadiationProfile:
     return prof
 
 
-# -- energies ------------------------------------------------------------------
-
-
-def exterior_energy(d: RadialData, R: float) -> float:
-    """Energy-space norm squared of the data outside radius R:
-
-        sigma4 * int_R^inf (|u0'|^2 + |u1|^2) rho^4 drho.
-    """
-    from .nonlinearity import SIGMA4
-
-    check_radius(R)
-    if d.du0 is None:
-        raise ValueError("exterior energy needs derivative access to u0")
-
-    def density(rho):   # products only: a float ** would raise OverflowError
-        dv, v1, rho2 = d.du0(rho), d.u1(rho), rho * rho
-        return (dv * dv + v1 * v1) * rho2 * rho2
-
-    # beyond S: u0 = c0 r^-3, u1 = c1 r^-3 exactly
-    tail = lambda S: 3.0 * d.tail_c0 ** 2 / S ** 3 + d.tail_c1 ** 2 / S
-    return SIGMA4 * _exterior_integral(d, density, R, tail, lambda p: 2.0 * p - 2.0)
-
-
-def exterior_energy_identity(G: RadiationProfile, R: float) -> float:
-    """Profile side of the exterior-energy identity:
-
-        sigma4 * [ 2 ||G||^2_{L2(|s|>R)} + (1/R)(int_{-R}^R G)^2
-                   + (3/R^3)(int_{-R}^R s G)^2 ].
-    """
-    from .nonlinearity import SIGMA4
-
-    check_radius(R)
-    m0 = G.moment0(-R, R)
-    m1 = G.moment1(-R, R)
-    return SIGMA4 * (2.0 * G.l2_tail_sq(R) + m0 * m0 / R + 3.0 * m1 * m1 / R ** 3)
-
-
 # -- residues and asymptotic numbers ------------------------------------------
 
 
@@ -610,30 +449,6 @@ def residues(G: RadiationProfile, R: float) -> ResiduePair:
     return ResiduePair(tau1=-m0 / math.sqrt(R), tau2=math.sqrt(3.0) * m1 / R ** 1.5, radius=R)
 
 
-def residue_flow(G_minus: RadiationProfile, G_plus: RadiationProfile, r: float):
-    """Radial derivatives of the residues:
-
-        tau1'(r) = -tau1/(2r) - r^(-1/2) [G_-(r) + G_+(r)],
-        tau2'(r) = -3 tau2/(2r) + sqrt(3) r^(-1/2) [G_-(r) - G_+(r)].
-
-    For a free wave supply G_plus = G_minus.reflect().  Both profiles must be
-    continuous at r; a jump there is rejected.
-    """
-    check_radius(r, 1.5)
-    eps = 1e-8 * max(1.0, r)
-    for G in (G_minus, G_plus):
-        jump = abs(G.value(r + eps) - G.value(r - eps))
-        scale = max(abs(G.value(r + eps)), abs(G.value(r - eps)), 1.0)
-        if jump > 1e-5 * scale:
-            raise ValueError(f"profile discontinuous at r={r}; derivative formula invalid")
-    pair = residues(G_minus, r)
-    gm = G_minus.value(r)
-    gp = G_plus.value(r)
-    d1 = -pair.tau1 / (2.0 * r) - (gm + gp) / math.sqrt(r)
-    d2 = -3.0 * pair.tau2 / (2.0 * r) + math.sqrt(3.0) * (gm - gp) / math.sqrt(r)
-    return d1, d2
-
-
 def asymptotic_numbers(G: RadiationProfile):
     """alpha1 = -lim int_{-r}^{r} G,  alpha2 = lim int_{-r}^{r} s G."""
     if G.support is not None:
@@ -642,76 +457,23 @@ def asymptotic_numbers(G: RadiationProfile):
     return -G._outside(0, 0.0), G._outside(1, 0.0)
 
 
-# -- nonlinear profile shift ---------------------------------------------------
+# -- names defined elsewhere --------------------------------------------------
+
+_EXTERIOR = frozenset({"positive_propagator", "exterior_energy", "exterior_energy_identity",
+                       "residue_flow", "nonlinear_profile_shift", "tau2_of_ground_state",
+                       "compute_c2"})
 
 
-def nonlinear_profile_shift(Fsrc, s: float, *, t_support=None, r_support=None,
-                            decay=None, tol: float = 1e-9) -> float:
-    """First-order change of the outgoing profile caused by a source term:
+def __getattr__(name):
+    """RadialData and the tools of :mod:`exwave.exterior`, imported on first
+    access (PEP 562), so that a profile-only computation compiles neither
+    and loads no dataclasses."""
+    if name == "RadialData":
+        from .radial_data import RadialData
 
-        dG(s) = (1/2) int_0^inf (s+t)^2 Fsrc(t, t+s) dt
-              - (1/2) int_0^inf int_{t+s}^inf rho Fsrc(t, rho) drho dt.
+        return RadialData
+    if name in _EXTERIOR:
+        from . import exterior
 
-    ``Fsrc(t, r)`` takes (time, radius).  It must be compactly supported in
-    both variables (``t_support``/``r_support``) or carry a declared decay
-    in t; anything else is rejected.
-    """
-    if t_support is None and decay is None:
-        raise ValueError("source needs t_support or a declared decay exponent")
-    from .quadrature import integrate_adaptive, integrate_tail
-
-    def along_ray(t):
-        return (s + t) ** 2 * Fsrc(t, t + s)
-
-    def shell(t):
-        lo = t + s
-        if r_support is not None:
-            lo, hi = max(lo, r_support[0]), r_support[1]
-            if hi <= lo:
-                return 0.0
-            return integrate_adaptive(lambda rho: rho * Fsrc(t, rho), lo, hi, tol * 1e-2)
-        return integrate_tail(lambda rho: rho * Fsrc(t, rho), lo, tol * 1e-2, decay=decay + 1.0)
-
-    if t_support is not None:
-        t_lo, t_hi = max(0.0, t_support[0]), t_support[1]
-        ray_lo, ray_hi = t_lo, t_hi
-        if r_support is not None:
-            ray_lo = max(ray_lo, r_support[0] - s)
-            ray_hi = min(ray_hi, r_support[1] - s)
-        term1 = (0.5 * integrate_adaptive(along_ray, ray_lo, ray_hi, tol)
-                 if ray_hi > ray_lo else 0.0)
-        term2 = 0.5 * integrate_adaptive(shell, t_lo, t_hi, tol) if t_hi > t_lo else 0.0
-    else:
-        term1 = 0.5 * integrate_tail(along_ray, 0.0, tol, decay=decay - 2.0 if decay > 3.0 else 1.5)
-        term2 = 0.5 * integrate_tail(shell, 0.0, tol, decay=decay)
-    return term1 - term2
-
-
-# -- the ground-state residue radius ------------------------------------------
-
-
-def tau2_of_ground_state(r):
-    """Second residue of the static pair (W, 0): sqrt(3) r^(3/2) W(r)."""
-    from .nonlinearity import ground_state
-
-    return math.sqrt(3.0) * r ** 1.5 * ground_state(r)[0]
-
-
-def compute_c2(rho: float) -> float:
-    """The radius on the decreasing branch (r > sqrt(15)) where the
-    ground-state residue sqrt(3) r^(3/2) W(r) equals ``rho``."""
-    from ._ode import bisect
-
-    r_peak = math.sqrt(15.0)
-    peak = tau2_of_ground_state(r_peak)
-    if not (0.0 < rho < peak):
-        raise ValueError(f"rho must lie in (0, {peak}) to meet the decreasing branch")
-    hi = 2.0 * r_peak
-    while tau2_of_ground_state(hi) > rho:
-        hi *= 2.0
-        if hi > 1e18:
-            raise ValueError("failed to bracket the residue radius")
-    # hi < 2 c2 here, so the width stays below 4 eps c2
-    lo, hi = bisect(lambda r: tau2_of_ground_state(r) - rho, r_peak, hi, peak - rho,
-                    2.0 * math.ulp(1.0) * hi)
-    return 0.5 * (lo + hi)
+        return getattr(exterior, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from exwave import cli, profiles
+from exwave import _cli_simulate, cli, profiles
 
 
 def run_cli(args):
@@ -133,14 +133,21 @@ _MODULES_LOADED = (_SCIPY_LOADED + "\n"
 
 # exwave modules each subcommand must not load: it imports only what it runs
 _UNUSED_MODULES = {
-    "constants": {"radiation", "_spline", "pdesim"},
-    "profile": {"radiation", "_spline", "pdesim", "verify"},
-    "table1": {"radiation", "_spline", "pdesim"},
-    "verify": {"radiation", "_spline", "pdesim"},
+    "constants": {"radiation", "_spline", "pdesim", "_cli_simulate"},
+    "profile": {"radiation", "_spline", "pdesim", "verify", "_cli_simulate"},
+    "table1": {"radiation", "_spline", "pdesim", "_cli_simulate"},
+    "verify": {"radiation", "_spline", "pdesim", "_cli_simulate"},
     # the quadrature, the nonlinearity and the ODE module serve only
-    # non-smooth profiles and the ground-state residue
-    "radiation": {"pdesim", "profiles", "verify", "_ode", "nonlinearity", "quadrature"},
-    "simulate": {"profiles", "verify"},
+    # non-smooth profiles and the ground-state residue; exterior holds the
+    # tools that no subcommand runs
+    "radiation": {"pdesim", "profiles", "verify", "_ode", "nonlinearity", "quadrature",
+                  "exterior", "_cli_simulate"},
+    # a profile alone needs no data pair
+    "residues": {"pdesim", "profiles", "verify", "_ode", "nonlinearity", "quadrature",
+                 "exterior", "_cli_simulate", "radial_data"},
+    "asymptotic": {"pdesim", "profiles", "verify", "_ode", "nonlinearity", "quadrature",
+                   "exterior", "_cli_simulate", "radial_data"},
+    "simulate": {"profiles", "verify", "exterior"},
     # the closed-form presets hand pdesim a plain (u0, u1) pair and need
     # no quadrature
     "simulate-ground-state": {"radiation", "_spline", "quadrature", "_ode", "profiles", "verify"},
@@ -148,11 +155,13 @@ _UNUSED_MODULES = {
 }
 
 
-# subcommands that compute on floats only, so they never import numpy
-_NO_NUMPY = {"constants", "profile", "table1", "verify", "radiation"}
-# subcommands whose records are namedtuples, so they never import dataclasses
-# (nor inspect, which dataclasses imports)
-_NO_DATACLASSES = {"constants", "profile", "table1", "verify"}
+# subcommands (and radiation modes) that compute on floats only, so they
+# never import numpy
+_NO_NUMPY = {"constants", "profile", "table1", "verify", "radiation", "residues", "asymptotic"}
+# subcommands whose records are namedtuples, and the radiation modes that make
+# no data pair, so they never import dataclasses (nor inspect, which
+# dataclasses imports)
+_NO_DATACLASSES = {"constants", "profile", "table1", "verify", "residues", "asymptotic"}
 
 
 def _assert_loads_only_its_modules(proc, command):
@@ -586,7 +595,7 @@ def _small_ground_state_csv():
                            boundary="dirichlet-exact",
                            boundary_values=lambda r, t: nl.ground_state(r)[0])
     tr = pdesim.simulate(d, cfg)
-    snaps = cli._snapshot_levels(len(tr.times))
+    snaps = _cli_simulate._snapshot_levels(len(tr.times))
     assert len(snaps) == 9
     return "t,r,u\n" + "".join(
         _old_rows([tr.times[n]] * len(tr.r), tr.r, tr.u_level(n)) for n in snaps)
@@ -625,7 +634,7 @@ def _column_formula_csv(preset):
     return "t,r,u\n" + "".join(
         cli._csv_rows([f"{tr.times[n]:.12g}"] * len(r_text), r_text,
                       cli._format_column(tr.u_level(n).tolist()))
-        for n in cli._snapshot_levels(len(tr.times)))
+        for n in _cli_simulate._snapshot_levels(len(tr.times)))
 
 
 @pytest.mark.parametrize("preset", ["ground-state", "self-similar"])

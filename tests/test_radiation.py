@@ -654,7 +654,7 @@ def test_stored_u1_tail_matches_quad(tail):
     b = s1(r[0], 1) / (2.0 * r[0]) if tail == "r3" else 0.0
     a = s1(r[0]) - b * r[0] ** 2 if tail == "r3" else 0.0
     points = np.array([0.0, 0.099, 1.2345, 3.0, 3.7])
-    got = rad._u1_tail_integral(d, points)
+    got = rad._u1_tail(d)(points)
     for s, g in zip(points, got):
         inner = min(max(s, r[0]), r[-1])
         want = (_knot_split_quad(lambda x: x * (a + b * x * x), min(s, r[0]), r[0], ())
@@ -878,3 +878,28 @@ def test_recovered_profile_is_the_per_point_formula():
     for s in points:
         assert G.value(s).hex() == fn(s).hex(), s
     assert G.value(hi + 0.5) == 0.0
+
+
+@pytest.mark.parametrize("support", [(-0.5, 1.5), (-0.0, 0.0), (0.0, 2.0), (-1.0, -0.0)])
+def test_clamp_is_the_min_max_formula(support):
+    G = rad.RadiationProfile(lambda s: 1.0, support=support)
+    lo, hi = G.support
+    ends = (-math.inf, -2.0, -0.5, -0.0, 0.0, 0.25, 1.5, 2.0, math.inf, math.nan)
+    for a in ends:
+        for b in ends:
+            want_a = min(max(a, lo), hi)
+            want = (want_a, min(max(b, want_a), hi))
+            got = G._clamp(a, b)
+            # repr tells -0.0 from 0.0 and shows nan as nan
+            assert tuple(map(repr, got)) == tuple(map(repr, want)), (a, b)
+
+
+def test_names_defined_elsewhere_are_radiation_attributes():
+    from exwave import exterior, radial_data
+
+    for name in exterior.__all__:
+        assert getattr(rad, name) is getattr(exterior, name)
+        assert name in rad.__all__ or name == "tau2_of_ground_state"
+    assert rad.RadialData is radial_data.RadialData
+    with pytest.raises(AttributeError, match="no_such_tool"):
+        rad.no_such_tool
