@@ -1,13 +1,19 @@
 """The simulate subcommand: presets, the run and its CSV and diagnostics.
 
 Kept apart from ``cli`` so that the other subcommands compile none of it;
-``cli`` imports it only for simulate.
+``cli`` imports it only for simulate.  Every run needs numpy, the
+nonlinearity and the solver, so they are imported at the top; radiation is
+imported only where a data CSV or a profile is read, so the closed-form
+presets never load it.
 """
 
 from __future__ import annotations
 
 from types import SimpleNamespace
 
+import numpy as np
+
+from . import nonlinearity as nl, pdesim
 from ._io import _atomic_write, _emit, _info, _json_dumps, _read_csv_columns
 
 
@@ -49,8 +55,6 @@ def _levels_read(cfg, n_levels, free_wave):
     """Every level the simulate output reads: each snapshot with its n +- 1
     neighbours (centered velocity in energy and virial) and, for a free wave,
     the levels of the profile extraction."""
-    from . import pdesim
-
     keep = {m for n in _snapshot_levels(n_levels) for m in (n - 1, n, n + 1)
             if 0 <= m < n_levels}
     if free_wave:
@@ -63,10 +67,6 @@ def _levels_read(cfg, n_levels, free_wave):
 
 
 def run(args) -> int:
-    import numpy as np
-
-    from . import nonlinearity as nl, pdesim
-
     boundary = "domain-of-dependence"
     bv = None
     if (args.preset is None) == (args.data is None):

@@ -1,7 +1,9 @@
 """Input and output of the command-line front end: CSV and JSON text, the
 atomic file writer and the CSV column reader, shared by ``cli`` and the
-simulate subcommand (``_cli_simulate``).  The module docstring of ``cli``
-says how output files are written.
+simulate subcommand (``_cli_simulate``).  They cannot live in ``cli``:
+``python -m exwave.cli`` runs ``cli`` as ``__main__``, so a ``_cli_simulate``
+that imported ``exwave.cli`` would run cli.py a second time, as a second
+module.  The module docstring of ``cli`` says how output files are written.
 """
 
 from __future__ import annotations

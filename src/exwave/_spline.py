@@ -60,10 +60,6 @@ class PPoly:
             out = out * dx + column[i]
         return out
 
-    def pieces(self, i, j):
-        """The piecewise polynomial of pieces i to j - 1 alone."""
-        return PPoly([column[i:j] for column in self.c], self.x[i:j + 1])
-
     def derivative(self):
         deg = len(self.c) - 1
         return PPoly([[ck * (deg - k) for ck in column] for k, column in enumerate(self.c[:-1])],
@@ -94,13 +90,9 @@ def product(p: PPoly, q: PPoly) -> PPoly:
 
 
 def times_x(S: PPoly) -> PPoly:
-    """x S, bit for bit ``product`` of the line x with S: the convolution
-    with [1, x0] written out, in its order of sums.  Each 0.0 + is the
-    convolution's zero start, which turns -0.0 into 0.0."""
-    c, x = S.c, S.x
-    return PPoly([[0.0 + a for a in c[0]]]
-                 + [[0.0 + b + x0 * a for a, b, x0 in zip(hi, lo, x)] for hi, lo in zip(c, c[1:])]
-                 + [[0.0 + x0 * a for a, x0 in zip(c[-1], x)]], x)
+    """x S: ``product`` of the line x with S."""
+    x = S.x
+    return product(PPoly([[1.0] * (len(x) - 1), x[:-1]], x), S)
 
 
 def cubic_spline(x, y) -> PPoly:

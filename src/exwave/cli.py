@@ -18,18 +18,20 @@ Each subcommand imports only the exwave modules it runs: radiation loads no
 pdesim, profiles or verify, and no _ode, nonlinearity or quadrature either,
 since a sampled profile takes its moments from its spline, nor exterior,
 whose tools no subcommand runs; table1 and verify load no radiation, _spline
-or pdesim.  The simulate subcommand's own code is in _cli_simulate and the
-file input and output that all subcommands share in _io, so the others
-compile none of simulate's code: a process compiles each module it imports
-unless Python may cache bytecode.  Only the subcommands that write JSON
-load json.  Only simulate loads numpy: constants, profile, table1, verify
-and radiation compute on floats and read their CSV input with the standard
-library; of these only radiation's to-data and from-data, which make a
-data pair, load dataclasses.  simulate loads
-radiation and _spline only where it reads a data CSV (--data) or a profile
-(the free-wave preset), and quadrature only for the box profile, whose
-moments are quadratures.  The process defaults
-OPENBLAS_NUM_THREADS to 1 (see below); set the variable to override it.
+or pdesim.  The simulate subcommand's code is in _cli_simulate, which
+imports numpy, nonlinearity and pdesim at its top, so the others compile
+none of it: a process compiles each module it imports unless Python may
+cache bytecode.  The file input and output that all subcommands share is in
+_io, because under ``python -m exwave.cli`` this module runs as __main__ and
+a _cli_simulate that imported exwave.cli would run it a second time.  Only
+the subcommands that write JSON load json.  Only simulate loads numpy:
+constants, profile, table1, verify and radiation compute on floats and read
+their CSV input with the standard library; of these only radiation's
+to-data and from-data, which make a data pair, load dataclasses.  simulate
+loads radiation and _spline only where it reads a data CSV (--data) or a
+profile (the free-wave preset), and quadrature only for the box profile,
+whose moments are quadratures.  The process defaults OPENBLAS_NUM_THREADS
+to 1 (see below); set the variable to override it.
 """
 
 from __future__ import annotations

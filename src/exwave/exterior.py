@@ -6,8 +6,8 @@ residues, the first-order (Born) correction to the outgoing profile produced
 by a source term, and the ground-state residue radius c2.  They live apart
 from :mod:`exwave.radiation`, so that converting between profiles and data
 compiles none of them, and ``exwave.radiation`` still gives each of them by
-name.  As there, the quadrature, the nonlinearity and the bisection are
-imported inside the functions that use them.
+name.  No subcommand of the command line loads this module, so it imports
+the quadrature, the nonlinearity and the bisection at the top.
 """
 
 from __future__ import annotations
@@ -15,6 +15,9 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
+from ._ode import bisect
+from .nonlinearity import SIGMA4, ground_state
+from .quadrature import integrate_adaptive, integrate_tail
 from .radiation import _QTOL, RadiationProfile, _exterior_integral, check_radius, residues
 
 if TYPE_CHECKING:
@@ -39,8 +42,6 @@ def exterior_energy(d: RadialData, R: float) -> float:
 
         sigma4 * int_R^inf (|u0'|^2 + |u1|^2) rho^4 drho.
     """
-    from .nonlinearity import SIGMA4
-
     check_radius(R)
     if d.du0 is None:
         raise ValueError("exterior energy needs derivative access to u0")
@@ -60,8 +61,6 @@ def exterior_energy_identity(G: RadiationProfile, R: float) -> float:
         sigma4 * [ 2 ||G||^2_{L2(|s|>R)} + (1/R)(int_{-R}^R G)^2
                    + (3/R^3)(int_{-R}^R s G)^2 ].
     """
-    from .nonlinearity import SIGMA4
-
     check_radius(R)
     m0 = G.moment0(-R, R)
     m1 = G.moment1(-R, R)
@@ -80,8 +79,6 @@ def positive_propagator(u1, r: float, t: float, support=None) -> float:
         raise ValueError("the kernel formula requires r > t >= 0")
     if t == 0:
         return 0.0
-    from .quadrature import integrate_adaptive
-
     lo, hi = r - t, r + t
     if support is not None:
         lo, hi = max(lo, support[0]), min(hi, support[1])
@@ -137,7 +134,6 @@ def nonlinear_profile_shift(Fsrc, s: float, *, t_support=None, r_support=None,
     """
     if t_support is None and decay is None:
         raise ValueError("source needs t_support or a declared decay exponent")
-    from .quadrature import integrate_adaptive, integrate_tail
 
     def along_ray(t):
         return (s + t) ** 2 * Fsrc(t, t + s)
@@ -171,16 +167,12 @@ def nonlinear_profile_shift(Fsrc, s: float, *, t_support=None, r_support=None,
 
 def tau2_of_ground_state(r):
     """Second residue of the static pair (W, 0): sqrt(3) r^(3/2) W(r)."""
-    from .nonlinearity import ground_state
-
     return math.sqrt(3.0) * r ** 1.5 * ground_state(r)[0]
 
 
 def compute_c2(rho: float) -> float:
     """The radius on the decreasing branch (r > sqrt(15)) where the
     ground-state residue sqrt(3) r^(3/2) W(r) equals ``rho``."""
-    from ._ode import bisect
-
     r_peak = math.sqrt(15.0)
     peak = tau2_of_ground_state(r_peak)
     if not (0.0 < rho < peak):

@@ -104,9 +104,8 @@ def ground_state_residual(r: float) -> float:
     """-W'' - (4/r) W' - F(W) at radius r > 0; identically zero for the exact W."""
     if not 0 < r < math.inf:
         raise ValueError(f"radius must be finite and positive, got {r!r}")
+    w, dw = _ground_pair(r, 1.0, 1.0)
     q = 1.0 + r * r / 15.0
-    w = q ** (-1.5)
-    dw = -(r / 5.0) * q ** (-2.5)
     d2w = -0.2 * q ** (-2.5) + (r * r / 15.0) * q ** (-3.5)
     res = float(-d2w - 4.0 / r * dw - F(w))
     if not math.isfinite(res):  # past r ~ 1e154, r * r overflows and inf * 0 is nan

@@ -149,12 +149,12 @@ class Trajectory:
     through :meth:`w_level`.
     """
 
-    def __init__(self, cfg, r, times, w, u1_initial, blowup=None, rows=None):
+    def __init__(self, cfg, r, times, w, u1_initial, blowup, rows):
         self.cfg = cfg
         self.r = r
         self.times = times
         self.w = w                    # shape (kept levels, len(r))
-        self.rows = np.arange(len(times)) if rows is None else rows
+        self.rows = rows
         self.u1_initial = u1_initial
         self.blowup = blowup
 

@@ -179,8 +179,9 @@ def integrate_tail(f, a: float, tol: float = 1e-10, *, decay: float | None = Non
     An undeclared or too-slow decay is rejected.
     """
     a = float(a)
-    if decay is None or decay <= 1.0:
-        raise ValueError("tail integration requires a declared decay exponent > 1")
+    if decay is None or not decay > 1.0:   # NaN fails the test too
+        raise ValueError(f"tail integration requires a declared decay exponent > 1, "
+                         f"got {decay!r}")
     b = max(2.0 * abs(a), a + 1.0, 1.0)
     total = integrate_adaptive(f, a, b, tol)
     for _ in range(_MAX_DOUBLINGS):

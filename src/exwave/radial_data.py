@@ -33,8 +33,9 @@ class RadialData:
         u0(r) = tail_c0 * r^-3,   u1(r) = tail_c1 * r^-3   for r >= tail_radius,
 
     which is the generic far field of data with a compactly supported
-    profile; tail integrals then close in closed form.  ``u1_tail``, when
-    set, is s -> int_s^inf rho u1(rho) drho in closed form.
+    profile; tail integrals then close in closed form.  Data that vanish
+    past ``compact_support_bound`` declare that instead, never both.
+    ``u1_tail``, when set, is s -> int_s^inf rho u1(rho) drho in closed form.
     """
 
     u0: Callable
@@ -49,9 +50,13 @@ class RadialData:
     breakpoints: tuple = ()   # radii where u0/u1 may jump or kink
     u1_tail: Callable | None = None
 
+    def __post_init__(self):
+        if self.compact_support_bound is not None and self.tail_radius is not None:
+            raise ValueError("a data pair declares compact_support_bound or tail_radius, "
+                             "not both: the far fields they give disagree")
+
     @classmethod
-    def from_samples(cls, r, u0_vals, u1_vals, compact_support_bound=None,
-                     tail="none"):
+    def from_samples(cls, r, u0_vals, u1_vals, tail="none"):
         """Sampled data: not-a-knot cubic splines on the strictly increasing
         grid 0 <= r[0] <= r <= r[-1]; u0' comes from the interpolant and is
         flagged.  Each callable takes a float or, point by point, an array.
@@ -75,29 +80,24 @@ class RadialData:
         check_radius(hi, 4)   # the closed forms take hi^3 and lo^4 <= hi^4
         r3 = tail == "r3"
         d0 = s0.derivative()
-        bound = hi if compact_support_bound is None else compact_support_bound
-        if not bound > 0.0:
-            raise ValueError(f"compact_support_bound must be positive, got {bound!r}")
-        end = hi if r3 else min(hi, bound)
 
         def even(spline, slope):
             """(a, b) of a + b r^2 through the spline's value and slope at lo."""
             b = slope.at(lo) / (2.0 * lo) if lo > 0 else 0.0
             return spline.at(lo) - b * lo * lo, b
 
-        # u1 = a1 + b1 r^2 on (0, lo); the slope at lo needs only the first piece
-        a1, b1 = even(s1, s1.pieces(0, 1).derivative()) if r3 else (0.0, 0.0)
+        a1, b1 = even(s1, s1.derivative()) if r3 else (0.0, 0.0)   # u1 = a1 + b1 r^2 on (0, lo)
         c1 = hi ** 3 * u1_vals[-1] if r3 else 0.0
         rho_u1 = times_x(s1).antiderivative()
-        rho_u1_end = rho_u1.at(end)
+        rho_u1_end = rho_u1.at(hi)
 
         def u1_tail(s):
             if not isinstance(s, (int, float)):
                 return _pointwise(u1_tail, s)
             below = min(s, lo)
-            return (rho_u1_end - rho_u1.at(min(max(s, lo), end))
+            return (rho_u1_end - rho_u1.at(min(max(s, lo), hi))
                     + 0.5 * a1 * (lo * lo - below * below) + 0.25 * b1 * (lo ** 4 - below ** 4)
-                    + c1 / max(s, end))
+                    + c1 / max(s, hi))
 
         if r3:
             c0 = hi ** 3 * u0_vals[-1]
@@ -126,4 +126,4 @@ class RadialData:
             return fn
 
         return cls(u0=clamped(s0), u1=clamped(s1), du0=clamped(d0),
-                   compact_support_bound=bound, du0_reduced_accuracy=True, u1_tail=u1_tail)
+                   compact_support_bound=hi, du0_reduced_accuracy=True, u1_tail=u1_tail)

@@ -153,8 +153,6 @@ class RadiationProfile:
 
     def value(self, s):
         """G(s), 0 outside the support."""
-        if isinstance(s, (int, float)):
-            return self._at(s)
         return _pointwise(self._at, s)
 
     def _at(self, s):

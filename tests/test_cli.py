@@ -260,6 +260,21 @@ def test_subcommand_loads_no_scipy(tmp_path, run, argv):
     _assert_loads_only_its_modules(proc, run if run in _UNUSED_MODULES else argv[0])
 
 
+def test_simulate_under_run_module_never_imports_cli(tmp_path):
+    # python -m exwave.cli runs cli as __main__: were exwave.cli imported as
+    # well, cli.py would run a second time as a second module
+    out = tmp_path / "sim.csv"
+    argv = ["exwave", "simulate", "--preset", "ground-state", *_SIM, "--out", str(out)]
+    proc = _python_with_exwave(
+        f"import runpy, sys\nsys.argv = {argv!r}\n"
+        "try:\n    runpy.run_module('exwave.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
+        "assert 'exwave._cli_simulate' in sys.modules\n"
+        "assert 'exwave.cli' not in sys.modules\n")
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text(encoding="utf-8").startswith("t,r,u\n")
+
+
 def test_verify_table_matches_table1(tmp_path):
     via_verify = tmp_path / "verify.csv"
     via_table1 = tmp_path / "table1.csv"

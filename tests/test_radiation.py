@@ -289,9 +289,6 @@ def test_sampled_data_reject_radii_out_of_range():
     for tail in ("r3", "none"):
         with pytest.raises(ValueError, match=re.escape("radius 1e+80 is out of range: r**4")):
             rad.RadialData.from_samples([1.0, 2.0, 1e80], [1.0, 0.5, 0.0], [0.0] * 3, tail=tail)
-    with pytest.raises(ValueError, match="compact_support_bound"):
-        rad.RadialData.from_samples([0.5, 1.0, 2.0], [1.0, 0.5, 0.0], [0.0, 0.1, 0.0],
-                                    compact_support_bound=0.0)
     # r[0] = 0 is allowed: the even continuation holds u0 at its value there
     d = rad.RadialData.from_samples([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.2, 0.1], [0.0] * 4,
                                     tail="r3")
@@ -354,6 +351,26 @@ def test_exterior_energy_splits_at_breakpoints():
     d = rad.RadialData(u0=zero, du0=zero, u1=u1, compact_support_bound=2.0,
                        breakpoints=(1.0, 2.0))
     assert rad.exterior_energy(d, 0.5) == pytest.approx(SIGMA4 * 31.0 / 5.0, abs=1e-12)
+
+
+def test_data_declare_one_far_field():
+    # compact support says the data vanish past 2 and the r^-3 tail that they
+    # do not; exterior_energy would take the tail, profile_from_data the support
+    one = lambda r: 1.0
+    with pytest.raises(ValueError, match="compact_support_bound or tail_radius"):
+        rad.RadialData(u0=one, du0=one, u1=one, compact_support_bound=2.0, tail_radius=2.0,
+                       tail_c0=8.0, tail_c1=8.0)
+
+
+def test_nan_decay_is_no_declared_decay():
+    from exwave.quadrature import integrate_tail
+
+    with pytest.raises(ValueError, match="decay exponent > 1, got nan"):
+        integrate_tail(lambda r: r ** -3.0, 1.0, 1e-10, decay=math.nan)
+    d = rad.RadialData(u0=lambda r: r ** -3.0, du0=lambda r: -3.0 * r ** -4.0,
+                       u1=lambda r: 0.0, decay=math.nan)
+    with pytest.raises(ValueError, match="decay exponent"):
+        rad.exterior_energy(d, 1.0)
 
 
 def test_exterior_energy_identity_random(rng):
