@@ -26,7 +26,6 @@ dW = rad.RadialData(u0=lambda r: ground_state(r)[0],
                     u1=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
                     decay=3.0)
 cfg = pdesim.SimConfig(r_min=1.0, r_max=11.0, dr=0.01, T=5.0, cfl=1.0,
-                       boundary="dirichlet-exact",
                        boundary_values=lambda r, t: ground_state(r)[0])
 tr = pdesim.simulate(dW, cfg)
 e0, e5 = pdesim.energy(tr, 0.0, 1.0), pdesim.energy(tr, 5.0, 1.0)
@@ -40,7 +39,7 @@ dG = rad.data_from_profile(G)
 errs = []
 for dr in (0.08, 0.04, 0.02):
     c = pdesim.SimConfig(r_min=1.0, r_max=9.0, dr=dr, T=2.0, cfl=1.0,
-                         nonlinearity="linear", boundary="dirichlet-exact",
+                         nonlinearity="linear",
                          boundary_values=lambda r, t: rad.free_wave(G, r, t))
     t = pdesim.simulate(dG, c)
     exact = np.array([rad.free_wave(G, ri, 2.0) for ri in t.r])
@@ -51,7 +50,7 @@ print(f"halving ratios: {errs[0] / errs[1]:.2f}, {errs[1] / errs[2]:.2f}  (4.0 =
 print("\n=== 3. characteristic-ray identity at cfl = 1 ===")
 dc = rad.RadialData(u0=lambda r: 0.5 * bump((np.asarray(r) - 2.25) / 0.75),
                     du0=None, u1=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-                    compact_support_bound=3.0)
+                    tail_radius=3.0)
 cC = pdesim.SimConfig(r_min=0.5, r_max=12.0, dr=0.05, T=3.3, cfl=1.0,
                       nonlinearity="focusing")
 tC = pdesim.simulate(dc, cC)
@@ -62,7 +61,7 @@ print(f"gap = {abs(lhs - rhs):.2e} (exact ray bookkeeping)")
 
 print("\n=== 4. radiation extraction ===")
 cE = pdesim.SimConfig(r_min=0.5, r_max=26.5, dr=0.04, T=12.0, cfl=1.0,
-                      nonlinearity="linear", boundary="dirichlet-exact",
+                      nonlinearity="linear",
                       boundary_values=lambda r, t: rad.free_wave(G, r, t))
 tE = pdesim.simulate(dG, cE)
 print("  s    extracted    G(-s) (outgoing)")
@@ -73,7 +72,7 @@ for s in (-0.5, 0.0, 0.5):
 print("\n=== 5. virial diagnostics on a linear wave packet ===")
 dv = rad.RadialData(u0=lambda r: bump(np.asarray(r) - 3.0), du0=None,
                     u1=lambda r: 0.3 * bump(np.asarray(r) - 3.0),
-                    compact_support_bound=4.0)
+                    tail_radius=4.0)
 cV = pdesim.SimConfig(r_min=0.5, r_max=15.5, dr=0.02, T=1.0, cfl=1.0,
                       nonlinearity="linear")
 tV = pdesim.simulate(dv, cV)

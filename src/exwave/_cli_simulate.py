@@ -67,7 +67,6 @@ def _levels_read(cfg, n_levels, free_wave):
 
 
 def run(args) -> int:
-    boundary = "domain-of-dependence"
     bv = None
     if (args.preset is None) == (args.data is None):
         raise ValueError("exactly one of --preset and --data is required")
@@ -82,7 +81,6 @@ def run(args) -> int:
     elif args.preset == "ground-state":
         d = SimpleNamespace(u0=lambda r: nl.ground_state(r)[0],
                             u1=lambda r: np.zeros_like(np.asarray(r, dtype=float)))
-        boundary = "dirichlet-exact"
         bv = lambda r, t: nl.ground_state(r)[0]
         nonlin = "focusing"
     elif args.preset == "free-wave":
@@ -90,7 +88,6 @@ def run(args) -> int:
 
         G = _parse_gspec(args.gspec)
         d = radiation.data_from_profile(G)
-        boundary = "dirichlet-exact"
         bv = lambda r, t: radiation.free_wave(G, r, t)
         nonlin = "linear"
     elif args.preset == "self-similar":
@@ -102,8 +99,7 @@ def run(args) -> int:
         raise ValueError(f"unknown preset {args.preset!r}")
 
     cfg = pdesim.SimConfig(r_min=args.rmin, r_max=args.rmax, dr=args.dr, T=args.T,
-                           cfl=args.cfl, nonlinearity=nonlin, boundary=boundary,
-                           boundary_values=bv)
+                           cfl=args.cfl, nonlinearity=nonlin, boundary_values=bv)
     free_wave = args.preset == "free-wave"
     n_levels = cfg.n_t + 1
     tr = pdesim.simulate(d, cfg, levels=_levels_read(cfg, n_levels, free_wave))

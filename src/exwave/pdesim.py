@@ -25,10 +25,10 @@ integral and the discrete finite-speed check rely on.
 ``Trajectory.discrete_residual`` keeps the textbook stencil
 (w[i+1] - 2 w + w[i-1]) / dr^2, an independent check of the folded step.
 
-Two boundary policies: ``domain-of-dependence`` freezes the end nodes and
-only the shrinking region [r_min + t, r_max - t] is trusted (diagnostics
-refuse to read outside it); ``dirichlet-exact`` pins the ends to a supplied
-closed form, after which the whole grid is usable.
+A run with ``boundary_values`` pins both end nodes to that closed form, after
+which the whole grid is usable; a run without it freezes them, and only the
+shrinking domain of dependence [r_min + t, r_max - t] is trusted
+(diagnostics refuse to read outside it).
 """
 
 from __future__ import annotations
@@ -83,10 +83,12 @@ class BlowUpTruncation:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Grid, nonlinearity and boundary policy of one run.
+    """Grid, nonlinearity and end values of one run.
 
     The run takes n_t = round(T/dt) steps of dt = cfl * dr, so it ends at
     round(T/dt) * dt, which can lie up to dt/2 past T or short of it.
+    ``boundary_values`` is the exact u(r, t) the ends are pinned to; without
+    it they are frozen (see the module docstring).
     """
 
     r_min: float
@@ -95,8 +97,7 @@ class SimConfig:
     T: float
     cfl: float = 1.0
     nonlinearity: str = "focusing"            # "focusing" or "linear"
-    boundary: str = "domain-of-dependence"    # or "dirichlet-exact"
-    boundary_values: Callable | None = None   # u(r, t) for dirichlet-exact
+    boundary_values: Callable | None = None   # u(r, t) at the pinned ends
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.r_min, self.r_max, self.dr, self.T, self.cfl))):
@@ -112,10 +113,6 @@ class SimConfig:
             raise ValueError("cfl must lie in (0, 1]")
         if self.nonlinearity not in ("focusing", "linear"):
             raise ValueError("nonlinearity must be 'focusing' or 'linear'")
-        if self.boundary not in ("domain-of-dependence", "dirichlet-exact"):
-            raise ValueError("unknown boundary policy")
-        if self.boundary == "dirichlet-exact" and self.boundary_values is None:
-            raise ValueError("dirichlet-exact needs boundary_values")
         steps = self.T / self.dt
         if steps > MAX_STEPS:
             raise ValueError(f"T/dt = {steps:.3g} steps exceeds the budget of {MAX_STEPS}")
@@ -192,7 +189,7 @@ class Trajectory:
         return out
 
     def trusted_bounds(self, t: float):
-        """Radial interval whose values are unpolluted by the boundary policy."""
+        """Radial interval whose values are unpolluted by the ends."""
         return _trusted_bounds(self.cfg, t)
 
     def trusted_mask(self, t: float):
@@ -211,7 +208,7 @@ class Trajectory:
 
 
 def _trusted_bounds(cfg, t):
-    if cfg.boundary == "dirichlet-exact":
+    if cfg.boundary_values is not None:
         return cfg.r_min, cfg.r_max
     return cfg.r_min + t, cfg.r_max - t
 
@@ -296,7 +293,7 @@ def simulate(d, cfg: SimConfig, levels=None) -> Trajectory:
     t_levels = times.tolist()
 
     def boundary_fill(w_arr, w_before, t):
-        if cfg.boundary == "dirichlet-exact":
+        if cfg.boundary_values is not None:
             w_arr[0] = r_lo ** 2 * cfg.boundary_values(r_lo, t)
             w_arr[-1] = r_hi ** 2 * cfg.boundary_values(r_hi, t)
         else:
@@ -393,18 +390,18 @@ def _outgoing_samples(cfg, n_levels, s):
     times = times[:n_levels]
     dt = cfg.dt
     t_grid_max = times[-1] - dt                    # centered velocity needs n+1
-    if cfg.boundary == "dirichlet-exact":
+    if cfg.boundary_values is not None:
         t_cone = r[-1] - s
     else:
         t_cone = 0.5 * (r[-1] - s - cfg.dr)        # need t + s <= r_max - t
         if s < cfg.r_min + cfg.dr:
             raise ConeCoverageError(
                 f"s={s} is inside the inner pollution band (s < r_min + dr); "
-                "use dirichlet-exact boundaries", r[-1])
+                "pin the ends with boundary_values", r[-1])
     t1 = min(t_grid_max, t_cone)
     t_needed = 8.0 * dt
     if t1 < t_needed:
-        required = 2.0 * t_needed + s if cfg.boundary != "dirichlet-exact" else t_needed + s
+        required = 2.0 * t_needed + s if cfg.boundary_values is None else t_needed + s
         raise ConeCoverageError("insufficient light-cone coverage for extraction", required)
     samples = []
     for t_target in (t1, 0.5 * t1, 0.25 * t1):
@@ -432,9 +429,9 @@ def extract_outgoing(tr: Trajectory, s: float) -> float:
     Samples r^2 u_t at r = t + s on the three well-separated retarded times
     t1, t1/2, t1/4 (t1 the largest usable one) and extrapolates the exact
     1/(t+s) tail away with a quadratic fit in x = 1/(t+s).  Samples are only
-    taken inside the trusted region of the boundary policy; under
-    domain-of-dependence that requires s >= r_min (the inner pollution front
-    travels on the same diagonals as the sampling ray).
+    taken inside the trusted region; with frozen ends that requires
+    s >= r_min (the inner pollution front travels on the same diagonals as
+    the sampling ray).
     """
     samples = [(x, float(np.interp(x, tr.r, _wt_level(tr, n))))
                for n, x in _outgoing_samples(tr.cfg, len(tr.times), s)]

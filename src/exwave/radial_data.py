@@ -10,6 +10,8 @@ neither it nor ``dataclasses``.
 
 from __future__ import annotations
 
+import math
+
 # RadialData stays a dataclass: bench/tracing.py rebuilds it with
 # dataclasses.replace to count the calls of its u0 and u1
 from dataclasses import dataclass
@@ -24,7 +26,7 @@ __all__ = ["RadialData"]
 
 @dataclass(frozen=True)
 class RadialData:
-    """Radial initial-data pair (u0, u1) with optional exact r^-3 tails.
+    """Radial initial-data pair (u0, u1) with an optional exact r^-3 far field.
 
     ``u0``, ``du0`` and ``u1`` are callables of r > 0; the radiation toolkit
     calls them on floats, and the solver in ``pdesim`` on arrays.  When ``tail_radius``
@@ -32,16 +34,16 @@ class RadialData:
 
         u0(r) = tail_c0 * r^-3,   u1(r) = tail_c1 * r^-3   for r >= tail_radius,
 
-    which is the generic far field of data with a compactly supported
-    profile; tail integrals then close in closed form.  Data that vanish
-    past ``compact_support_bound`` declare that instead, never both.
-    ``u1_tail``, when set, is s -> int_s^inf rho u1(rho) drho in closed form.
+    which is the far field of every free wave whose profile vanishes past
+    tail_radius; tail integrals then close in closed form.  Compact data
+    keep the default coefficients 0.  ``tail_radius`` must be finite and
+    positive, and nonzero coefficients need it.  ``u1_tail``, when set, is
+    s -> int_s^inf rho u1(rho) drho in closed form.
     """
 
     u0: Callable
     u1: Callable
     du0: Callable | None = None
-    compact_support_bound: float | None = None
     decay: float | None = None
     tail_radius: float | None = None
     tail_c0: float = 0.0
@@ -51,9 +53,13 @@ class RadialData:
     u1_tail: Callable | None = None
 
     def __post_init__(self):
-        if self.compact_support_bound is not None and self.tail_radius is not None:
-            raise ValueError("a data pair declares compact_support_bound or tail_radius, "
-                             "not both: the far fields they give disagree")
+        if self.tail_radius is not None:
+            if not 0.0 < self.tail_radius < math.inf:
+                raise ValueError(f"tail_radius must be finite and positive, got {self.tail_radius}")
+            return
+        for name in ("tail_c0", "tail_c1"):
+            if getattr(self, name):
+                raise ValueError(f"{name} = {getattr(self, name)} needs a tail_radius")
 
     @classmethod
     def from_samples(cls, r, u0_vals, u1_vals, tail="none"):
@@ -66,8 +72,10 @@ class RadialData:
         a + b r^2 matched to the spline's value and slope at r[0] (smooth
         radial data are even in r), with u0' = 2 b r there; beyond the grid
         it continues them with the generic far field c/r^3, the coefficients
-        read off the last sample.  Either way ``u1_tail`` integrates exactly
-        these data: rho times the u1 spline is a piecewise quartic.
+        read off the last sample.  Both are the same closures, compact data
+        with every coefficient 0, and both declare ``tail_radius=r[-1]``.
+        Either way ``u1_tail`` integrates exactly these data: rho times the
+        u1 spline is a piecewise quartic.
         """
         if tail not in ("none", "r3"):
             raise ValueError("tail must be 'none' or 'r3'")
@@ -78,7 +86,6 @@ class RadialData:
         if not lo >= 0.0:
             raise ValueError(f"sample radii must be nonnegative, got r[0] = {lo!r}")
         check_radius(hi, 4)   # the closed forms take hi^3 and lo^4 <= hi^4
-        r3 = tail == "r3"
         d0 = s0.derivative()
 
         def even(spline, slope):
@@ -86,8 +93,13 @@ class RadialData:
             b = slope.at(lo) / (2.0 * lo) if lo > 0 else 0.0
             return spline.at(lo) - b * lo * lo, b
 
-        a1, b1 = even(s1, s1.derivative()) if r3 else (0.0, 0.0)   # u1 = a1 + b1 r^2 on (0, lo)
-        c1 = hi ** 3 * u1_vals[-1] if r3 else 0.0
+        # u = a + b r^2 on (0, lo) and c r^-3 past hi, u0' = -3 c0 r^-4 there
+        if tail == "r3":
+            (a0, b0), (a1, b1) = even(s0, d0), even(s1, s1.derivative())
+            c0, c1 = hi ** 3 * u0_vals[-1], hi ** 3 * u1_vals[-1]
+            dc0 = -3.0 * c0
+        else:   # +0.0 throughout: -3.0 * 0.0 would give u0' = -0.0 past hi
+            a0 = b0 = a1 = b1 = c0 = c1 = dc0 = 0.0
         rho_u1 = times_x(s1).antiderivative()
         rho_u1_end = rho_u1.at(hi)
 
@@ -99,31 +111,17 @@ class RadialData:
                     + 0.5 * a1 * (lo * lo - below * below) + 0.25 * b1 * (lo ** 4 - below ** 4)
                     + c1 / max(s, hi))
 
-        if r3:
-            c0 = hi ** 3 * u0_vals[-1]
-            a0, b0 = even(s0, d0)
-
-            def extended(f, below, coef, power):
-                def fn(x):
-                    if not isinstance(x, (int, float)):
-                        return _pointwise(fn, x)
-                    if x > hi:
-                        return coef * x ** power
-                    return below(x) if x < lo else f.at(x)
-                return fn
-
-            return cls(u0=extended(s0, lambda x: a0 + b0 * x * x, c0, -3.0),
-                       u1=extended(s1, lambda x: a1 + b1 * x * x, c1, -3.0),
-                       du0=extended(d0, lambda x: 2.0 * b0 * x, -3.0 * c0, -4.0),
-                       tail_radius=hi, tail_c0=c0, tail_c1=c1, decay=3.0,
-                       du0_reduced_accuracy=True, u1_tail=u1_tail)
-
-        def clamped(f):
+        def extended(f, below, coef, power):
             def fn(x):
                 if not isinstance(x, (int, float)):
                     return _pointwise(fn, x)
-                return f.at(x) if lo <= x <= hi else 0.0
+                if x > hi:
+                    return coef * x ** power
+                return below(x) if x < lo else f.at(x)
             return fn
 
-        return cls(u0=clamped(s0), u1=clamped(s1), du0=clamped(d0),
-                   compact_support_bound=hi, du0_reduced_accuracy=True, u1_tail=u1_tail)
+        return cls(u0=extended(s0, lambda x: a0 + b0 * x * x, c0, -3.0),
+                   u1=extended(s1, lambda x: a1 + b1 * x * x, c1, -3.0),
+                   du0=extended(d0, lambda x: 2.0 * b0 * x, dc0, -4.0),
+                   tail_radius=hi, tail_c0=c0, tail_c1=c1, decay=3.0,
+                   du0_reduced_accuracy=True, u1_tail=u1_tail)

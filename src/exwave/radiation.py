@@ -360,15 +360,13 @@ def data_from_profile(G: RadiationProfile) -> RadialData:
 def _exterior_integral(d: RadialData, integrand, R: float, tail, decay) -> float:
     """int_R^inf integrand, closed through the data's declared far field:
     beyond ``tail_radius`` the exact r^-3 tail contributes ``tail(S)`` past
-    radius S, beyond ``compact_support_bound`` nothing, and otherwise the
-    integrand decays like r^-decay(d.decay)."""
+    radius S (0.0 for compact data, whose coefficients are 0), and otherwise
+    the integrand decays like r^-decay(d.decay)."""
     from .quadrature import integrate_tail
 
     if d.tail_radius is not None:
         S = max(d.tail_radius, R)
         return _piecewise(integrand, R, S, d.breakpoints, _QTOL) + tail(S)
-    if d.compact_support_bound is not None:
-        return _piecewise(integrand, R, max(d.compact_support_bound, R), d.breakpoints, _QTOL)
     return integrate_tail(integrand, R, _QTOL,
                           decay=None if d.decay is None else decay(d.decay))
 
@@ -395,7 +393,7 @@ def profile_from_data(d: RadialData) -> RadiationProfile:
     G(-s) = -G_even(s) + G_odd(s).  (The labels record the time parity of the
     generating data, not the parity in s.)  When no derivative handle exists,
     u0' falls back to centered differences and the result is flagged.
-    Data with neither a support bound nor a declared decay > 2 are rejected.
+    Data with neither a tail_radius nor a declared decay > 2 are rejected.
     """
     u0, du0, u1 = d.u0, d.du0, d.u1
     u1_tail = _u1_tail(d)
@@ -417,19 +415,17 @@ def profile_from_data(d: RadialData) -> RadiationProfile:
 
     support = None
     decay = None
-    if d.compact_support_bound is not None:
-        b = d.compact_support_bound
-        support = (-b, b)
-    elif d.tail_radius is not None:
-        # beyond an exact c/r^3 far field the recovered profile vanishes
-        # identically, so the support closes at the tail radius
+    if d.tail_radius is not None:
+        # beyond an exact c/r^3 far field (compact data included) the
+        # recovered profile vanishes identically, so the support closes at
+        # the tail radius
         support = (-d.tail_radius, d.tail_radius)
     elif d.decay is not None:
         if not d.decay > 2.0:
             raise ValueError(f"profile recovery needs a declared data decay > 2, got decay={d.decay}")
         decay = d.decay - 1.0
     else:
-        raise ValueError("profile recovery needs a support bound or declared decay")
+        raise ValueError("profile recovery needs a tail_radius or a declared decay")
     knots = sorted({k for b in d.breakpoints for k in (b, -b)})
     prof = RadiationProfile(fn, support=support, decay=decay, breakpoints=knots)
     prof.du0_reduced_accuracy = reduced

@@ -166,7 +166,7 @@ def test_11_simulator():
     errs = []
     for dr in (0.08, 0.04, 0.02, 0.01, 0.005):
         cfg = pdesim.SimConfig(r_min=1.0, r_max=9.0, dr=dr, T=2.0, cfl=1.0,
-                               nonlinearity="linear", boundary="dirichlet-exact",
+                               nonlinearity="linear",
                                boundary_values=lambda r, t: rad.free_wave(G, r, t))
         tr = pdesim.simulate(d, cfg, levels=[cfg.n_t])
         u_exact = np.array([rad.free_wave(G, ri, 2.0) for ri in tr.r])
@@ -180,7 +180,6 @@ def test_11_simulator():
                         u1=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
                         decay=3.0)
     cfgW = pdesim.SimConfig(r_min=1.0, r_max=11.0, dr=0.01, T=5.0, cfl=1.0,
-                            boundary="dirichlet-exact",
                             boundary_values=lambda r, t: ground_state(r)[0])
     trW = pdesim.simulate(dW, cfgW)
     e_drift = abs(pdesim.energy(trW, 5.0, 1.0) - pdesim.energy(trW, 0.0, 1.0))
@@ -195,7 +194,7 @@ def test_11_simulator():
     id_gaps = []
     for dr in (0.1, 0.05, 0.025):
         cfgC = pdesim.SimConfig(r_min=0.5, r_max=12.0, dr=dr, T=3.3, cfl=1.0,
-                                nonlinearity="focusing", boundary="dirichlet-exact",
+                                nonlinearity="focusing",
                                 boundary_values=lambda r, t: rad.free_wave(G, r, t))
         trC = pdesim.simulate(d, cfgC)
         lhs, rhs = pdesim.characteristic_integral(trC, 4.0)
@@ -206,7 +205,7 @@ def test_11_simulator():
     def bump3(r):
         return np.where(np.abs(np.asarray(r) - 3.0) < 1.0,
                         (1.0 - (np.asarray(r) - 3.0) ** 2) ** 3, 0.0)
-    dF = rad.RadialData(u0=bump3, du0=None, u1=bump3, compact_support_bound=4.0)
+    dF = rad.RadialData(u0=bump3, du0=None, u1=bump3, tail_radius=4.0)
     cfgF = pdesim.SimConfig(r_min=0.5, r_max=10.5, dr=0.02, T=2.0, cfl=1.0)
     trF = pdesim.simulate(dF, cfgF)
     nF = trF.level(2.0)
@@ -224,7 +223,7 @@ def test_12_virial_second_difference():
         return np.where(np.abs(np.asarray(r) - 3.0) < 1.0,
                         (1.0 - (np.asarray(r) - 3.0) ** 2) ** 3, 0.0)
     d = rad.RadialData(u0=bump3, du0=None,
-                       u1=lambda r: 0.3 * bump3(r), compact_support_bound=4.0)
+                       u1=lambda r: 0.3 * bump3(r), tail_radius=4.0)
     diffs = []
     for dr in (0.04, 0.02, 0.01):
         cfg = pdesim.SimConfig(r_min=0.5, r_max=15.5, dr=dr, T=1.0, cfl=1.0,

@@ -275,6 +275,40 @@ def test_simulate_under_run_module_never_imports_cli(tmp_path):
     assert out.read_text(encoding="utf-8").startswith("t,r,u\n")
 
 
+_IN_PROCESS_RUNS = [
+    ["verify", "--out", "report.json", "--table", "table.csv"],
+    ["table1", "--out", "table1.csv"],
+    ["constants", "--out", "constants.json"],
+    ["radiation", "to-data", "--in", "profile.csv", "--n", "51", "--out", "data.csv"],
+    ["radiation", "from-data", "--in", "data.csv", "--n", "51", "--out", "back.csv"],
+    ["radiation", "residues", "--in", "profile.csv", "--out", "residues.json"],
+    ["radiation", "asymptotic", "--in", "profile.csv", "--out", "alphas.json"],
+    ["simulate", "--preset", "ground-state", *_SIM, "--out", "sim.csv", "--diag", "diag.json"],
+    ["table1"],
+]
+
+
+def test_in_process_main_writes_nothing_to_the_real_stdout(tmp_path):
+    # bench/run.py --trace 1 calls cli.main in-process under redirect_stdout
+    # and prints its result lines on the real stdout, so anything exwave
+    # writes past the redirect lands among them
+    s = np.linspace(-1.0, 1.0, 101)
+    np.savetxt(tmp_path / "profile.csv", np.column_stack((s, (1.0 - s * s) ** 3)),
+               delimiter=",", header="s,G", comments="")
+    proc = _python_with_exwave(
+        f"import contextlib, io, os\nos.chdir({str(tmp_path)!r})\nfrom exwave import cli\n"
+        f"for argv in {_IN_PROCESS_RUNS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out, \\\n"
+        "            contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "with open('last.out', 'w') as f:\n    f.write(out.getvalue())\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+    last = (tmp_path / "last.out").read_text()
+    assert last.startswith("k,range,y_k,lambda_k,min_g,product,contribution\n")
+    assert last == (tmp_path / "table1.csv").read_text()
+
+
 def test_verify_table_matches_table1(tmp_path):
     via_verify = tmp_path / "verify.csv"
     via_table1 = tmp_path / "table1.csv"
@@ -607,7 +641,6 @@ def _small_ground_state_csv():
                              u1=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
                              du0=lambda r: nl.ground_state(r)[1], decay=3.0)
     cfg = pdesim.SimConfig(r_min=1.0, r_max=6.0, dr=0.05, T=1.0, nonlinearity="focusing",
-                           boundary="dirichlet-exact",
                            boundary_values=lambda r, t: nl.ground_state(r)[0])
     tr = pdesim.simulate(d, cfg)
     snaps = _cli_simulate._snapshot_levels(len(tr.times))
@@ -638,8 +671,7 @@ def _column_formula_csv(preset):
 
     if preset == "ground-state":
         d = SimpleNamespace(u0=lambda r: nl.ground_state(r)[0], u1=zero)
-        extra = dict(boundary="dirichlet-exact",
-                     boundary_values=lambda r, t: nl.ground_state(r)[0])
+        extra = dict(boundary_values=lambda r, t: nl.ground_state(r)[0])
     else:
         # 0.05 is the CLI's default --nu
         d = SimpleNamespace(u0=zero, u1=lambda r: 0.05 * np.asarray(r, dtype=float) ** -2.5)

@@ -30,7 +30,6 @@ def ground_state_setup(dr, T, r_min=1.0, r_max=11.0):
                        du0=lambda r: ground_state(r)[1],
                        u1=zero_fn, decay=3.0)
     cfg = pdesim.SimConfig(r_min=r_min, r_max=r_max, dr=dr, T=T, cfl=1.0,
-                           boundary="dirichlet-exact",
                            boundary_values=lambda r, t: ground_state(r)[0])
     return d, cfg
 
@@ -42,8 +41,6 @@ def test_config_validation():
         pdesim.SimConfig(r_min=1.0, r_max=2.0, dr=0.1, T=1.0, cfl=1.5)
     with pytest.raises(ValueError):
         pdesim.SimConfig(r_min=-1.0, r_max=2.0, dr=0.1, T=1.0)
-    with pytest.raises(ValueError):
-        pdesim.SimConfig(r_min=1.0, r_max=2.0, dr=0.1, T=1.0, boundary="dirichlet-exact")
 
 
 def test_config_rejects_non_finite_numbers():
@@ -70,7 +67,7 @@ def test_ground_state_energy_conservation():
 
 
 def test_zero_data_stay_zero():
-    d = rad.RadialData(u0=zero_fn, du0=zero_fn, u1=zero_fn, compact_support_bound=1.0)
+    d = rad.RadialData(u0=zero_fn, du0=zero_fn, u1=zero_fn, tail_radius=1.0)
     cfg = pdesim.SimConfig(r_min=0.5, r_max=6.5, dr=0.05, T=1.5, cfl=1.0)
     tr = pdesim.simulate(d, cfg)
     assert np.all(tr.w == 0.0)
@@ -86,7 +83,7 @@ def test_linear_free_wave_convergence():
     errs = []
     for dr in (0.08, 0.04, 0.02):
         cfg = pdesim.SimConfig(r_min=1.0, r_max=9.0, dr=dr, T=2.0, cfl=1.0,
-                               nonlinearity="linear", boundary="dirichlet-exact",
+                               nonlinearity="linear",
                                boundary_values=lambda r, t: rad.free_wave(G, r, t))
         tr = pdesim.simulate(d, cfg)
         u_exact = np.array([rad.free_wave(G, ri, 2.0) for ri in tr.r])
@@ -99,7 +96,7 @@ def test_linear_energy_constant_before_cone_exit():
     # compactly supported data: no boundary flux until the cone reaches an edge
     d = rad.RadialData(u0=lambda r: smooth_bump(np.asarray(r) - 3.0), du0=None,
                        u1=lambda r: 0.4 * smooth_bump(np.asarray(r) - 3.0),
-                       compact_support_bound=4.0)
+                       tail_radius=4.0)
     cfg = pdesim.SimConfig(r_min=0.5, r_max=17.0, dr=0.02, T=1.4, cfl=1.0,
                            nonlinearity="linear")
     tr = pdesim.simulate(d, cfg)
@@ -113,7 +110,7 @@ def test_finite_speed_exact():
     d = rad.RadialData(u0=lambda r: smooth_bump(np.asarray(r) - 3.0),
                        du0=None,
                        u1=lambda r: 0.5 * smooth_bump(np.asarray(r) - 3.0),
-                       compact_support_bound=a)
+                       tail_radius=a)
     cfg = pdesim.SimConfig(r_min=0.5, r_max=10.5, dr=0.02, T=2.0, cfl=1.0)
     tr = pdesim.simulate(d, cfg)
     for t in (0.5, 1.0, 2.0):
@@ -124,7 +121,7 @@ def test_finite_speed_exact():
 
 def test_time_reversal_odd_symmetry():
     u1 = lambda r: smooth_bump(np.asarray(r) - 3.0)
-    base = dict(u0=zero_fn, du0=zero_fn, compact_support_bound=4.0)
+    base = dict(u0=zero_fn, du0=zero_fn, tail_radius=4.0)
     cfg = pdesim.SimConfig(r_min=0.5, r_max=8.5, dr=0.02, T=1.0, cfl=1.0)
     fwd = pdesim.simulate(rad.RadialData(u1=u1, **base), cfg)
     bwd = pdesim.simulate(rad.RadialData(u1=lambda r: -u1(r), **base), cfg)
@@ -137,7 +134,7 @@ def test_discrete_residual_on_random_stencils(rng, cfl, nonlinearity):
     # the textbook stencil, an independent check of the folded update
     d = rad.RadialData(u0=lambda r: smooth_bump(np.asarray(r) - 3.0), du0=None,
                        u1=lambda r: 0.2 * smooth_bump(np.asarray(r) - 3.0),
-                       compact_support_bound=4.0)
+                       tail_radius=4.0)
     cfg = pdesim.SimConfig(r_min=0.5, r_max=8.5, dr=0.05, T=1.5, cfl=cfl,
                            nonlinearity=nonlinearity)
     tr = pdesim.simulate(d, cfg)
@@ -170,7 +167,7 @@ def test_self_similar_field_matches_ode():
 def _static_bump_blowup(amp):
     # large static data with no outlet blow up in finite time
     d = rad.RadialData(u0=lambda r: amp * smooth_bump((np.asarray(r) - 3.0) / 1.5),
-                       du0=None, u1=zero_fn, compact_support_bound=4.5)
+                       du0=None, u1=zero_fn, tail_radius=4.5)
     cfg = pdesim.SimConfig(r_min=0.5, r_max=8.5, dr=0.02, T=4.0, cfl=1.0,
                            nonlinearity="focusing")
     return pdesim.simulate(d, cfg)
@@ -219,7 +216,7 @@ def test_characteristic_identity_linear_and_focusing():
     d = rad.data_from_profile(G)
     for nonlin in ("linear", "focusing"):
         cfg = pdesim.SimConfig(r_min=0.5, r_max=12.0, dr=0.05, T=3.3, cfl=1.0,
-                               nonlinearity=nonlin, boundary="dirichlet-exact",
+                               nonlinearity=nonlin,
                                boundary_values=lambda r, t: rad.free_wave(G, r, t))
         tr = pdesim.simulate(d, cfg)
         lhs, rhs = pdesim.characteristic_integral(tr, 4.0)
@@ -229,7 +226,7 @@ def test_characteristic_identity_linear_and_focusing():
 
 def test_characteristic_identity_requires_cfl_one():
     d = rad.RadialData(u0=lambda r: smooth_bump(np.asarray(r) - 2.0), du0=None,
-                       u1=zero_fn, compact_support_bound=3.0)
+                       u1=zero_fn, tail_radius=3.0)
     cfg = pdesim.SimConfig(r_min=0.5, r_max=8.0, dr=0.05, T=2.0, cfl=0.5)
     tr = pdesim.simulate(d, cfg)
     with pytest.raises(ValueError):
@@ -240,7 +237,7 @@ def test_extraction_recovers_outgoing_profile():
     G = free_wave_profile()
     d = rad.data_from_profile(G)
     cfg = pdesim.SimConfig(r_min=0.5, r_max=26.5, dr=0.04, T=12.0, cfl=1.0,
-                           nonlinearity="linear", boundary="dirichlet-exact",
+                           nonlinearity="linear",
                            boundary_values=lambda r, t: rad.free_wave(G, r, t))
     tr = pdesim.simulate(d, cfg)
     for s in (-0.5, 0.0, 0.5):
@@ -254,7 +251,7 @@ def test_extraction_below_unit_cfl():
     G = free_wave_profile()
     d = rad.data_from_profile(G)
     cfg = pdesim.SimConfig(r_min=0.5, r_max=26.5, dr=0.04, T=12.0, cfl=0.8,
-                           nonlinearity="linear", boundary="dirichlet-exact",
+                           nonlinearity="linear",
                            boundary_values=lambda r, t: rad.free_wave(G, r, t))
     tr = pdesim.simulate(d, cfg)
     for s in (0.0, 0.5):
@@ -262,20 +259,20 @@ def test_extraction_below_unit_cfl():
 
 
 def test_extraction_zero_data():
-    d = rad.RadialData(u0=zero_fn, du0=zero_fn, u1=zero_fn, compact_support_bound=1.0)
+    d = rad.RadialData(u0=zero_fn, du0=zero_fn, u1=zero_fn, tail_radius=1.0)
     cfg = pdesim.SimConfig(r_min=0.5, r_max=20.5, dr=0.1, T=9.0, cfl=1.0)
     tr = pdesim.simulate(d, cfg)
     assert pdesim.extract_outgoing(tr, 1.0) == 0.0
 
 
 def test_extraction_refuses_short_cone():
-    d = rad.RadialData(u0=zero_fn, du0=zero_fn, u1=zero_fn, compact_support_bound=1.0)
+    d = rad.RadialData(u0=zero_fn, du0=zero_fn, u1=zero_fn, tail_radius=1.0)
     cfg = pdesim.SimConfig(r_min=0.5, r_max=2.5, dr=0.1, T=0.5, cfl=1.0)
     tr = pdesim.simulate(d, cfg)
     with pytest.raises(pdesim.ConeCoverageError) as info:
         pdesim.extract_outgoing(tr, 1.0)
     assert info.value.required_r_max > 0
-    # under domain-of-dependence, s below r_min is inside the pollution band
+    # with frozen ends, s below r_min is inside the pollution band
     with pytest.raises(pdesim.ConeCoverageError):
         pdesim.extract_outgoing(tr, 0.2)
 
@@ -310,7 +307,7 @@ def test_born_level_extraction_matches_profile_shift():
 def test_virial_formula_matches_second_difference():
     d = rad.RadialData(u0=lambda r: smooth_bump(np.asarray(r) - 3.0), du0=None,
                        u1=lambda r: 0.3 * smooth_bump(np.asarray(r) - 3.0),
-                       compact_support_bound=4.0)
+                       tail_radius=4.0)
     diffs = []
     for dr in (0.04, 0.02, 0.01):
         cfg = pdesim.SimConfig(r_min=0.5, r_max=15.5, dr=dr, T=1.0, cfl=1.0,
@@ -337,7 +334,7 @@ def test_virial_stationary_ground_state():
 
 
 def test_virial_rejects_oversized_cutoff():
-    d = rad.RadialData(u0=zero_fn, du0=zero_fn, u1=zero_fn, compact_support_bound=1.0)
+    d = rad.RadialData(u0=zero_fn, du0=zero_fn, u1=zero_fn, tail_radius=1.0)
     cfg = pdesim.SimConfig(r_min=0.5, r_max=6.5, dr=0.1, T=1.0, cfl=1.0)
     tr = pdesim.simulate(d, cfg)
     with pytest.raises(ValueError):
@@ -381,7 +378,7 @@ def test_virial_rejects_bad_scale():
 def test_outgoing_levels_reject_non_finite_s():
     G = free_wave_profile()
     cfg = pdesim.SimConfig(r_min=0.5, r_max=20.5, dr=0.1, T=9.0, cfl=1.0,
-                           nonlinearity="linear", boundary="dirichlet-exact",
+                           nonlinearity="linear",
                            boundary_values=lambda r, t: rad.free_wave(G, r, t))
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="s must be finite"):
@@ -389,7 +386,7 @@ def test_outgoing_levels_reject_non_finite_s():
 
 
 def test_characteristic_integral_rejects_bad_endpoint():
-    d = rad.RadialData(u0=zero_fn, du0=zero_fn, u1=zero_fn, compact_support_bound=1.0)
+    d = rad.RadialData(u0=zero_fn, du0=zero_fn, u1=zero_fn, tail_radius=1.0)
     cfg = pdesim.SimConfig(r_min=0.5, r_max=6.5, dr=0.05, T=1.5, cfl=1.0)
     tr = pdesim.simulate(d, cfg)
     for bad in (0.5, 1.0, float("nan"), float("inf")):
@@ -416,7 +413,7 @@ def _recorder_cases():
     gs_d, gs_cfg = ground_state_setup(dr=0.05, T=2.0)
     bump_data = rad.RadialData(u0=lambda r: smooth_bump(np.asarray(r) - 3.0), du0=None,
                                u1=lambda r: 0.4 * smooth_bump(np.asarray(r) - 3.0),
-                               compact_support_bound=4.0)
+                               tail_radius=4.0)
     nu = 100.0
     self_similar = rad.RadialData(u0=zero_fn, du0=zero_fn,
                                   u1=lambda r: nu * np.asarray(r, dtype=float) ** -2.5,
@@ -425,7 +422,7 @@ def _recorder_cases():
         "focusing-dirichlet-exact": (gs_d, gs_cfg),
         "linear-free-wave": (rad.data_from_profile(G), pdesim.SimConfig(
             r_min=0.5, r_max=12.0, dr=0.05, T=3.3, nonlinearity="linear",
-            boundary="dirichlet-exact", boundary_values=lambda r, t: rad.free_wave(G, r, t))),
+            boundary_values=lambda r, t: rad.free_wave(G, r, t))),
         "domain-of-dependence": (bump_data, pdesim.SimConfig(
             r_min=0.5, r_max=17.0, dr=0.02, T=1.4, cfl=0.8, nonlinearity="linear")),
         "self-similar-blowup": (self_similar, pdesim.SimConfig(
@@ -473,7 +470,7 @@ def test_outgoing_levels_suffice_for_extraction():
     G = free_wave_profile()
     d = rad.data_from_profile(G)
     cfg = pdesim.SimConfig(r_min=0.5, r_max=26.5, dr=0.04, T=12.0, cfl=1.0,
-                           nonlinearity="linear", boundary="dirichlet-exact",
+                           nonlinearity="linear",
                            boundary_values=lambda r, t: rad.free_wave(G, r, t))
     full = pdesim.simulate(d, cfg)
     for s in (-0.5, 0.5):
@@ -487,7 +484,7 @@ def test_simulate_rejects_non_finite_initial_data():
     cfg = pdesim.SimConfig(r_min=1.0, r_max=3.0, dr=0.01, T=0.5)
     for u0, u1 in ((zero_fn, lambda r: np.full_like(np.asarray(r, dtype=float), np.nan)),
                    (lambda r: np.asarray(r, dtype=float) * np.inf, zero_fn)):
-        d = rad.RadialData(u0=u0, du0=None, u1=u1, compact_support_bound=3.0)
+        d = rad.RadialData(u0=u0, du0=None, u1=u1, tail_radius=3.0)
         with pytest.raises(ValueError, match="finite"):
             pdesim.simulate(d, cfg)
 

@@ -113,7 +113,7 @@ def test_positive_propagator_matches_free_wave():
     u1 = lambda rho: ((np.asarray(rho) >= 1.0) & (np.asarray(rho) <= 2.0)).astype(float)
     d = rad.RadialData(u0=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
                        du0=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-                       u1=u1, compact_support_bound=2.0, breakpoints=(1.0, 2.0))
+                       u1=u1, tail_radius=2.0, breakpoints=(1.0, 2.0))
     G = rad.profile_from_data(d)
     for r, t in ((5.0, 0.5), (2.0, 0.8), (3.0, 1.4)):
         direct = rad.positive_propagator(u1, r, t, support=(1.0, 2.0))
@@ -200,7 +200,7 @@ def test_profile_from_box_velocity_data():
     u1 = lambda rho: ((np.asarray(rho) >= 1.0) & (np.asarray(rho) <= 2.0)).astype(float)
     d = rad.RadialData(u0=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
                        du0=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-                       u1=u1, compact_support_bound=2.0, breakpoints=(1.0, 2.0))
+                       u1=u1, tail_radius=2.0, breakpoints=(1.0, 2.0))
     G = rad.profile_from_data(d)
     assert G.value(1.5) == pytest.approx(0.75 * 1.5 ** 2 - 1.0, abs=1e-12)
     assert G.value(0.5) == pytest.approx(-0.75, abs=1e-12)
@@ -295,6 +295,16 @@ def test_sampled_data_reject_radii_out_of_range():
     assert d.u0(0.0) == 1.0
 
 
+def test_compact_samples_are_positive_zero_off_the_grid():
+    r = np.linspace(0.5, 3.0, 26)
+    d = rad.RadialData.from_samples(r, -np.exp(-r), -np.cos(r), tail="none")
+    off = [0.1, 0.25, 0.499, 3.001, 4.0, 1e6]
+    values = [f(x) for f in (d.u0, d.du0, d.u1) for x in off]
+    values += [d.u1_tail(s) for s in (3.0, 3.5, 1e6)]
+    assert [(v, math.copysign(1.0, v)) for v in values] == [(0.0, 1.0)] * len(values)
+    assert not np.signbit(d.du0(np.array(off))).any()
+
+
 _BY_RADIUS = {"free_wave": lambda G, R: rad.free_wave(G, R, 0.0),
               "velocity": lambda G, R: rad.free_wave_velocity(G, R, 0.0),
               "identity": rad.exterior_energy_identity,
@@ -348,18 +358,24 @@ def test_exterior_energy_splits_at_breakpoints():
     # u1 = 1 on [1, 2]: E(0.5) = sigma4 int_1^2 rho^4 drho
     zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
     u1 = lambda rho: ((np.asarray(rho) >= 1.0) & (np.asarray(rho) <= 2.0)).astype(float)
-    d = rad.RadialData(u0=zero, du0=zero, u1=u1, compact_support_bound=2.0,
+    d = rad.RadialData(u0=zero, du0=zero, u1=u1, tail_radius=2.0,
                        breakpoints=(1.0, 2.0))
     assert rad.exterior_energy(d, 0.5) == pytest.approx(SIGMA4 * 31.0 / 5.0, abs=1e-12)
 
 
-def test_data_declare_one_far_field():
-    # compact support says the data vanish past 2 and the r^-3 tail that they
-    # do not; exterior_energy would take the tail, profile_from_data the support
+def test_data_validate_the_far_field():
+    # exterior_energy would close a negative tail radius through the tail past
+    # R while profile_from_data rejects its support, and coefficients without
+    # a radius would be dropped unread
     one = lambda r: 1.0
-    with pytest.raises(ValueError, match="compact_support_bound or tail_radius"):
-        rad.RadialData(u0=one, du0=one, u1=one, compact_support_bound=2.0, tail_radius=2.0,
-                       tail_c0=8.0, tail_c1=8.0)
+    for bad in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tail_radius must be finite and positive"):
+            rad.RadialData(u0=one, du0=one, u1=one, tail_radius=bad, tail_c0=1.0)
+    for name in ("tail_c0", "tail_c1"):
+        with pytest.raises(ValueError, match=f"{name} = 1.0 needs a tail_radius"):
+            rad.RadialData(u0=one, du0=one, u1=one, **{name: 1.0})
+    # the zero profile's data keep the floor of data_from_profile
+    assert rad.data_from_profile(rad.RadiationProfile.zero()).tail_radius == 1e-12
 
 
 def test_nan_decay_is_no_declared_decay():
