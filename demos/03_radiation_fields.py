@@ -12,6 +12,7 @@ translation acts on the asymptotic numbers.
 
 import numpy as np
 
+from exwave import exterior as ext
 from exwave import radiation as rad
 from exwave.nonlinearity import SIGMA4, ground_state
 
@@ -21,7 +22,7 @@ def bump(s):
     return np.where(np.abs(s) < 1.0, (1.0 - s * s) ** 3 * (1.0 + 0.5 * s), 0.0)
 
 
-G = rad.RadiationProfile.from_function(bump, support=(-1.0, 1.0), smooth=True)
+G = rad.RadiationProfile(bump, support=(-1.0, 1.0), smooth=True)
 
 print("=== profile -> data -> profile round trip ===")
 d = rad.data_from_profile(G)
@@ -32,11 +33,11 @@ print(f"far field: u0(5) = {d.u0(5.0):.6e} vs alpha2/125 = {d.tail_c0 / 125:.6e}
 
 print("\n=== exterior energy: data side vs profile side ===")
 for R in (0.5, 1.0, 2.0):
-    a = rad.exterior_energy(d, R)
-    b = rad.exterior_energy_identity(G, R)
+    a = ext.exterior_energy(d, R)
+    b = ext.exterior_energy_identity(G, R)
     print(f"R = {R}: {a:.10f} vs {b:.10f}   (rel gap {abs(a - b) / a:.1e})")
 
-full = rad.exterior_energy(d, 1e-3)
+full = ext.exterior_energy(d, 1e-3)
 print(f"isometry: ||(u0,u1)||^2 = {full:.8f} vs 2 sigma4 ||G||^2 = "
       f"{2 * SIGMA4 * G.norm_l2 ** 2:.8f}")
 
@@ -49,10 +50,10 @@ GW = rad.profile_from_data(dW)
 for R in (1.0, 5.0, 20.0):
     pair = rad.residues(GW, R)
     print(f"R = {R:4}: tau1 = {pair.tau1:+.2e}   tau2 = {pair.tau2:.8f}"
-          f"   (closed form sqrt(3) R^(3/2) W(R) = {rad.tau2_of_ground_state(R):.8f})")
+          f"   (closed form sqrt(3) R^(3/2) W(R) = {ext.tau2_of_ground_state(R):.8f})")
 
 rho = 0.1
-print(f"\nresidue radius: tau2(c2) = {rho} at c2 = {rad.compute_c2(rho):.4f}"
+print(f"\nresidue radius: tau2(c2) = {rho} at c2 = {ext.compute_c2(rho):.4f}"
       f"  (> sqrt(15) = {np.sqrt(15):.4f})")
 
 print("\n=== time translation of the asymptotic numbers ===")

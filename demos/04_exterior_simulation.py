@@ -33,8 +33,8 @@ gap = np.max(np.abs(tr.u_level(tr.level(5.0)) - ground_state(tr.r)[0]))
 print(f"energy drift over T=5: {abs(e5 - e0):.2e}   sup |u - W|: {gap:.2e}")
 
 print("\n=== 2. free-wave convergence ===")
-G = rad.RadiationProfile.from_function(lambda s: bump(s) * (1 + 0.3 * np.asarray(s)),
-                                       support=(-1.0, 1.0), smooth=True)
+G = rad.RadiationProfile(lambda s: bump(s) * (1 + 0.3 * np.asarray(s)),
+                         support=(-1.0, 1.0), smooth=True)
 dG = rad.data_from_profile(G)
 errs = []
 for dr in (0.08, 0.04, 0.02):

@@ -31,15 +31,15 @@ def _parse_gspec(spec: str):
     if hi <= lo:
         raise ValueError("G-spec needs lo < hi")
     if kind == "box":
-        return radiation.RadiationProfile.from_function(
-            lambda s: amp if lo <= s <= hi else 0.0, support=(lo, hi))
+        return radiation.RadiationProfile(lambda s: amp if lo <= s <= hi else 0.0,
+                                          support=(lo, hi))
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
 
     def fn(s):
         x = (s - mid) / half
         return amp * ((1.0 - x * x) ** 3 if abs(x) < 1.0 else 0.0)
 
-    return radiation.RadiationProfile.from_function(fn, support=(lo, hi), smooth=True)
+    return radiation.RadiationProfile(fn, support=(lo, hi), smooth=True)
 
 
 _EXTRACTION_S = [-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0]

@@ -5,9 +5,8 @@ positive propagator of (0, u1), the radial derivatives of the radiation
 residues, the first-order (Born) correction to the outgoing profile produced
 by a source term, and the ground-state residue radius c2.  They live apart
 from :mod:`exwave.radiation`, so that converting between profiles and data
-compiles none of them, and ``exwave.radiation`` still gives each of them by
-name.  No subcommand of the command line loads this module, so it imports
-the quadrature, the nonlinearity and the bisection at the top.
+compiles none of them.  No subcommand of the CLI loads this module, so it
+imports the quadrature, the nonlinearity and the bisection at the top.
 """
 
 from __future__ import annotations

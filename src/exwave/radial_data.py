@@ -37,8 +37,9 @@ class RadialData:
     which is the far field of every free wave whose profile vanishes past
     tail_radius; tail integrals then close in closed form.  Compact data
     keep the default coefficients 0.  ``tail_radius`` must be finite and
-    positive, and nonzero coefficients need it.  ``u1_tail``, when set, is
-    s -> int_s^inf rho u1(rho) drho in closed form.
+    positive, and nonzero coefficients need it.  Data without it may
+    declare ``decay`` instead (u0 and u1 fall off like r^-decay), not both.
+    ``u1_tail``, when set, is s -> int_s^inf rho u1(rho) drho in closed form.
     """
 
     u0: Callable
@@ -53,13 +54,15 @@ class RadialData:
     u1_tail: Callable | None = None
 
     def __post_init__(self):
-        if self.tail_radius is not None:
-            if not 0.0 < self.tail_radius < math.inf:
-                raise ValueError(f"tail_radius must be finite and positive, got {self.tail_radius}")
-            return
-        for name in ("tail_c0", "tail_c1"):
-            if getattr(self, name):
-                raise ValueError(f"{name} = {getattr(self, name)} needs a tail_radius")
+        if self.tail_radius is None:
+            for name in ("tail_c0", "tail_c1"):
+                if getattr(self, name):
+                    raise ValueError(f"{name} = {getattr(self, name)} needs a tail_radius")
+        elif not 0.0 < self.tail_radius < math.inf:
+            raise ValueError(f"tail_radius must be finite and positive, got {self.tail_radius}")
+        elif self.decay is not None:
+            raise ValueError(f"data declare one of tail_radius and decay, "
+                             f"got tail_radius={self.tail_radius}, decay={self.decay}")
 
     @classmethod
     def from_samples(cls, r, u0_vals, u1_vals, tail="none"):
@@ -123,5 +126,5 @@ class RadialData:
         return cls(u0=extended(s0, lambda x: a0 + b0 * x * x, c0, -3.0),
                    u1=extended(s1, lambda x: a1 + b1 * x * x, c1, -3.0),
                    du0=extended(d0, lambda x: 2.0 * b0 * x, dc0, -4.0),
-                   tail_radius=hi, tail_c0=c0, tail_c1=c1, decay=3.0,
+                   tail_radius=hi, tail_c0=c0, tail_c1=c1,
                    du0_reduced_accuracy=True, u1_tail=u1_tail)

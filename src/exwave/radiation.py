@@ -8,13 +8,10 @@ the incoming (past) time direction:
 and the outgoing profile is the reflection G_+(s) = G(-s).  This module
 converts between profiles and initial data, computes the weighted moments
 (radiation residues) tau_1, tau_2 and the asymptotic numbers alpha_1,
-alpha_2, and applies time translations.  The exterior energies and their
-profile-side identity, the positive propagator, the residue flow, the
-first-order (Born) correction to the outgoing profile and the ground-state
-residue radius are defined in :mod:`exwave.exterior`, and the data pair
-:class:`RadialData` in :mod:`exwave.radial_data`; this module imports
-either on first access to one of its names, so each is also
-``exwave.radiation.<name>``.
+alpha_2, and applies time translations.  The exterior-energy tools built
+on these maps live in :mod:`exwave.exterior`.  The data pair
+:class:`RadialData` is defined in :mod:`exwave.radial_data`; this module
+imports it on first access to ``exwave.radiation.RadialData``.
 
 Profiles are stored in the incoming convention throughout; use
 :meth:`RadiationProfile.reflect` where the outgoing profile is needed.
@@ -48,16 +45,10 @@ __all__ = [
     "free_wave",
     "free_wave_velocity",
     "free_wave_gradient",
-    "positive_propagator",
     "data_from_profile",
     "profile_from_data",
-    "exterior_energy",
-    "exterior_energy_identity",
     "residues",
-    "residue_flow",
     "asymptotic_numbers",
-    "nonlinear_profile_shift",
-    "compute_c2",
 ]
 
 _QTOL = 1e-11          # absolute tolerance for moment quadratures
@@ -86,8 +77,8 @@ def _dyadic_radii(R):
 class RadiationProfile:
     """A radial radiation profile G(s) with declared support or decay.
 
-    Construct with :meth:`from_function` (closed form: ``fn`` takes a float)
-    or :meth:`from_samples` (cubic interpolation).  ``smooth=True`` samples
+    Construct from a closed form (``fn`` takes a float) or with
+    :meth:`from_samples` (cubic interpolation).  ``smooth=True`` samples
     fn at ``_SPLINE_N`` points of its support and takes every moment from
     the exact antiderivatives of the interpolant, each built on first use;
     leave it off for piecewise definitions such as indicator profiles,
@@ -105,8 +96,9 @@ class RadiationProfile:
             raise ValueError(f"decay must be finite, got {decay!r}")
         self.support = support
         self.decay = decay
-        if support is None and decay is None:
-            raise ValueError("a profile needs a declared support or decay")
+        if (support is None) == (decay is None):
+            raise ValueError(f"a profile declares one of support and decay, "
+                             f"got support={support!r}, decay={decay!r}")
         if smooth and support is None:
             raise ValueError("the spline moments need a compact support")
         self._smooth = smooth
@@ -133,11 +125,6 @@ class RadiationProfile:
         return pair
 
     @classmethod
-    def from_function(cls, fn, support=None, decay=None, smooth=False, breakpoints=()):
-        return cls(fn, support=support, decay=decay, smooth=smooth,
-                   breakpoints=breakpoints)
-
-    @classmethod
     def from_samples(cls, s, values):
         """The not-a-knot cubic interpolant of the samples on the strictly
         increasing grid s, zero outside it."""
@@ -159,9 +146,6 @@ class RadiationProfile:
         if self.support is not None and not self.support[0] <= s <= self.support[1]:
             return 0.0
         return float(self._fn(s))
-
-    def __call__(self, s):
-        return self.value(s)
 
     # -- moments ------------------------------------------------------------
 
@@ -353,8 +337,8 @@ def data_from_profile(G: RadiationProfile) -> RadialData:
         tail_radius = max(S, 1e-12)
         tail_c0 = G.moment1(-S, S)       # alpha_2
         tail_c1 = -G.moment0(-S, S)      # alpha_1
-    return RadialData(u0=u0, u1=u1, du0=du0, decay=3.0, tail_radius=tail_radius,
-                      tail_c0=tail_c0, tail_c1=tail_c1)
+    return RadialData(u0=u0, u1=u1, du0=du0, decay=3.0 if tail_radius is None else None,
+                      tail_radius=tail_radius, tail_c0=tail_c0, tail_c1=tail_c1)
 
 
 def _exterior_integral(d: RadialData, integrand, R: float, tail, decay) -> float:
@@ -451,23 +435,11 @@ def asymptotic_numbers(G: RadiationProfile):
     return -G._outside(0, 0.0), G._outside(1, 0.0)
 
 
-# -- names defined elsewhere --------------------------------------------------
-
-_EXTERIOR = frozenset({"positive_propagator", "exterior_energy", "exterior_energy_identity",
-                       "residue_flow", "nonlinear_profile_shift", "tau2_of_ground_state",
-                       "compute_c2"})
-
-
 def __getattr__(name):
-    """RadialData and the tools of :mod:`exwave.exterior`, imported on first
-    access (PEP 562), so that a profile-only computation compiles neither
-    and loads no dataclasses."""
+    """RadialData, imported on first access (PEP 562), so that a
+    profile-only computation neither compiles it nor loads dataclasses."""
     if name == "RadialData":
         from .radial_data import RadialData
 
         return RadialData
-    if name in _EXTERIOR:
-        from . import exterior
-
-        return getattr(exterior, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,7 +13,7 @@ def random_smooth_profile(rng, lo=-1.5, hi=1.5):
         x = (s - mid) / half
         return (1.0 - x * x) ** 3 * (c0 + c1 * x + c2 * x * x) if abs(x) < 1.0 else 0.0
 
-    return rad.RadiationProfile.from_function(fn, support=(lo, hi), smooth=True)
+    return rad.RadiationProfile(fn, support=(lo, hi), smooth=True)
 
 
 @pytest.fixture

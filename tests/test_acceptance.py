@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from exwave import cli, pdesim, profiles, verify
+from exwave import exterior as ext
 from exwave import radiation as rad
 from exwave.nonlinearity import SIGMA4, ground_state
 from tests.conftest import random_smooth_profile
@@ -98,15 +99,15 @@ def test_08_isometry_and_exterior_identity(rng):
     profiles_drawn = [random_smooth_profile(rng) for _ in range(20)]
     for G in profiles_drawn:
         d = rad.data_from_profile(G)
-        full = rad.exterior_energy(d, 1e-3)
+        full = ext.exterior_energy(d, 1e-3)
         target = 2.0 * SIGMA4 * G.norm_l2 ** 2
         worst_iso = max(worst_iso, abs(full - target) / target)
     worst_ext = 0.0
     for G in profiles_drawn[:3]:
         d = rad.data_from_profile(G)
         for R in (0.5, 1.0, 2.0, 10.0):
-            a = rad.exterior_energy(d, R)
-            b = rad.exterior_energy_identity(G, R)
+            a = ext.exterior_energy(d, R)
+            b = ext.exterior_energy_identity(G, R)
             worst_ext = max(worst_ext, abs(a - b) / max(a, b, 1e-30))
     report("08 isometry + exterior identity",
            worst_iso < 1e-7 and worst_ext < 1e-8,
@@ -155,7 +156,7 @@ def _free_wave_profile():
     def fn(s):
         s = np.asarray(s, dtype=float)
         return np.where(np.abs(s) < 1.0, (1.0 - s * s) ** 3 * (1.0 + 0.3 * s), 0.0)
-    return rad.RadiationProfile.from_function(fn, support=(-1.0, 1.0), smooth=True)
+    return rad.RadiationProfile(fn, support=(-1.0, 1.0), smooth=True)
 
 
 def test_11_simulator():

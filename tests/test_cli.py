@@ -4,6 +4,7 @@ import stat
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -434,6 +435,29 @@ def test_simulate_ground_state(tmp_path):
     payload = json.loads(diag.read_text())
     es = payload["energy"]
     assert max(es) - min(es) < 1e-3 * abs(es[0])
+
+
+def test_simulate_blow_up_snapshots_sit_on_the_truncated_run(tmp_path, capsys):
+    from exwave import pdesim
+
+    out, diag = tmp_path / "traj.csv", tmp_path / "diag.json"
+    grid = ["--rmin", "0.5", "--rmax", "4.5", "--dr", "0.01", "--T", "3"]
+    assert run_cli(["simulate", "--preset", "self-similar", "--nu", "20", *grid,
+                    "--out", str(out), "--diag", str(diag)]) == 0
+    assert "BLOW-UP at t=0.84" in capsys.readouterr().err
+    payload = json.loads(diag.read_text())
+    assert payload["blowup"] == {"time": 0.84, "radius": 0.78}
+    assert len(payload["times"]) == 8
+    # the same data run once keeping every level: the CLI's rerun on the
+    # truncated run must give its snapshots cell for cell
+    zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
+    d = SimpleNamespace(u0=zero, u1=lambda r: 20.0 * np.asarray(r, dtype=float) ** -2.5)
+    tr = pdesim.simulate(d, pdesim.SimConfig(r_min=0.5, r_max=4.5, dr=0.01, T=3.0), levels=None)
+    snaps = _cli_simulate._snapshot_levels(len(tr.times))
+    assert len(snaps) == 9 and f"{tr.times[snaps[-1]]:.12g}" == "0.83"
+    want = ["t,r,u"] + [f"{tr.times[n]:.12g},{x:.12g},{u:.12g}"
+                        for n in snaps for x, u in zip(tr.r.tolist(), tr.u_level(n).tolist())]
+    assert out.read_text().splitlines() == want
 
 
 def test_simulate_rejects_bad_grid():

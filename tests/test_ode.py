@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from exwave import _ode
 from exwave._ode import IntegrationFailure, bisect, solve_dopri5
 
 
@@ -33,6 +34,13 @@ def test_non_finite_step_raises_at_once():
     exc = info.value
     assert exc.t < 0.5
     assert exc.h > 0.0 and exc.nsteps >= 1
+
+
+def test_step_budget_stops_the_solve(monkeypatch):
+    monkeypatch.setattr(_ode, "_MAX_STEPS", 5)
+    with pytest.raises(IntegrationFailure, match="step budget exhausted") as info:
+        solve_dopri5(lambda t, y: (y[1], -y[0]), 0.0, 100.0, [0.0, 1.0], 1e-10)
+    assert info.value.nsteps == 5 and info.value.t < 100.0
 
 
 def test_overflow_in_the_right_hand_side_is_a_non_finite_step():

@@ -93,12 +93,20 @@ def test_inverse_phi_reference_values():
     assert inverse_phi(p, 2.0 ** 0.75) == pytest.approx(0.964141, abs=5e-5)
     assert inverse_phi(p, 0.1) == pytest.approx(0.053795, abs=5e-5)
     assert inverse_phi(p, 0.0) == 0.0
+    # between the last node's value and the limit phi(1): only the bracket
+    # from the last node to y = 1 holds the root
+    z = 0.5 * (p.phi_nodes[-1] + p.category.limit_phi)
+    y = inverse_phi(p, z)
+    assert p.y_nodes[-1] < y <= 1.0
+    assert abs(p.phi_at(y) - z) < 1e-11
 
 
 def test_inverse_phi_errors():
     p = integrate_profile(1.86, 1e-10)
     with pytest.raises(NoSolutionError):
         inverse_phi(p, 10.0)
+    with pytest.raises(NoSolutionError, match="never attains z=-0.5"):
+        inverse_phi(p, -0.5)
     # an oscillating profile attains small values more than once
     posc = integrate_profile(0.5, 1e-10)
     with pytest.raises(AmbiguousRootError) as info:

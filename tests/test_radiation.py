@@ -7,20 +7,21 @@ import pytest
 
 from exwave import nonlinearity as nl
 from exwave import profiles
+from exwave import exterior as ext
 from exwave import radiation as rad
 from exwave.nonlinearity import SIGMA4, ground_state
 from tests.conftest import random_smooth_profile
 
 
 def box_profile():
-    return rad.RadiationProfile.from_function(
+    return rad.RadiationProfile(
         lambda s: ((np.asarray(s) >= -1.0) & (np.asarray(s) <= 1.0)).astype(float),
         support=(-1.0, 1.0))
 
 
 def slope_profile():
     # G(s) = s on [-1, 1]
-    return rad.RadiationProfile.from_function(
+    return rad.RadiationProfile(
         lambda s: np.where((np.asarray(s) >= -1.0) & (np.asarray(s) <= 1.0),
                            np.asarray(s, dtype=float), 0.0),
         support=(-1.0, 1.0))
@@ -104,9 +105,9 @@ def test_gradient_matches_space_difference(rng):
 
 def test_positive_propagator_zero():
     u1 = lambda rho: np.zeros_like(np.asarray(rho, dtype=float))
-    assert rad.positive_propagator(u1, 3.0, 1.0) == 0.0
+    assert ext.positive_propagator(u1, 3.0, 1.0) == 0.0
     with pytest.raises(ValueError):
-        rad.positive_propagator(u1, 1.0, 2.0)
+        ext.positive_propagator(u1, 1.0, 2.0)
 
 
 def test_positive_propagator_matches_free_wave():
@@ -116,11 +117,11 @@ def test_positive_propagator_matches_free_wave():
                        u1=u1, tail_radius=2.0, breakpoints=(1.0, 2.0))
     G = rad.profile_from_data(d)
     for r, t in ((5.0, 0.5), (2.0, 0.8), (3.0, 1.4)):
-        direct = rad.positive_propagator(u1, r, t, support=(1.0, 2.0))
+        direct = ext.positive_propagator(u1, r, t, support=(1.0, 2.0))
         via_profile = rad.free_wave(G, r, t)
         assert abs(direct - via_profile) < 1e-8
     # the exact kernel value at (2, 0.8)
-    assert rad.positive_propagator(u1, 2.0, 0.8, support=(1.0, 2.0)) == pytest.approx(0.2432, abs=1e-12)
+    assert ext.positive_propagator(u1, 2.0, 0.8, support=(1.0, 2.0)) == pytest.approx(0.2432, abs=1e-12)
 
 
 def test_positive_propagator_positivity(rng):
@@ -139,7 +140,7 @@ def test_positive_propagator_positivity(rng):
     for _ in range(100):
         t = rng.uniform(0.0, 3.0)
         r = t + rng.uniform(1e-3, 4.0)
-        assert rad.positive_propagator(u1, r, t, support=(1.0, 3.0)) >= -1e-14
+        assert ext.positive_propagator(u1, r, t, support=(1.0, 3.0)) >= -1e-14
 
 
 # -- profile <-> data ---------------------------------------------------------------
@@ -171,14 +172,14 @@ def _kinked_box():
         s = np.asarray(s, dtype=float)
         inside = (s >= -1.0) & (s <= 1.0)
         return np.where(s < 0.3, 1.0 + s, -0.5) * inside
-    return rad.RadiationProfile.from_function(fn, support=(-1.0, 1.0), breakpoints=(0.3,))
+    return rad.RadiationProfile(fn, support=(-1.0, 1.0), breakpoints=(0.3,))
 
 
 def _smooth_bump():
     def fn(s):
         s = np.asarray(s, dtype=float)
         return np.where(np.abs(s) < 1.0, (1.0 - s * s) ** 3 * (1.0 + 0.5 * s), 0.0)
-    return rad.RadiationProfile.from_function(fn, support=(-1.0, 1.0), smooth=True)
+    return rad.RadiationProfile(fn, support=(-1.0, 1.0), smooth=True)
 
 
 @pytest.mark.parametrize("make", [_kinked_box, _smooth_bump])
@@ -307,7 +308,7 @@ def test_compact_samples_are_positive_zero_off_the_grid():
 
 _BY_RADIUS = {"free_wave": lambda G, R: rad.free_wave(G, R, 0.0),
               "velocity": lambda G, R: rad.free_wave_velocity(G, R, 0.0),
-              "identity": rad.exterior_energy_identity,
+              "identity": ext.exterior_energy_identity,
               "residues": rad.residues}
 
 
@@ -316,13 +317,13 @@ _BY_RADIUS = {"free_wave": lambda G, R: rad.free_wave(G, R, 0.0),
     ("identity", 1e-300, 3), ("identity", 1e110, 3), ("residues", 1e-320, 1.5),
     ("residues", 1e250, 1.5)])
 def test_radii_whose_powers_under_or_overflow_are_rejected(name, R, power):
-    G = rad.RadiationProfile.from_function(lambda s: 1.0, support=(-1.0, 1.0))
+    G = rad.RadiationProfile(lambda s: 1.0, support=(-1.0, 1.0))
     with pytest.raises(ValueError, match=re.escape(f"radius {R!r} is out of range: r**{power}")):
         _BY_RADIUS[name](G, R)
 
 
 def test_residues_of_a_tiny_radius_whose_power_stays_finite():
-    G = rad.RadiationProfile.from_function(lambda s: 1.0, support=(-1.0, 1.0))
+    G = rad.RadiationProfile(lambda s: 1.0, support=(-1.0, 1.0))
     pair = rad.residues(G, 1e-200)   # R^(3/2) = 1e-300
     assert pair.tau1 == pytest.approx(-2e-200 / 1e-100, rel=1e-14)
     assert pair.tau2 == 0.0
@@ -343,15 +344,15 @@ def test_ground_state_residue_profile():
 def test_exterior_energy_identity_slope_profile():
     G = slope_profile()
     d = rad.data_from_profile(G)
-    direct = rad.exterior_energy(d, 1.0)
-    via_profile = rad.exterior_energy_identity(G, 1.0)
+    direct = ext.exterior_energy(d, 1.0)
+    via_profile = ext.exterior_energy_identity(G, 1.0)
     expected = 4.0 / 3.0 * SIGMA4
     assert direct == pytest.approx(expected, rel=1e-10)
     assert via_profile == pytest.approx(expected, rel=1e-10)
 
 
 def test_exterior_energy_zero_profile():
-    assert rad.exterior_energy_identity(rad.RadiationProfile.zero(), 2.0) == 0.0
+    assert ext.exterior_energy_identity(rad.RadiationProfile.zero(), 2.0) == 0.0
 
 
 def test_exterior_energy_splits_at_breakpoints():
@@ -360,7 +361,7 @@ def test_exterior_energy_splits_at_breakpoints():
     u1 = lambda rho: ((np.asarray(rho) >= 1.0) & (np.asarray(rho) <= 2.0)).astype(float)
     d = rad.RadialData(u0=zero, du0=zero, u1=u1, tail_radius=2.0,
                        breakpoints=(1.0, 2.0))
-    assert rad.exterior_energy(d, 0.5) == pytest.approx(SIGMA4 * 31.0 / 5.0, abs=1e-12)
+    assert ext.exterior_energy(d, 0.5) == pytest.approx(SIGMA4 * 31.0 / 5.0, abs=1e-12)
 
 
 def test_data_validate_the_far_field():
@@ -378,6 +379,24 @@ def test_data_validate_the_far_field():
     assert rad.data_from_profile(rad.RadiationProfile.zero()).tail_radius == 1e-12
 
 
+def test_data_and_profiles_declare_one_far_field():
+    # each record reads decay only where it has no tail_radius or support, so
+    # a decay set beside either would be dropped unread
+    one = lambda r: 1.0
+    with pytest.raises(ValueError, match=r"tail_radius and decay, got tail_radius=2.0, decay=3.0"):
+        rad.RadialData(u0=one, du0=one, u1=one, tail_radius=2.0, decay=3.0)
+    with pytest.raises(ValueError, match=r"support and decay, got support=\(-1.0, 1.0\), decay=3.0"):
+        rad.RadiationProfile(one, support=(-1.0, 1.0), decay=3.0)
+    with pytest.raises(ValueError, match="support and decay, got support=None, decay=None"):
+        rad.RadiationProfile(one)
+    # and the maps between them declare one each
+    assert rad.data_from_profile(_smooth_bump()).decay is None
+    d = rad.data_from_profile(rad.RadiationProfile(lambda s: 1.0 / (1.0 + s * s) ** 3, decay=6.0))
+    assert (d.tail_radius, d.decay) == (None, 3.0)
+    r = np.linspace(0.5, 2.0, 7)
+    assert rad.RadialData.from_samples(r, np.exp(-r), r * 0.0, tail="r3").decay is None
+
+
 def test_nan_decay_is_no_declared_decay():
     from exwave.quadrature import integrate_tail
 
@@ -386,7 +405,7 @@ def test_nan_decay_is_no_declared_decay():
     d = rad.RadialData(u0=lambda r: r ** -3.0, du0=lambda r: -3.0 * r ** -4.0,
                        u1=lambda r: 0.0, decay=math.nan)
     with pytest.raises(ValueError, match="decay exponent"):
-        rad.exterior_energy(d, 1.0)
+        ext.exterior_energy(d, 1.0)
 
 
 def test_exterior_energy_identity_random(rng):
@@ -394,11 +413,11 @@ def test_exterior_energy_identity_random(rng):
         G = random_smooth_profile(rng)
         d = rad.data_from_profile(G)
         for R in (0.5, 1.0, 2.0, 10.0):
-            a = rad.exterior_energy(d, R)
-            b = rad.exterior_energy_identity(G, R)
+            a = ext.exterior_energy(d, R)
+            b = ext.exterior_energy_identity(G, R)
             assert abs(a - b) <= 1e-8 * max(a, b, 1e-30)
     with pytest.raises(ValueError):
-        rad.exterior_energy_identity(G, -1.0)
+        ext.exterior_energy_identity(G, -1.0)
 
 
 def test_isometry(rng):
@@ -406,7 +425,7 @@ def test_isometry(rng):
     for _ in range(5):
         G = random_smooth_profile(rng)
         d = rad.data_from_profile(G)
-        full = rad.exterior_energy(d, 1e-3)
+        full = ext.exterior_energy(d, 1e-3)
         target = 2.0 * SIGMA4 * G.norm_l2 ** 2
         assert abs(full - target) / target < 1e-7
 
@@ -417,8 +436,8 @@ def test_two_radius_energy_comparison(rng):
         G = random_smooth_profile(rng)
         d = rad.data_from_profile(G)
         for r1, r2 in ((0.2, 0.9), (0.5, 2.0), (1.0, 10.0)):
-            e1 = rad.exterior_energy(d, r1)
-            e2 = rad.exterior_energy(d, r2)
+            e1 = ext.exterior_energy(d, r1)
+            e2 = ext.exterior_energy(d, r2)
             band = G.l2_tail_sq(r1) - G.l2_tail_sq(r2)
             pair = rad.residues(G, r1)
             bound = e2 + SIGMA4 * (2.0 * band + pair.tau1 ** 2 + pair.tau2 ** 2)
@@ -440,7 +459,7 @@ def test_residues_box():
 
 def test_residue_flow_outside_box_support():
     box = box_profile()
-    d1, d2 = rad.residue_flow(box, box.reflect(), 2.0)
+    d1, d2 = ext.residue_flow(box, box.reflect(), 2.0)
     pair = rad.residues(box, 2.0)
     assert d1 == pytest.approx(-pair.tau1 / 4.0, abs=1e-12)   # = 2^(-3/2)
     assert d1 == pytest.approx(2.0 ** -1.5, abs=1e-12)
@@ -449,14 +468,14 @@ def test_residue_flow_outside_box_support():
 
 def test_residue_flow_zero():
     z = rad.RadiationProfile.zero()
-    assert rad.residue_flow(z, z, 1.0) == (0.0, 0.0)
+    assert ext.residue_flow(z, z, 1.0) == (0.0, 0.0)
 
 
 def test_residue_flow_matches_centered_difference(rng):
     G = random_smooth_profile(rng)
     Gp = G.reflect()
     for r0 in (0.4, 0.9, 2.5):
-        d1, d2 = rad.residue_flow(G, Gp, r0)
+        d1, d2 = ext.residue_flow(G, Gp, r0)
         h = 1e-3
         pa, pb = rad.residues(G, r0 + h), rad.residues(G, r0 - h)
         assert abs(d1 - (pa.tau1 - pb.tau1) / (2 * h)) < 50.0 * h * h
@@ -466,7 +485,7 @@ def test_residue_flow_matches_centered_difference(rng):
 def test_residue_flow_rejects_jump():
     box = box_profile()
     with pytest.raises(ValueError):
-        rad.residue_flow(box, box.reflect(), 1.0)  # jump of the box edge
+        ext.residue_flow(box, box.reflect(), 1.0)  # jump of the box edge
 
 
 # -- asymptotic numbers and translations ------------------------------------------------
@@ -482,13 +501,13 @@ def test_asymptotic_numbers_examples():
 
 
 def test_asymptotic_numbers_of_decaying_profiles():
-    even = rad.RadiationProfile.from_function(
+    even = rad.RadiationProfile(
         lambda s: 1.0 / (1.0 + np.asarray(s, dtype=float) ** 2) ** 2, decay=4.0)
     a1, a2 = rad.asymptotic_numbers(even)
     assert a1 == pytest.approx(-np.pi / 2.0, abs=1e-10)
     assert a2 == pytest.approx(0.0, abs=1e-10)
     assert even.l2_tail_sq(0.0) == pytest.approx(5.0 * np.pi / 16.0, abs=1e-10)
-    odd = rad.RadiationProfile.from_function(
+    odd = rad.RadiationProfile(
         lambda s: np.asarray(s, dtype=float) / (1.0 + np.asarray(s, dtype=float) ** 2) ** 3,
         decay=5.0)
     a1, a2 = rad.asymptotic_numbers(odd)
@@ -506,7 +525,7 @@ def test_asymptotic_numbers_reject_ground_state_profile():
 
 
 def test_asymptotic_numbers_reject_undeclared_decay():
-    slow = rad.RadiationProfile.from_function(
+    slow = rad.RadiationProfile(
         lambda s: 1.0 / (1.0 + np.abs(np.asarray(s, dtype=float))), decay=1.0)
     with pytest.raises(ValueError):
         rad.asymptotic_numbers(slow)
@@ -542,39 +561,39 @@ def test_shift_round_trip(rng):
 
 def test_nonlinear_shift_zero_source():
     zero = lambda t, r: np.zeros_like(np.broadcast_arrays(np.asarray(t), np.asarray(r))[0])
-    assert rad.nonlinear_profile_shift(zero, 0.5, t_support=(0.0, 1.0),
+    assert ext.nonlinear_profile_shift(zero, 0.5, t_support=(0.0, 1.0),
                                        r_support=(0.0, 5.0)) == 0.0
 
 
 def test_nonlinear_shift_rectangle_source():
     fsrc = lambda t, r: np.where((np.asarray(t) >= 0) & (np.asarray(t) <= 1)
                                  & (np.asarray(r) >= 2) & (np.asarray(r) <= 3), 1.0, 0.0)
-    got = rad.nonlinear_profile_shift(fsrc, 0.0, t_support=(0.0, 1.0), r_support=(2.0, 3.0))
+    got = ext.nonlinear_profile_shift(fsrc, 0.0, t_support=(0.0, 1.0), r_support=(2.0, 3.0))
     assert got == pytest.approx(-1.25, abs=1e-10)
-    assert rad.nonlinear_profile_shift(fsrc, 4.0, t_support=(0.0, 1.0),
+    assert ext.nonlinear_profile_shift(fsrc, 4.0, t_support=(0.0, 1.0),
                                        r_support=(2.0, 3.0)) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
-        rad.nonlinear_profile_shift(fsrc, 0.0)
+        ext.nonlinear_profile_shift(fsrc, 0.0)
 
 
 # -- ground-state residue radius --------------------------------------------------------
 
 
 def test_compute_c2_inverse_consistency():
-    rho = rad.tau2_of_ground_state(4.0)
-    assert rad.compute_c2(rho) == pytest.approx(4.0, abs=1e-10)
+    rho = ext.tau2_of_ground_state(4.0)
+    assert ext.compute_c2(rho) == pytest.approx(4.0, abs=1e-10)
 
 
 def test_compute_c2_monotone():
-    radii = [rad.compute_c2(rho) for rho in (0.5, 0.1, 0.01)]
+    radii = [ext.compute_c2(rho) for rho in (0.5, 0.1, 0.01)]
     assert radii[0] < radii[1] < radii[2]
     assert radii[0] > np.sqrt(15.0)
 
 
 def test_compute_c2_domain():
-    assert rad.compute_c2(1.0) > np.sqrt(15.0)
+    assert ext.compute_c2(1.0) > np.sqrt(15.0)
     with pytest.raises(ValueError):
-        rad.compute_c2(100.0)
+        ext.compute_c2(100.0)
 
 
 # -- profile container invariants --------------------------------------------------------
@@ -614,14 +633,13 @@ def test_sampled_profile_round_trip(rng):
 ])
 def test_profile_rejects_bad_support_or_decay(kwargs, name):
     with pytest.raises(ValueError, match=name):
-        rad.RadiationProfile.from_function(
-            lambda s: np.ones_like(np.asarray(s, dtype=float)), **kwargs)
+        rad.RadiationProfile(lambda s: np.ones_like(np.asarray(s, dtype=float)), **kwargs)
 
 
 @pytest.mark.parametrize("R", [float("nan"), float("inf"), 0.0, -1.0])
 def test_residues_reject_non_finite_or_non_positive_radius(R):
-    G = rad.RadiationProfile.from_function(lambda s: np.ones_like(np.asarray(s, dtype=float)),
-                                           support=(-1.0, 1.0))
+    G = rad.RadiationProfile(lambda s: np.ones_like(np.asarray(s, dtype=float)),
+                             support=(-1.0, 1.0))
     with pytest.raises(ValueError, match="radius"):
         rad.residues(G, R)
 
@@ -744,7 +762,7 @@ def test_profile_recovery_rejects_slow_data_decay(decay):
 @pytest.mark.parametrize("R", [1024.0, 2048.0, 1e4])
 def test_wide_window_moment_of_decaying_profile(R):
     # int_{-R}^{R} s^2/(1+s^2)^3 ds = 2 [atan(R)/8 - sin(4 atan(R))/32] -> pi/8
-    H = rad.RadiationProfile.from_function(
+    H = rad.RadiationProfile(
         lambda s: np.asarray(s, dtype=float) / (1.0 + np.asarray(s, dtype=float) ** 2) ** 3,
         decay=5.0)
     theta = np.arctan(R)
@@ -928,11 +946,22 @@ def test_clamp_is_the_min_max_formula(support):
 
 
 def test_names_defined_elsewhere_are_radiation_attributes():
-    from exwave import exterior, radial_data
+    from exwave import radial_data
 
-    for name in exterior.__all__:
-        assert getattr(rad, name) is getattr(exterior, name)
-        assert name in rad.__all__ or name == "tau2_of_ground_state"
+    # RadialData is the one name radiation serves from another module; the
+    # exterior tools are reached through exwave.exterior only
     assert rad.RadialData is radial_data.RadialData
+    for name in ext.__all__:
+        assert not hasattr(rad, name)
+    assert {getattr(rad, name).__module__ for name in rad.__all__} == {
+        "exwave.radiation", "exwave.radial_data"}
     with pytest.raises(AttributeError, match="no_such_tool"):
         rad.no_such_tool
+
+
+def test_profiles_have_one_constructor_and_one_evaluator():
+    # built as RadiationProfile(fn, ...) or from samples, evaluated as G.value(s)
+    public = {name for name in vars(rad.RadiationProfile) if not name.startswith("_")}
+    assert public == {"from_samples", "zero", "value", "moment0", "moment1", "moment0_vec",
+                      "moment1_vec", "l2_tail_sq", "norm_l2", "reflect", "shifted"}
+    assert not callable(_smooth_bump())
