@@ -237,7 +237,8 @@ def phi_star_exact(y):
 
 
 def inverse_phi(p: SelfSimilarProfile, z: float, tol: float = 1e-14) -> float:
-    """Smallest y with phi(y) = z, by bisection between bracketing grid points.
+    """Smallest y with phi(y) = z, by ITP root bracketing (:func:`bisect`)
+    between bracketing grid points.
 
     The root is located on the dense interpolant to ``tol`` (machine level by
     default, independent of the integration tolerance).  Raises
@@ -254,21 +255,23 @@ def inverse_phi(p: SelfSimilarProfile, z: float, tol: float = 1e-14) -> float:
     if z > p.sup_phi:
         raise NoSolutionError(f"z={z} exceeds the profile supremum {p.sup_phi}")
     diff = [v - z for v in phi]
-    brackets = [(grid[i], grid[i + 1]) for i in range(len(diff) - 1)
+    # (lo, hi, phi(hi) - z) of each grid step where phi - z changes sign
+    brackets = [(grid[i], grid[i + 1], diff[i + 1]) for i in range(len(diff) - 1)
                 if diff[i] * diff[i + 1] <= 0.0]
     # the value may only be attained past the last grid point, short of y = 1
-    if (isinstance(p.category, Global) and not brackets
-            and diff[-1] * (p.category.limit_phi - z) <= 0.0):
-        brackets = [(grid[-1], p.y_max)]
+    if isinstance(p.category, Global) and not brackets:
+        d_end = p.category.limit_phi - z
+        if diff[-1] * d_end <= 0.0:
+            brackets = [(grid[-1], p.y_max, d_end)]
     if not brackets:
         raise NoSolutionError(f"phi never attains z={z} on the computed range")
 
-    def refine(lo, hi):
+    def refine(lo, hi, d_hi):
         lo, hi = bisect(lambda y: p.phi_at(y) - z, lo, hi, p.phi_at(lo) - z,
-                        max(tol, 4.0 * math.ulp(1.0)))
+                        max(tol, 4.0 * math.ulp(1.0)), d_hi)
         return 0.5 * (lo + hi)
 
-    roots = [refine(lo, hi) for lo, hi in brackets]
+    roots = [refine(*bracket) for bracket in brackets]
     # coincident brackets at a shared grid node are one root, not two
     unique = []
     for r in sorted(roots):
@@ -283,14 +286,16 @@ _PHI_STAR = 2.25 ** 0.75   # maximum of V = (9/8) phi^2 - (3/10) phi^(10/3)
 
 
 def _turning_point(nu):
-    """First positive root of nu^2 - 2 V(phi), or None when nu^2 >= 2 V(phi*)."""
+    """First positive root of nu^2 - 2 V(phi), or None when nu^2 >= 2 V(phi*),
+    bracketed by :func:`bisect` to adjacent floats."""
     def radicand(phi):
         return nu * nu - 2.25 * phi * phi + 0.6 * phi ** (10.0 / 3.0)
 
-    if radicand(_PHI_STAR) >= 0.0:
+    at_peak = radicand(_PHI_STAR)
+    if at_peak >= 0.0:
         return None
     # the radicand decreases on (0, phi*)
-    return bisect(radicand, 0.0, _PHI_STAR, nu * nu, 0.0)[0]
+    return bisect(radicand, 0.0, _PHI_STAR, nu * nu, 0.0, at_peak)[0]
 
 
 def quarter_period(nu: float) -> float:
@@ -331,22 +336,25 @@ def find_nu2(tol: float = 1e-8, bracket=(1.0, 1.86)) -> float:
     """The slope nu at which the endpoint flux of the profile vanishes.
 
     The flux vanishes when the profile turns exactly at y = 1, i.e. when the
-    quarter period (see :func:`quarter_period`) equals pi/2.  Bisects
-    T(nu) - pi/2 over ``bracket`` to width ``tol``: it is negative below the
+    quarter period (see :func:`quarter_period`) equals pi/2.  Brackets the
+    root of T(nu) - pi/2 over ``bracket`` = (lo, hi), two finite numbers with
+    lo < hi, to width ``tol`` by :func:`bisect`: it is negative below the
     root (the profile has already turned) and positive above it (still
     rising at y = 1, or never turning).
     """
     _check_tol(tol)
+    lo, hi = bracket
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"bracket must be two finite numbers lo < hi, got {bracket!r}")
 
     def excess(nu):
         return quarter_period(nu) - 0.5 * math.pi
 
-    lo, hi = bracket
     s_lo, s_hi = excess(lo), excess(hi)
     if s_lo * s_hi > 0.0:
         scan = [(lo, s_lo), (hi, s_hi)]
         raise BracketingError("quarter period does not cross pi/2 on the bracket", scan)
-    lo, hi = bisect(excess, lo, hi, s_lo, tol)
+    lo, hi = bisect(excess, lo, hi, s_lo, tol, s_hi)
     return 0.5 * (lo + hi)
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 
-from ._ode import _dot
 __all__ = [
     "QuadratureError",
     "integrate_adaptive",
@@ -81,6 +80,14 @@ class QuadratureError(RuntimeError):
         super().__init__(f"{message} (best estimate {best!r}, error bound {err_bound!r})")
         self.best = best
         self.err_bound = err_bound
+
+
+def _dot(weights, values):
+    """sum(w * v), added left to right from 0.0."""
+    total = 0.0
+    for w, v in zip(weights, values):
+        total += w * v
+    return total
 
 
 def _gk15(fn, a, b):

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -55,3 +56,163 @@ def test_dense_output_is_a_tuple_of_floats():
     state = res.sol(0.5)
     assert isinstance(state, tuple) and all(type(v) is float for v in state)
     assert state == pytest.approx((np.sin(0.5), np.cos(0.5)), abs=1e-9)
+
+
+def _bisection_calls(f, lo, hi, f_lo, width):
+    """Evaluations plain bisection (the loop ITP replaced) takes on [lo, hi]."""
+    calls = 0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= width or mid in (lo, hi):
+            break
+        f_mid = f(mid)
+        calls += 1
+        if f_lo * f_mid <= 0.0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return calls
+
+
+_SHAPES = {
+    "line": lambda x: x - 0.3,
+    "x^9": lambda x: x ** 9 - 0.3 ** 9,
+    "step": lambda x: -1.0 if x < 0.3 else 1.0,
+    "flat-then-steep": lambda x: -1e-3 if x < 0.7 else math.expm1(50.0 * (x - 0.7)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 1.0), (0.1, 0.9), (-3.0, 4.0)])
+def test_bisect_takes_at_most_one_evaluation_more_than_bisection(shape, lo, hi):
+    f = _SHAPES[shape]
+    for width in (1e-3, 1e-9, 1e-14, 0.0):
+        calls = []
+        a, b = bisect(lambda x: calls.append(x) or f(x), lo, hi, f(lo), width, f(hi))
+        # below the float spacing rounding may cost one more (the docstring's two)
+        extra = 1 if width else 2
+        assert len(calls) <= _bisection_calls(f, lo, hi, f(lo), width) + extra, width
+        assert a <= b and (b - a <= width or np.nextafter(a, np.inf) == b)
+        assert f(a) <= 0.0 <= f(b)
+
+
+def test_bisect_is_superlinear_on_a_smooth_root():
+    def cubic(x):
+        return x ** 3 - 2.0 * x - 5.0
+
+    calls = []
+    lo, hi = bisect(lambda x: calls.append(x) or cubic(x), 2.0, 3.0, cubic(2.0), 0.0, cubic(3.0))
+    assert np.nextafter(lo, np.inf) == hi and cubic(lo) < 0.0 <= cubic(hi)
+    assert len(calls) <= 25 < _bisection_calls(cubic, 2.0, 3.0, cubic(2.0), 0.0) == 51
+
+
+def test_bisect_omitting_f_hi_spends_one_evaluation_of_the_budget():
+    def step(x):
+        calls.append(x)
+        return -1.0 if x < 1.0 else 1.0
+
+    calls = []
+    given = bisect(step, 0.0, 1e300, -1.0, 0.0, 1.0)
+    assert len(calls) == 200
+    calls = []
+    omitted = bisect(step, 0.0, 1e300, -1.0, 0.0)
+    assert calls[0] == 1e300 and len(calls) == 200
+    assert given[0] < 1.0 <= given[1] and omitted[0] < 1.0 <= omitted[1]
+
+
+def test_bisect_infinite_end_value_falls_back_to_the_midpoint():
+    # what find_nu2 meets: quarter_period is +inf above the separatrix
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 1.0 / (1.0 - x) - 4.0 if x < 1.0 else math.inf
+
+    lo, hi = bisect(f, 0.0, 1.0, -3.0, 1e-12, math.inf)
+    assert calls[0] == 0.5
+    assert lo <= 0.75 <= hi and hi - lo <= 1e-12
+
+
+def test_bisect_nan_midway_falls_back_to_the_midpoint():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.nan if len(calls) == 2 else x - 0.3
+
+    lo, hi = bisect(f, 0.0, 1.0, -0.3, 1e-9, 0.7)
+    assert 0.0 <= lo < hi <= 1.0 and hi - lo <= 1e-9
+    # the NaN became an end value, of [0, calls[1]] or [calls[1], calls[0]],
+    # so the next point is that bracket's midpoint
+    assert calls[0] > 0.3 and calls[2] in (0.5 * calls[1], 0.5 * (calls[1] + calls[0]))
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1e300), (-1e308, 1e308)])
+def test_bisect_huge_brackets_do_not_overflow(lo, hi):
+    for f in (lambda x: x - 1.0, lambda x: -1.0 if x < 1.0 else 1.0):
+        a, b = bisect(f, lo, hi, f(lo), 0.0)
+        assert a < 1.0 <= b
+
+
+def test_bisect_keeps_the_root_when_values_underflow_a_product():
+    def tiny(x):
+        return (x - 0.3) * 1e-170   # f(lo) * f(x) underflows to 0.0
+
+    lo, hi = bisect(tiny, 0.0, 1.0, tiny(0.0), 1e-12, tiny(1.0))
+    assert lo <= 0.3 <= hi and hi - lo <= 1e-12
+
+
+def test_bisect_exact_zero_ends_at_adjacent_floats():
+    calls = []
+    lo, hi = bisect(lambda x: calls.append(x) or x - 0.5, 0.0, 1.0, -0.5, 0.0, 0.5)
+    assert calls == [0.5] and (lo, hi) == (np.nextafter(0.5, 0.0), 0.5)
+    assert bisect(lambda x: x - 0.3, 0.3, 1.0, 0.0, 0.0) == (0.3, np.nextafter(0.3, 1.0))
+    assert bisect(lambda x: x - 1.0, 0.3, 1.0, -0.7, 0.0, 0.0) == (np.nextafter(1.0, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (0.5, 0.5), (math.nan, 1.0), (0.0, math.nan)])
+def test_bisect_refuses_a_bracket_that_is_not_lo_below_hi(lo, hi):
+    with pytest.raises(ValueError, match="lo < hi"):
+        bisect(lambda x: x - 0.3, lo, hi, -0.3, 0.0, 0.7)
+
+
+def _dot(weights, values):
+    total = 0.0
+    for w, v in zip(weights, values):
+        total += w * v
+    return total
+
+
+def _old_stage(y, h, weights, ks):
+    """The stage as the solver built it by transposing ks."""
+    return tuple(yc + h * _dot(weights, kc) for yc, kc in zip(y, zip(*ks)))
+
+
+def _old_dense(ks):
+    """The dense coefficients as the solver built them: one row per power
+    of x, each a _dot over the transposed stages."""
+    rows = tuple(zip(*_ode._P))
+    return tuple(tuple(_dot(p, kc) for p in rows) for kc in zip(*ks))
+
+
+def _solve(kind):
+    from exwave import profiles
+
+    if kind == "linear":
+        return profiles.integrate_linear_profile()._sol
+    return profiles.integrate_profile(kind)._sol
+
+
+@pytest.mark.parametrize("kind", [1.86, "linear", 10.0])   # 10.0 blows up: the event path
+def test_step_is_bit_identical_to_the_transposed_formulas(monkeypatch, kind):
+    sol = _solve(kind)
+    # the error estimate goes through _stage from a zero state: 0.0 + h * e
+    # is the old h * e up to the sign of a zero, which _rms squares away
+    monkeypatch.setattr(_ode, "_stage", _old_stage)
+    monkeypatch.setattr(_ode, "_dense", _old_dense)
+    ref = _solve(kind)
+    assert len(sol.ts) > 50
+    assert [t.hex() for t in sol.ts] == [t.hex() for t in ref.ts]
+    assert [[v.hex() for v in y] for y in sol.ys] == [[v.hex() for v in y] for y in ref.ys]
+    assert ([[[c.hex() for c in q] for q in qs] for qs in sol.qs]
+            == [[[c.hex() for c in q] for q in qs] for qs in ref.qs])

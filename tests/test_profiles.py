@@ -201,6 +201,13 @@ def test_find_nu2_bracketing_failure():
         find_nu2(tol=1e-6, bracket=(1.7, 1.74))
 
 
+@pytest.mark.parametrize("bracket", [(1.86, 1.0), (1.5, 1.5), (math.nan, 1.86), (1.0, math.inf)])
+def test_find_nu2_rejects_a_bracket_that_is_not_finite_lo_below_hi(bracket):
+    # reversed, (1.86, 1.0) passed the sign test and came back as 1.43
+    with pytest.raises(ValueError, match="lo < hi"):
+        find_nu2(bracket=bracket)
+
+
 def test_quarter_period_harmonic_limit():
     # small oscillations of V ~ (9/8) phi^2 have frequency 3/2; the quartic
     # softening adds a correction of order phi_t^(4/3) ~ nu^(4/3)

@@ -188,3 +188,53 @@ def test_table_csv_format(table):
     assert cells[0] == "8"
     assert cells[1] == "0.9-1"
     assert float(cells[2]) == pytest.approx(0.504328, abs=5e-5)
+
+
+def test_find_nu2_takes_at_most_14_quarter_periods(monkeypatch):
+    from exwave import profiles
+
+    calls = []
+    quarter_period = profiles.quarter_period
+    monkeypatch.setattr(profiles, "quarter_period",
+                        lambda nu: calls.append(nu) or quarter_period(nu))
+    assert profiles.find_nu2(tol=1e-8) == pytest.approx(1.575, abs=1e-3)
+    assert len(calls) <= 14   # plain bisection took 29
+
+
+def test_table_roots_take_at_most_16_phi_at_calls_each(monkeypatch):
+    from exwave import profiles
+
+    per_root = []    # phi_at calls of each inverse_phi call, in order
+    inside = [False]
+    inverse_phi = profiles.inverse_phi
+    phi_at = profiles.SelfSimilarProfile.phi_at
+
+    def counted_root(p, z, *args):
+        per_root.append(0)
+        inside[0] = True
+        try:
+            return inverse_phi(p, z, *args)
+        finally:
+            inside[0] = False
+
+    def counted_phi_at(self, y):
+        if inside[0]:
+            per_root[-1] += 1
+        return phi_at(self, y)
+
+    monkeypatch.setattr(profiles, "inverse_phi", counted_root)
+    monkeypatch.setattr(profiles.SelfSimilarProfile, "phi_at", counted_phi_at)
+    verify.build_table1()
+    assert len(per_root) == 17, per_root   # y0 and the 16 rows
+    assert max(per_root) <= 16, per_root   # plain bisection took 41.3 on average
+
+
+def test_verify_table_csv_is_the_committed_one(tmp_path):
+    from pathlib import Path
+
+    from exwave import cli
+
+    table = tmp_path / "table.csv"
+    assert cli.main(["verify", "--out", str(tmp_path / "report.json"), "--table", str(table)]) == 0
+    fixture = Path(__file__).parent / "data" / "verify_table.csv"
+    assert table.read_bytes() == fixture.read_bytes()
