@@ -1,20 +1,22 @@
-"""The simulate subcommand: presets, the run and its CSV and diagnostics.
+"""The simulate subcommand's computation: presets, the run, its snapshots
+and its diagnostics, returned as values that ``cli`` writes out.  It reads
+and writes no file and no stream.
 
 Kept apart from ``cli`` so that the other subcommands compile none of it;
 ``cli`` imports it only for simulate.  Every run needs numpy, the
 nonlinearity and the solver, so they are imported at the top; radiation is
-imported only where a data CSV or a profile is read, so the closed-form
-presets never load it.
+imported only for data columns or a profile, so the closed-form presets
+never load it.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import nonlinearity as nl, pdesim
-from ._io import _atomic_write, _emit, _info, _json_dumps, _read_csv_columns
 
 
 def _parse_gspec(spec: str):
@@ -66,23 +68,26 @@ def _levels_read(cfg, n_levels, free_wave):
     return keep
 
 
-def run(args) -> int:
-    bv = None
-    if (args.preset is None) == (args.data is None):
-        raise ValueError("exactly one of --preset and --data is required")
+SimulateRun = namedtuple("SimulateRun", "r snapshots diag levels t_end blowup")
+
+
+def run(args, columns=None) -> SimulateRun:
+    """The run ``args`` asks for, from its preset or from ``columns``, the r,
+    u0 and u1 columns of a data CSV: the grid radii ``r`` as floats, the
+    ``snapshots`` as an iterator of (t, u over r), each made only when it is
+    read, the diagnostics ``diag``, and how far the run got (``levels``,
+    ``t_end``, ``blowup``)."""
+    bv, nonlin = None, "focusing"
     # pdesim.simulate reads only d.u0 and d.u1, so the closed-form presets
     # pass a plain pair and never load radiation.
-    if args.data is not None:
+    if columns is not None:
         from . import radiation
 
-        r, u0_vals, u1_vals = _read_csv_columns(args.data, 3)
-        d = radiation.RadialData.from_samples(r, u0_vals, u1_vals)
-        nonlin = "focusing"
+        d = radiation.RadialData.from_samples(*columns)
     elif args.preset == "ground-state":
         d = SimpleNamespace(u0=lambda r: nl.ground_state(r)[0],
                             u1=lambda r: np.zeros_like(np.asarray(r, dtype=float)))
         bv = lambda r, t: nl.ground_state(r)[0]
-        nonlin = "focusing"
     elif args.preset == "free-wave":
         from . import radiation
 
@@ -90,13 +95,10 @@ def run(args) -> int:
         d = radiation.data_from_profile(G)
         bv = lambda r, t: radiation.free_wave(G, r, t)
         nonlin = "linear"
-    elif args.preset == "self-similar":
+    else:  # self-similar, the last of the parser's choices
         nu = args.nu
         d = SimpleNamespace(u0=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
                             u1=lambda r: nu * np.asarray(r, dtype=float) ** (-2.5))
-        nonlin = "focusing"
-    else:
-        raise ValueError(f"unknown preset {args.preset!r}")
 
     cfg = pdesim.SimConfig(r_min=args.rmin, r_max=args.rmax, dr=args.dr, T=args.T,
                            cfl=args.cfl, nonlinearity=nonlin, boundary_values=bv)
@@ -109,18 +111,6 @@ def run(args) -> int:
         n_levels = len(tr.times)
         tr = pdesim.simulate(d, cfg, levels=_levels_read(cfg, n_levels, free_wave))
     snap_idx = _snapshot_levels(n_levels)
-    # One line template per radius, the time joined in front of each, then a
-    # single %-format per snapshot: '%.12g' % v is f"{v:.12g}" for every
-    # float, and no formatted number holds a '%'.
-    templates = [""] + [f",{x:.12g},%.12g\n" for x in tr.r.tolist()]
-
-    def snapshots():  # one chunk per snapshot, so the whole CSV never sits in memory
-        yield "t,r,u\n"
-        for n in snap_idx:
-            yield f"{tr.times[n]:.12g}".join(templates) % tuple(tr.u_level(n).tolist())
-
-    _emit(snapshots(), args.out)
-
     diag = {"times": [], "energy": [], "virial": []}
     for n in snap_idx:
         t = float(tr.times[n])
@@ -139,8 +129,7 @@ def run(args) -> int:
             diag["extracted_profile_error"] = str(exc)
     if tr.blowup is not None:
         diag["blowup"] = {"time": tr.blowup.time, "radius": tr.blowup.radius}
-    if args.diag is not None:
-        _atomic_write(args.diag, _json_dumps(diag))
-    _info(f"simulated {len(tr.times)} levels to t={tr.times[-1]:.12g} on {len(tr.r)} radii"
-          + (f"; BLOW-UP at t={tr.blowup.time}" if tr.blowup else ""))
-    return 0
+    # a generator, so that only one snapshot's u list is alive at a time
+    snapshots = ((float(tr.times[n]), tr.u_level(n).tolist()) for n in snap_idx)
+    return SimulateRun(tr.r.tolist(), snapshots, diag, len(tr.times), float(tr.times[-1]),
+                       tr.blowup)

@@ -84,31 +84,34 @@ class DenseSolution:
 
 
 def bisect(f, lo, hi, f_lo, width, f_hi=None):
-    """Shrink [lo, hi], across which f changes sign (f(lo) = f_lo, and
-    f(hi) = f_hi if given, else evaluated here), to at most ``width`` or to
-    adjacent floats, in at most 200 evaluations of f.
+    """Shrink [lo, hi], across which f changes sign (f(lo) = f_lo; f(hi) =
+    f_hi, evaluated here if not given), to at most ``width`` or to adjacent
+    floats, in at most 200 evaluations of f.
 
-    Each point is ITP's (Oliveira & Takahashi, ACM TOMS 47(1), 2020, with
-    kappa1 = 0.2 / (hi - lo), kappa2 = 2, n0 = 1): the regula falsi point,
-    moved toward the midpoint by kappa1 (hi - lo)^2 and kept close enough
-    to it that no bracket is more than twice as wide as bisection's after
-    as many evaluations.  So it takes at most one evaluation more than
-    bisection (two when ``width`` is below the spacing of the floats there,
-    from rounding in the last few), and converges superlinearly on a smooth
-    simple root.  Where the regula falsi point is not strictly inside (an
-    infinite or NaN end value), the point is the midpoint.  A point where f
-    is exactly 0 ends the search at that point and its neighbour inside.
-    Widths are halved before they are subtracted, so no bracket of finite
-    floats overflows.
+    Points are ITP's (Oliveira & Takahashi, ACM TOMS 47(1), 2020; kappa1 =
+    0.2 / (hi - lo), kappa2 = 2, n0 = 1): regula falsi, moved toward the
+    midpoint by kappa1 (hi - lo)^2 and kept close enough to it that no
+    bracket is over twice as wide as bisection's after as many evaluations.
+    So it takes at most one evaluation more than bisection (two for a
+    ``width`` below the float spacing, from rounding in the last few) and
+    converges superlinearly on a smooth simple root.  An infinite end value
+    gives the midpoint.  An exact 0 of f ends the search at that point and
+    its neighbour inside; a NaN has no sign, so it raises ValueError naming
+    the point.  Widths are halved before they are subtracted, so no bracket
+    of finite floats overflows.
     """
     if not lo < hi:
         raise ValueError(f"bisect needs lo < hi, got lo={lo!r}, hi={hi!r}")
+    if f_lo != f_lo:
+        raise ValueError(f"bisect: f({lo!r}) is NaN, so no sign brackets the root")
     if f_lo == 0.0:
         return lo, math.nextafter(lo, hi)
     budget = 200
     if f_hi is None:
         f_hi = f(hi)
         budget -= 1
+    if f_hi != f_hi:
+        raise ValueError(f"bisect: f({hi!r}) is NaN, so no sign brackets the root")
     h0 = 0.5 * hi - 0.5 * lo
     reach = 2.0   # half-width allowed after j steps, in units of h0: 2^(n0 - j)
     for _ in range(budget):
@@ -130,6 +133,8 @@ def bisect(f, lo, hi, f_lo, width, f_hi=None):
             x = mid
         reach *= 0.5
         f_x = f(x)
+        if f_x != f_x:
+            raise ValueError(f"bisect: f({x!r}) is NaN, so no sign brackets the root")
         # signs, not f_lo * f_x, which underflows to 0 for tiny values
         if f_x != 0.0 and (f_x < 0.0) == (f_lo < 0.0):
             lo, f_lo = x, f_x

@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: constants, profile, table1, verify, radiation, simulate.
-Machine-readable output (CSV with 12 significant digits or raw-number JSON)
-goes to --out or stdout; a short human summary goes to stderr.  simulate
-writes its CSV one snapshot at a time, so the whole text never sits in
-memory.  Output files are written to a temporary name and renamed on
-success, so a failed run never
+This module reads every CLI input file and writes every CLI output; the
+subcommands' computations return values.  Machine-readable output (CSV
+with 12 significant digits or raw-number JSON) goes to --out or stdout; a
+short human summary goes to stderr.  simulate writes its CSV one snapshot
+at a time, so the whole text never sits in memory.  Output files are
+written to a temporary name and renamed on success, so a failed run never
 leaves a partial file; an existing target that is not a regular file (a
 device or a FIFO) is written in place instead.  A symlinked target is
 resolved first, so the link stays and its target is replaced, and the file
@@ -18,30 +19,27 @@ Each subcommand imports only the exwave modules it runs: radiation loads no
 pdesim, profiles or verify, and no _ode, nonlinearity or quadrature either,
 since a sampled profile takes its moments from its spline, nor exterior,
 whose tools no subcommand runs; table1 and verify load no radiation, _spline
-or pdesim.  The simulate subcommand's code is in _cli_simulate, which
+or pdesim.  The simulate subcommand's computation is in _cli_simulate, which
 imports numpy, nonlinearity and pdesim at its top, so the others compile
 none of it: a process compiles each module it imports unless Python may
-cache bytecode.  The file input and output that all subcommands share is in
-_io, because under ``python -m exwave.cli`` this module runs as __main__ and
-a _cli_simulate that imported exwave.cli would run it a second time.  Only
-the subcommands that write JSON load json.  Only simulate loads numpy:
-constants, profile, table1, verify and radiation compute on floats and read
-their CSV input with the standard library; of these only radiation's
-to-data and from-data, which make a data pair, load dataclasses.  simulate
-loads radiation and _spline only where it reads a data CSV (--data) or a
-profile (the free-wave preset), and quadrature only for the box profile,
-whose moments are quadratures.  The process defaults OPENBLAS_NUM_THREADS
-to 1 (see below); set the variable to override it.
+cache bytecode.  Only the subcommands that write JSON load json.  Only
+simulate loads numpy: constants, profile, table1, verify and radiation
+compute on floats and read their CSV input with the standard library; of
+these only radiation's to-data and from-data, which make a data pair, load
+dataclasses.  simulate loads radiation and _spline only where it reads a
+data CSV (--data) or a profile (the free-wave preset), and quadrature only
+for the box profile, whose moments are quadratures.  The process defaults
+OPENBLAS_NUM_THREADS to 1 (see below); set the variable to override it.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
+import stat
 import sys
-
-from ._io import (_atomic_write, _csv_rows, _emit, _format_column, _info, _json_dumps,
-                  _read_csv_columns)
+import tempfile
 
 # numpy is imported only inside the functions that compute on arrays, so
 # only simulate loads it.  exwave makes two BLAS/LAPACK calls, both in
@@ -61,6 +59,111 @@ __all__ = ["main", "entry"]
 # to-data on 2 x 10^5 radii takes 5 s and 90 MB (2-vCPU VM), so 10^6 points
 # stay under half a minute and half a GB.
 MAX_SAMPLES = 10 ** 6
+
+
+# -- input and output ----------------------------------------------------------
+
+
+def _chunks(text):
+    """A str is one chunk; anything else is an iterable of str chunks."""
+    return (text,) if isinstance(text, str) else text
+
+
+def _atomic_write(path: str, text) -> None:
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        # a device or FIFO: renaming over it would replace it with a file
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(_chunks(text))
+        return
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:  # a new file gets what open() gives under the umask
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-exwave-")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fh.fileno(), mode)
+            fh.writelines(_chunks(text))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _emit(text, out: str | None) -> None:
+    """Write text (a str or an iterable of str chunks) to out or stdout;
+    stdout always gets a final newline."""
+    if out is not None:
+        _atomic_write(out, text)
+        return
+    last = ""
+    for chunk in _chunks(text):
+        sys.stdout.write(chunk)
+        last = chunk or last
+    if not last.endswith("\n"):
+        sys.stdout.write("\n")
+    sys.stdout.flush()  # a closed reader shows here, before the summary
+
+
+def _format_column(values) -> list[str]:
+    """Each float of a list as 12-significant-digit text, formatted once."""
+    return [f"{v:.12g}" for v in values]
+
+
+def _csv_rows(*columns) -> str:
+    """One CSV line per row of equally long columns of text."""
+    return "".join(",".join(row) + "\n" for row in zip(*columns))
+
+
+def _simulate_csv(r, snapshots):
+    """The simulate CSV, one chunk per (t, u) snapshot.  One line template
+    per radius, the time joined in front of each, then a single %-format per
+    snapshot: '%.12g' % v is f"{v:.12g}" for every float, and no formatted
+    number holds a '%'."""
+    templates = [""] + [f",{x:.12g},%.12g\n" for x in r]
+    yield "t,r,u\n"
+    for t, u in snapshots:
+        yield f"{t:.12g}".join(templates) % tuple(u)
+
+
+def _json_dumps(obj) -> str:
+    import json   # here, so that the CSV-only subcommands never load it
+
+    return json.dumps(obj, indent=2)
+
+
+def _info(msg: str) -> None:
+    print(msg, file=sys.stderr)
+
+
+def _read_csv_columns(path, n_cols):
+    """The n_cols float columns of a CSV file with one header line; blank
+    lines and '#' comments are skipped.  ValueError, naming the file and
+    line, for a file with no data, a row of another width, a cell that is no
+    number and a non-finite value."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        next(fh, None)  # the header
+        for lineno, line in enumerate(fh, start=2):
+            cells = line.split("#", 1)[0].split(",")
+            if len(cells) == 1 and not cells[0].strip():
+                continue
+            if len(cells) != n_cols:
+                raise ValueError(f"{path}:{lineno}: expected {n_cols} columns, got {len(cells)}")
+            try:
+                row = list(map(float, cells))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: not a number in {line.strip()!r}") from None
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}:{lineno}: non-finite value")
+            rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: no data rows below the header")
+    return [list(column) for column in zip(*rows)]
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -170,7 +273,15 @@ def _cmd_radiation(args) -> int:
 def _cmd_simulate(args) -> int:
     from ._cli_simulate import run   # compiled only when simulate runs
 
-    return run(args)
+    if (args.preset is None) == (args.data is None):
+        raise ValueError("exactly one of --preset and --data is required")
+    sim = run(args, None if args.data is None else _read_csv_columns(args.data, 3))
+    _emit(_simulate_csv(sim.r, sim.snapshots), args.out)
+    if args.diag is not None:
+        _atomic_write(args.diag, _json_dumps(sim.diag))
+    _info(f"simulated {sim.levels} levels to t={sim.t_end:.12g} on {len(sim.r)} radii"
+          + (f"; BLOW-UP at t={sim.blowup.time}" if sim.blowup else ""))
+    return 0
 
 
 # -- parser ----------------------------------------------------------------------

@@ -261,19 +261,33 @@ def test_subcommand_loads_no_scipy(tmp_path, run, argv):
     _assert_loads_only_its_modules(proc, run if run in _UNUSED_MODULES else argv[0])
 
 
-def test_simulate_under_run_module_never_imports_cli(tmp_path):
+_RUN_MODULE_ARGV = {
+    "simulate": (["simulate", "--preset", "ground-state", *_SIM], "t,r,u\n"),
+    "to-data": (["radiation", "to-data", "--in", "profile.csv", "--n", "51"], "r,u0,u1\n"),
+    "verify": (["verify"], "{\n"),
+}
+
+
+@pytest.mark.parametrize("run", _RUN_MODULE_ARGV)
+def test_run_module_never_imports_cli_or_a_helper_module(tmp_path, run):
     # python -m exwave.cli runs cli as __main__: were exwave.cli imported as
-    # well, cli.py would run a second time as a second module
-    out = tmp_path / "sim.csv"
-    argv = ["exwave", "simulate", "--preset", "ground-state", *_SIM, "--out", str(out)]
+    # well, cli.py would run a second time as a second module; and cli does
+    # all the CLI input and output itself, with no helper module for it
+    argv, head = _RUN_MODULE_ARGV[run]
+    s = [-1.0 + 0.04 * i for i in range(51)]
+    (tmp_path / "profile.csv").write_text(
+        "s,G\n" + "".join(f"{x:.12g},{(1.0 - x * x) ** 3:.12g}\n" for x in s))
+    out = tmp_path / "out.txt"
     proc = _python_with_exwave(
-        f"import runpy, sys\nsys.argv = {argv!r}\n"
+        f"import os, runpy, sys\nos.chdir({str(tmp_path)!r})\n"
+        f"sys.argv = {['exwave', *argv, '--out', str(out)]!r}\n"
         "try:\n    runpy.run_module('exwave.cli', run_name='__main__')\n"
         "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
-        "assert 'exwave._cli_simulate' in sys.modules\n"
-        "assert 'exwave.cli' not in sys.modules\n")
+        "assert ('exwave._cli_simulate' in sys.modules) == (sys.argv[1] == 'simulate')\n"
+        "assert 'exwave.cli' not in sys.modules\n"
+        "assert 'exwave._io' not in sys.modules\n")
     assert proc.returncode == 0, proc.stderr
-    assert out.read_text(encoding="utf-8").startswith("t,r,u\n")
+    assert out.read_text(encoding="utf-8").startswith(head)
 
 
 _IN_PROCESS_RUNS = [
@@ -681,6 +695,37 @@ def test_simulate_csv_is_the_per_cell_text(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(_SMALL_GROUND_STATE) == 0
     assert capsys.readouterr().out == want
+
+
+def test_cli_simulate_returns_values_and_touches_no_file_or_stream(tmp_path, monkeypatch,
+                                                                   capsys):
+    import builtins
+    import tempfile
+
+    out, diag = tmp_path / "traj.csv", tmp_path / "diag.json"
+    argv = [*_SMALL_GROUND_STATE, "--out", str(out), "--diag", str(diag)]
+    assert run_cli(argv) == 0
+    summary = capsys.readouterr().err
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("_cli_simulate touched the filesystem")
+
+    for owner, name in ((builtins, "open"), (os, "open"), (os, "replace"),
+                        (tempfile, "mkstemp")):
+        monkeypatch.setattr(owner, name, refuse)
+    sim = _cli_simulate.run(cli._build_parser().parse_args(argv))
+    assert iter(sim.snapshots) is sim.snapshots   # made as the CSV is written
+    rows = list(sim.snapshots)
+    monkeypatch.undo()
+    assert capsys.readouterr() == ("", "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["diag.json", "traj.csv"]
+    # the values are what cli.main wrote for the same arguments
+    assert len(rows) == 9 and all(len(u) == len(sim.r) == 101 for _, u in rows)
+    assert out.read_text().splitlines() == ["t,r,u"] + [
+        f"{t:.12g},{x:.12g},{v:.12g}" for t, u in rows for x, v in zip(sim.r, u)]
+    assert json.loads(diag.read_text()) == sim.diag
+    assert summary == f"simulated {sim.levels} levels to t={sim.t_end:.12g} on 101 radii\n"
+    assert sim.blowup is None
 
 
 def _column_formula_csv(preset):

@@ -16,7 +16,8 @@ The rule:
   sum whose terms cancel: a leapfrog value is summed from its neighbours,
   and a value near zero is mostly such noise.  A column is a place on the
   line in CSV and stderr, and a key path in JSON, with list positions after
-  the first kept.
+  the first kept.  No number may be printed with more digits than every
+  golden number of its column.
 - The set of files a command leaves behind must be the golden set.
 
 A PR that changes an output on purpose regenerates the case with
@@ -127,19 +128,26 @@ def _line_difference(want: str, got: str, start: int = 1) -> str:
     return f"{len(want_lines)} lines in the golden file, {len(got_lines)} now"
 
 
+def _digits(text: str) -> int:
+    """Significant digits printed in a number."""
+    return len(Decimal(text).normalize().as_tuple().digits)
+
+
 def _first_disagreement(cells) -> str | None:
     """The first of (place, column, golden text, text now) number cells that
-    breaks the bound of the module docstring."""
+    breaks the bound of the module docstring, or that is printed with more
+    digits than any golden number of its column."""
     columns: dict = {}
     for n, (_, column, _, _) in enumerate(cells):
         columns.setdefault(column, []).append(n)
-    scale = [0.0] * len(cells)
+    scale, digits = [0.0] * len(cells), [0] * len(cells)
     for members in columns.values():
         mags = [abs(v) if math.isfinite(v := float(cells[n][2])) else 0.0 for n in members]
+        most = max(_digits(cells[n][2]) for n in members)
         for j, n in enumerate(members):
-            scale[n] = max(mags[max(j - 1, 0):j + 2])
-    for (place, _, want, got), s in zip(cells, scale):
-        if not _numbers_agree(want, got, s):
+            scale[n], digits[n] = max(mags[max(j - 1, 0):j + 2]), most
+    for (place, _, want, got), s, most in zip(cells, scale, digits):
+        if not _numbers_agree(want, got, s) or _digits(got) > most:
             return f"{place}: golden {want}, got {got}"
     return None
 

@@ -133,18 +133,26 @@ def test_bisect_infinite_end_value_falls_back_to_the_midpoint():
     assert lo <= 0.75 <= hi and hi - lo <= 1e-12
 
 
-def test_bisect_nan_midway_falls_back_to_the_midpoint():
+@pytest.mark.parametrize("k", range(6))
+def test_bisect_nan_at_any_evaluation_raises_naming_the_point(k):
     calls = []
 
     def f(x):
         calls.append(x)
-        return math.nan if len(calls) == 2 else x - 0.3
+        return math.nan if len(calls) == k + 1 else x - 0.3
 
-    lo, hi = bisect(f, 0.0, 1.0, -0.3, 1e-9, 0.7)
-    assert 0.0 <= lo < hi <= 1.0 and hi - lo <= 1e-9
-    # the NaN became an end value, of [0, calls[1]] or [calls[1], calls[0]],
-    # so the next point is that bracket's midpoint
-    assert calls[0] > 0.3 and calls[2] in (0.5 * calls[1], 0.5 * (calls[1] + calls[0]))
+    # f_hi omitted: evaluation 0 is f(hi), the later ones are the points
+    with pytest.raises(ValueError, match="is NaN") as info:
+        bisect(f, 0.0, 1.0, -0.3, 1e-9)
+    assert len(calls) == k + 1 and calls[0] == 1.0   # no evaluation after the NaN
+    assert f"f({calls[-1]!r})" in str(info.value)
+
+
+@pytest.mark.parametrize("f_lo, f_hi", [(math.nan, 0.7), (-0.3, math.nan)])
+def test_bisect_nan_end_value_raises_naming_the_end(f_lo, f_hi):
+    end = 0.0 if math.isnan(f_lo) else 1.0
+    with pytest.raises(ValueError, match=rf"f\({end!r}\) is NaN"):
+        bisect(lambda x: x - 0.3, 0.0, 1.0, f_lo, 1e-9, f_hi)
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, 1e300), (-1e308, 1e308)])
