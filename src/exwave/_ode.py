@@ -89,16 +89,12 @@ def bisect(f, lo, hi, f_lo, width, f_hi=None):
     floats, in at most 200 evaluations of f.
 
     Points are ITP's (Oliveira & Takahashi, ACM TOMS 47(1), 2020; kappa1 =
-    0.2 / (hi - lo), kappa2 = 2, n0 = 1): regula falsi, moved toward the
-    midpoint by kappa1 (hi - lo)^2 and kept close enough to it that no
-    bracket is over twice as wide as bisection's after as many evaluations.
-    So it takes at most one evaluation more than bisection (two for a
-    ``width`` below the float spacing, from rounding in the last few) and
-    converges superlinearly on a smooth simple root.  An infinite end value
-    gives the midpoint.  An exact 0 of f ends the search at that point and
-    its neighbour inside; a NaN has no sign, so it raises ValueError naming
-    the point.  Widths are halved before they are subtracted, so no bracket
-    of finite floats overflows.
+    0.2 / (hi - lo), kappa2 = 2, n0 = 1): at most one evaluation more than
+    bisection (two for a ``width`` below the float spacing), superlinear on
+    a smooth simple root.  An infinite end value gives the midpoint; an exact
+    0 of f ends the search at that point and its neighbour inside; a NaN
+    raises ValueError naming the point.  No bracket of finite floats
+    overflows.
     """
     if not lo < hi:
         raise ValueError(f"bisect needs lo < hi, got lo={lo!r}, hi={hi!r}")
@@ -184,7 +180,15 @@ def _rms(v, scale):
     return math.sqrt(total / len(scale))
 
 
+def _finite(fy, t, y, h):
+    """fy = f(t, y); IntegrationFailure naming it unless it is finite."""
+    if not all(map(math.isfinite, fy)):
+        raise IntegrationFailure(f"non-finite f(t, y) = {tuple(map(float, fy))!r}", t, y, h, 0)
+    return fy
+
+
 def _initial_step(f, t0, y0, f0, tol, max_step):
+    _finite(f0, t0, y0, 0.0)
     scale = [tol + tol * abs(v) for v in y0]
     d0 = _rms(y0, scale)
     d1 = _rms(f0, scale)
@@ -192,7 +196,8 @@ def _initial_step(f, t0, y0, f0, tol, max_step):
         raise ValueError(f"tol={tol!r} is too small for the initial state y0={y0!r}, "
                          "or y0 too large: its scaled norm overflows")
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    f1 = f(t0 + h0, tuple(a + h0 * b for a, b in zip(y0, f0)))
+    y1 = tuple(a + h0 * b for a, b in zip(y0, f0))
+    f1 = _finite(f(t0 + h0, y1), t0 + h0, y1, h0)
     d2 = _rms([b - a for a, b in zip(f0, f1)], scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)

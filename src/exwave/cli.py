@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: constants, profile, table1, verify, radiation, simulate.
-This module reads every CLI input file and writes every CLI output; the
-subcommands' computations return values.  Machine-readable output (CSV
+This module reads every CLI input file, and makes and writes all CLI text;
+the subcommands' computations return values.  Machine-readable output (CSV
 with 12 significant digits or raw-number JSON) goes to --out or stdout; a
 short human summary goes to stderr.  simulate writes its CSV one snapshot
 at a time, so the whole text never sits in memory.  Output files are
@@ -136,6 +136,18 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2)
 
 
+def _table_csv(rows):
+    """The table CSV: k, the z range and the five computed columns of each row."""
+    k, z_lo, z_hi, *cells = zip(*rows)
+    return ("k,range,y_k,lambda_k,min_g,product,contribution\n",
+            _csv_rows(map(str, k), [f"{a:g}-{b:.6g}" for a, b in zip(z_lo, z_hi)],
+                      *map(_format_column, cells)))
+
+
+# report.json's keys, in the order of a ReportItem's fields
+_REPORT_KEYS = ("name", "computed", "target", "tolerance", "pass", "note")
+
+
 def _info(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -192,7 +204,9 @@ def _cmd_profile(args) -> int:
     from . import profiles
 
     prof = profiles.integrate_profile(args.nu, args.tol)
-    _emit(profiles.profile_to_csv(prof), args.out)
+    columns = (prof.y_nodes, prof.phi_nodes, prof.dphi_nodes,
+               [prof.energy_at(y) for y in prof.y_nodes])
+    _emit(("y,phi,dphi,H\n", _csv_rows(*map(_format_column, columns))), args.out)
     _info(f"nu={args.nu}: category={prof.category}, sup_phi={prof.sup_phi:.9g}, "
           f"drift={prof.energy_drift:.3g}")
     return 0
@@ -202,7 +216,7 @@ def _cmd_table1(args) -> int:
     from . import verify
 
     rows, summary, _ = verify.build_table1(verify.TOL if args.tol is None else args.tol)
-    _emit(verify.table_to_csv(rows, summary), args.out)
+    _emit(_table_csv(rows), args.out)
     _info(f"total={summary.total:.9g} g_minus={summary.g_minus:.9g} "
           f"margin={summary.total - summary.g_minus:.9g}")
     return 0
@@ -213,12 +227,13 @@ def _cmd_verify(args) -> int:
 
     report = verify.run_all(verify.TOL if args.tol is None else args.tol,
                             nu0=verify.NU0 if args.nu0 is None else args.nu0)
-    _emit(report.to_json(), args.out)
+    items = [dict(zip(_REPORT_KEYS, item)) for item in report.items]
+    _emit(_json_dumps({"items": items, "overall": report.overall}), args.out)
     if args.table is not None:
         if report.table is None:  # the report records the failure; not fatal
             _info(f"table not written: {report.table_error}")
         else:
-            _atomic_write(args.table, verify.table_to_csv(*report.table))
+            _atomic_write(args.table, _table_csv(report.table[0]))
     n_pass = sum(1 for i in report.items if i.passed)
     _info(f"{n_pass}/{len(report.items)} checks passed; overall "
           + ("PASS" if report.overall else "FAIL"))

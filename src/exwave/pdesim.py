@@ -68,10 +68,16 @@ _GUARD_SQUARED = BLOWUP_GUARD ** 2
 
 
 class ConeCoverageError(RuntimeError):
-    """Extraction asked for more light-cone range than the grid provides."""
+    """Extraction asked for more light-cone range than the run provides;
+    ``required_T`` and ``required_r_max`` give a run that provides it, its
+    other settings unchanged (None where none does)."""
 
-    def __init__(self, message, required_r_max):
-        super().__init__(f"{message}; the run needs r_max >= {required_r_max}")
+    def __init__(self, message, required_T=None, required_r_max=None):
+        if required_r_max is not None:
+            message += (f"; the run needs T >= {required_T:.12g} and "
+                        f"r_max >= {required_r_max:.12g}")
+        super().__init__(message)
+        self.required_T = required_T
         self.required_r_max = required_r_max
 
 
@@ -292,10 +298,16 @@ def simulate(d, cfg: SimConfig, levels=None) -> Trajectory:
     r_lo, r_hi = float(r[0]), float(r[-1])
     t_levels = times.tolist()
 
+    def end_value(x, t):
+        u = cfg.boundary_values(x, t)
+        if not math.isfinite(u):   # else the guard would report it as blow-up
+            raise ValueError(f"boundary_values is {float(u)!r} at r={x!r}, t={t!r}")
+        return x ** 2 * u
+
     def boundary_fill(w_arr, w_before, t):
         if cfg.boundary_values is not None:
-            w_arr[0] = r_lo ** 2 * cfg.boundary_values(r_lo, t)
-            w_arr[-1] = r_hi ** 2 * cfg.boundary_values(r_hi, t)
+            w_arr[0] = end_value(r_lo, t)
+            w_arr[-1] = end_value(r_hi, t)
         else:
             w_arr[0] = w_before[0]
             w_arr[-1] = w_before[-1]
@@ -380,10 +392,28 @@ def _wt_level(tr, n):
     return (tr.w_level(n + 1) - tr.w_level(n - 1)) / (2.0 * tr.cfg.dt)
 
 
+def _cone_bounds(cfg, s):
+    """(T, r_max on the grid) with which a run like cfg passes every check of
+    :func:`_outgoing_samples` at s.  The first sample t1 must reach 8 dt,
+    and with pinned ends t1/4 + s must reach r_min, each with a level of
+    slack for the rounding to levels; the last level but one and the cone,
+    r_max - s pinned or (r_max - s - dr) / 2 frozen, must reach t1.  Both
+    bounds fall as s grows wherever t1/4 + s bounds t1."""
+    dt = cfg.dt
+    t1 = 9.0 * dt
+    if cfg.boundary_values is None:
+        r_max = s + cfg.dr + 2.0 * t1
+    else:
+        t1 = max(t1, 4.0 * (cfg.r_min - s) + 5.0 * dt)
+        r_max = s + t1
+    n = math.ceil((r_max - cfg.r_min) / cfg.dr - 1e-9)
+    return t1 + 2.0 * dt, cfg.r_min + max(n, 1) * cfg.dr
+
+
 def _outgoing_samples(cfg, n_levels, s):
     """(level, t + s) of the three samples :func:`extract_outgoing` takes for
-    G_+(s) on a run of ``n_levels`` levels; ConeCoverageError if the light
-    cone of the grid is too short."""
+    G_+(s) on a run of ``n_levels`` levels; ConeCoverageError, naming the T
+    and r_max a run needs, if the light cone of the grid is too short."""
     if not math.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
     r, times = cfg.grid()
@@ -397,22 +427,23 @@ def _outgoing_samples(cfg, n_levels, s):
         if s < cfg.r_min + cfg.dr:
             raise ConeCoverageError(
                 f"s={s} is inside the inner pollution band (s < r_min + dr); "
-                "pin the ends with boundary_values", r[-1])
+                "pin the ends with boundary_values")
     t1 = min(t_grid_max, t_cone)
-    t_needed = 8.0 * dt
-    if t1 < t_needed:
-        required = 2.0 * t_needed + s if cfg.boundary_values is None else t_needed + s
-        raise ConeCoverageError("insufficient light-cone coverage for extraction", required)
+    if t1 < 8.0 * dt:
+        raise ConeCoverageError("insufficient light-cone coverage for extraction",
+                                *_cone_bounds(cfg, s))
     samples = []
     for t_target in (t1, 0.5 * t1, 0.25 * t1):
         n = int(round(t_target / dt))
         n = max(1, min(n, len(times) - 2))
+        if times[n] + s > min(r[-1], cfg.r_max):   # rounded past a pinned cone's end
+            n -= 1
         t_n = times[n]
         r_target = t_n + s
         lo, hi = _trusted_bounds(cfg, t_n)
         if r_target < max(r[0], lo) or r_target > min(r[-1], hi):
             raise ConeCoverageError("sampling ray leaves the grid or trusted region",
-                                    s + times[-1])
+                                    *_cone_bounds(cfg, s))
         samples.append((n, r_target))
     return samples
 

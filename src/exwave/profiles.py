@@ -24,6 +24,9 @@ Two outcomes are possible: |phi| escapes to infinity at some y_plus <= 1
 (global).  theta = pi/2 is a regular point of the oscillator, so the limits
 are the solver's state there: phi(1) is phi at theta = pi/2 and the flux is
 phi_theta(pi/2)^2.
+
+A profile is a value: its node lists ``y_nodes``, ``phi_nodes`` and
+``dphi_nodes`` and its dense ``phi_at``; ``cli`` writes the profile CSV.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ __all__ = [
     "quarter_period",
     "wronskian_compare",
     "phi_star_exact",
-    "profile_to_csv",
     "PHI_BLOWUP",
 ]
 
@@ -104,19 +106,20 @@ class Global(namedtuple("Global", "limit_phi limit_flux")):
 class _ProfileBase:
     """Shared dense-output plumbing for nonlinear and linear profiles.
 
-    ``y_nodes`` and ``phi_nodes`` are float lists of the accepted steps up to
-    ``_THETA_CAP``, mapped from theta to y; phi'(y) at a node is
-    phi_theta / cos(theta), from ``_phi_theta`` and ``_theta``.
+    ``y_nodes``, ``phi_nodes`` and ``dphi_nodes`` are float lists of y, phi
+    and phi'(y) = phi_theta / cos(theta) at the accepted steps up to
+    ``_THETA_CAP``.
     """
 
     def __init__(self, sol, theta_end):
         self._sol = sol   # valid on [0, theta_end]
         self.y_max = math.sin(min(theta_end, math.pi / 2))
         n = bisect_right(sol.ts, min(theta_end, _THETA_CAP))
-        self._theta = sol.ts[:n]
-        self.y_nodes = [math.sin(t) for t in self._theta]
+        theta = sol.ts[:n]
+        self.y_nodes = [math.sin(t) for t in theta]
         self.phi_nodes = [state[0] for state in sol.ys[:n]]
         self._phi_theta = [state[1] for state in sol.ys[:n]]
+        self.dphi_nodes = [s / math.cos(t) for t, s in zip(theta, self._phi_theta)]
 
     def _state(self, y):
         if not 0.0 <= y <= self.y_max + 1e-15:
@@ -371,11 +374,3 @@ def wronskian_compare(c: float, y: float, tol: float = 1e-12):
     prof = integrate_profile(c, tol)
     return prof.phi_at(y), c * phi_star_exact(y)
 
-
-def profile_to_csv(p: _ProfileBase) -> str:
-    """CSV text of the profile grid with columns y, phi, dphi, H."""
-    lines = ["y,phi,dphi,H"]
-    for y, phi, theta, s in zip(p.y_nodes, p.phi_nodes, p._theta, p._phi_theta):
-        row = (y, phi, s / math.cos(theta), p.energy_at(y))
-        lines.append(",".join(f"{v:.12g}" for v in row))
-    return "\n".join(lines) + "\n"

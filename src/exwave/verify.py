@@ -8,11 +8,13 @@ and accumulates the telescoping products that bound the ray integral from
 below.  Reference values are reproduced to 5e-5 absolute: they are printed
 with six decimals and the last digit is not guaranteed, so 5e-5 separates a
 real regression from rounding.
+
+Every function returns values; ``cli`` writes the table CSV and the report
+JSON.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
 
@@ -33,7 +35,6 @@ __all__ = [
     "check_C1",
     "check_pushup",
     "run_all",
-    "table_to_csv",
     "REFERENCE_ROWS",
     "REFERENCE_FOOTER",
 ]
@@ -86,25 +87,14 @@ Table1Row = namedtuple(
 Table1Summary = namedtuple("Table1Summary", "nu0 sup_phi y0 kappa0 g_minus total")
 
 
-class ReportItem(namedtuple("ReportItem", "name computed target tolerance passed note",
-                            defaults=("",))):
-    __slots__ = ()
-
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "computed": self.computed,
-            "target": self.target,
-            "tolerance": self.tolerance,
-            "pass": bool(self.passed),
-            "note": self.note,
-        }
+ReportItem = namedtuple("ReportItem", "name computed target tolerance passed note",
+                        defaults=("",))
 
 
 class VerificationReport:
-    """Report items in a fixed order.  ``table`` keeps the (rows, summary) of
-    the table block, or ``table_error`` why it failed; neither enters the
-    JSON."""
+    """Report items in a fixed order; ``cli`` writes them and ``overall`` as
+    report.json.  ``table`` keeps the (rows, summary) of the table block, or
+    ``table_error`` why it failed; neither enters the JSON."""
 
     def __init__(self):
         self.items = []
@@ -114,12 +104,6 @@ class VerificationReport:
     @property
     def overall(self):
         return all(item.passed for item in self.items)
-
-    def as_dict(self):
-        return {"items": [i.as_dict() for i in self.items], "overall": bool(self.overall)}
-
-    def to_json(self):
-        return json.dumps(self.as_dict(), indent=2, allow_nan=True)
 
 
 class _Check(namedtuple("_Check", "name target tolerance rule note", defaults=("",))):
@@ -329,12 +313,3 @@ def run_all(tol: float = TOL, nu0: float = NU0) -> VerificationReport:
         report.items.extend(guarded(checks, block))
     return report
 
-
-def table_to_csv(rows, summary) -> str:
-    """CSV text with columns exactly: k, range, y_k, lambda_k, min_g, product, contribution."""
-    lines = ["k,range,y_k,lambda_k,min_g,product,contribution"]
-    for row in rows:
-        rng = f"{row.z_lo:g}-{row.z_hi:.6g}"
-        cells = (row.y_k, row.lambda_k, row.min_g, row.product_k, row.contribution_k)
-        lines.append(f"{row.k},{rng}," + ",".join(f"{v:.12g}" for v in cells))
-    return "\n".join(lines) + "\n"

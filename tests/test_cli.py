@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -34,9 +36,12 @@ def test_profile_csv(tmp_path):
 
 
 def test_profile_stdout_is_profile_to_csv(capsys):
+    # stdout is the CSV of the profile's node lists
     assert run_cli(["profile", "--nu", "1.86"]) == 0
-    want = profiles.profile_to_csv(profiles.integrate_profile(1.86, 1e-12))
-    assert capsys.readouterr().out == want
+    p = profiles.integrate_profile(1.86, 1e-12)
+    rows = zip(p.y_nodes, p.phi_nodes, p.dphi_nodes, map(p.energy_at, p.y_nodes))
+    want = "".join(",".join(f"{v:.12g}" for v in row) + "\n" for row in rows)
+    assert capsys.readouterr().out == "y,phi,dphi,H\n" + want
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -130,7 +135,7 @@ def _python_with_exwave(code):
 _SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
 _MODULES_LOADED = (_SCIPY_LOADED + "\n"
                    "print(*sorted(m[7:] for m in sys.modules if m.startswith('exwave.')))\n"
-                   "print(*sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules)))")
+                   "print(*sorted({'numpy', 'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
 
 # exwave modules each subcommand must not load: it imports only what it runs
 _UNUSED_MODULES = {
@@ -163,9 +168,12 @@ _NO_NUMPY = {"constants", "profile", "table1", "verify", "radiation", "residues"
 # no data pair, so they never import dataclasses (nor inspect, which
 # dataclasses imports)
 _NO_DATACLASSES = {"constants", "profile", "table1", "verify", "residues", "asymptotic"}
+# the runs that write JSON, the only ones that load json
+_WRITES_JSON = {"constants", "verify", "residues", "asymptotic", "simulate-diag"}
 
 
-def _assert_loads_only_its_modules(proc, command):
+def _assert_loads_only_its_modules(proc, command, run=None):
+    """``run`` names the run in _WRITES_JSON (default: ``command``)."""
     assert proc.returncode == 0, proc.stderr
     scipy_modules, exwave_modules, stdlib_modules = proc.stdout.splitlines()
     assert scipy_modules == "[]"
@@ -175,6 +183,7 @@ def _assert_loads_only_its_modules(proc, command):
         assert "numpy" not in loaded
     if command in _NO_DATACLASSES:
         assert not {"dataclasses", "inspect"} & loaded
+    assert ("json" in loaded) == ((run or command) in _WRITES_JSON)
 
 
 def test_cli_import_loads_no_scipy():
@@ -243,6 +252,7 @@ _NO_SCIPY_RUNS = {
     "simulate-box": ["simulate", "--preset", "free-wave", "--gspec", "box:-1:1", *_SIM],
     "simulate-ground-state": ["simulate", "--preset", "ground-state", *_SIM],
     "simulate-self-similar": ["simulate", "--preset", "self-similar", *_SIM],
+    "simulate-diag": ["simulate", "--preset", "ground-state", *_SIM, "--diag", "diag.json"],
 }
 
 
@@ -258,7 +268,7 @@ def test_subcommand_loads_no_scipy(tmp_path, run, argv):
     proc = _python_with_exwave(
         f"import os, sys\nos.chdir({str(tmp_path)!r})\nfrom exwave.cli import main\n"
         f"assert main({[*argv, '--out', 'out.txt']!r}) == 0\n" + _MODULES_LOADED)
-    _assert_loads_only_its_modules(proc, run if run in _UNUSED_MODULES else argv[0])
+    _assert_loads_only_its_modules(proc, run if run in _UNUSED_MODULES else argv[0], run)
 
 
 _RUN_MODULE_ARGV = {
@@ -472,6 +482,21 @@ def test_simulate_blow_up_snapshots_sit_on_the_truncated_run(tmp_path, capsys):
     want = ["t,r,u"] + [f"{tr.times[n]:.12g},{x:.12g},{u:.12g}"
                         for n in snaps for x, u in zip(tr.r.tolist(), tr.u_level(n).tolist())]
     assert out.read_text().splitlines() == want
+
+
+def test_extraction_error_names_a_t_and_r_max_that_extract(tmp_path):
+    # the ray r = t - 1 lies below r_min at every sample time of this run
+    argv = ["simulate", "--preset", "free-wave", "--gspec", "bump:-1:1:1", "--rmin", "0.5",
+            "--dr", "0.05", "--out", str(tmp_path / "traj.csv"),
+            "--diag", str(tmp_path / "diag.json")]
+    assert run_cli([*argv, "--rmax", "4.5", "--T", "1"]) == 0
+    error = json.loads((tmp_path / "diag.json").read_text())["extracted_profile_error"]
+    T, r_max = re.search(r"the run needs T >= (\S+) and r_max >= (\S+)$", error).groups()
+    assert run_cli([*argv, "--rmax", r_max, "--T", T]) == 0
+    extracted = json.loads((tmp_path / "diag.json").read_text())["extracted_profile"]
+    assert [s for s, _ in extracted] == _cli_simulate._EXTRACTION_S
+    assert all(math.isfinite(g) for _, g in extracted)
+    assert abs(extracted[4][1] - 1.0) < 5e-2   # G(0) of the bump
 
 
 def test_simulate_rejects_bad_grid():

@@ -259,6 +259,16 @@ def test_extraction_below_unit_cfl():
         assert abs(pdesim.extract_outgoing(tr, s) - G.value(-s)) < 5e-2
 
 
+def test_extraction_top_sample_stays_inside_a_pinned_cone():
+    # t1 = r_max - s = 2.75 lies half a level below 2.8, the level it rounds to
+    G = free_wave_profile()
+    d = rad.data_from_profile(G)
+    cfg = pdesim.SimConfig(r_min=0.5, r_max=3.0, dr=0.1, T=4.0, cfl=1.0, nonlinearity="linear",
+                           boundary_values=lambda r, t: rad.free_wave(G, r, t))
+    tr = pdesim.simulate(d, cfg)
+    assert abs(pdesim.extract_outgoing(tr, 0.25) - G.value(-0.25)) < 5e-2
+
+
 def test_extraction_zero_data():
     d = rad.RadialData(u0=zero_fn, du0=zero_fn, u1=zero_fn, tail_radius=1.0)
     cfg = pdesim.SimConfig(r_min=0.5, r_max=20.5, dr=0.1, T=9.0, cfl=1.0)
@@ -276,6 +286,21 @@ def test_extraction_refuses_short_cone():
     # with frozen ends, s below r_min is inside the pollution band
     with pytest.raises(pdesim.ConeCoverageError):
         pdesim.extract_outgoing(tr, 0.2)
+
+
+def test_extraction_error_names_a_run_that_extracts():
+    # frozen ends: the cone (r_max - s - dr) / 2 must reach 8 levels
+    G = free_wave_profile()
+    d = rad.data_from_profile(G)
+    cfg = pdesim.SimConfig(r_min=0.5, r_max=2.5, dr=0.1, T=0.5, cfl=1.0, nonlinearity="linear")
+    with pytest.raises(pdesim.ConeCoverageError) as info:
+        pdesim.extract_outgoing(pdesim.simulate(d, cfg), 1.0)
+    err = info.value
+    assert str(err).endswith(f"the run needs T >= {err.required_T:.12g} and "
+                             f"r_max >= {err.required_r_max:.12g}")
+    cfg = pdesim.SimConfig(r_min=0.5, r_max=err.required_r_max, dr=0.1, T=err.required_T,
+                           cfl=1.0, nonlinearity="linear")
+    assert math.isfinite(pdesim.extract_outgoing(pdesim.simulate(d, cfg), 1.0))
 
 
 def test_born_level_extraction_matches_profile_shift():

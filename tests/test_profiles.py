@@ -4,16 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from exwave import profiles
+from exwave import cli, profiles
 from exwave.profiles import (AmbiguousRootError, BlowUp, Global, NoSolutionError,
                              find_nu2, integrate_linear_profile,
                              integrate_profile, inverse_phi, phi_star_exact,
-                             profile_to_csv, quarter_period, wronskian_compare)
-
-
-def _dphi_nodes(p):
-    """phi'(y) = phi_theta / cos(theta) at every node of p."""
-    return [s / math.cos(t) for t, s in zip(p._theta, p._phi_theta)]
+                             quarter_period, wronskian_compare)
 
 
 def test_grid_anchoring_invariants():
@@ -22,7 +17,7 @@ def test_grid_anchoring_invariants():
         assert all(a < b for a, b in zip(p.y_nodes, p.y_nodes[1:]))
         assert p.y_nodes[0] == 0.0
         assert p.phi_nodes[0] == 0.0
-        assert _dphi_nodes(p)[0] == pytest.approx(nu, abs=1e-14)
+        assert p.dphi_nodes[0] == pytest.approx(nu, abs=1e-14)
 
 
 def test_zero_slope_gives_zero_profile():
@@ -85,7 +80,7 @@ def test_positivity_and_sublinearity():
 def test_monotone_for_large_slopes():
     for nu in (1.9, 2.5, 5.0):
         p = integrate_profile(nu, 1e-12)
-        assert all(d > 0.0 for d in _dphi_nodes(p)), f"nu={nu} not strictly increasing"
+        assert all(d > 0.0 for d in p.dphi_nodes), f"nu={nu} not strictly increasing"
 
 
 def test_inverse_phi_reference_values():
@@ -258,9 +253,8 @@ def test_step_halving_stability():
 
 
 def test_csv_export(tmp_path):
-    p = integrate_profile(1.0, 1e-10)
     path = tmp_path / "phi.csv"
-    path.write_text(profile_to_csv(p))
+    assert cli.main(["profile", "--nu", "1.0", "--tol", "1e-10", "--out", str(path)]) == 0
     lines = path.read_text().splitlines()
     assert lines[0] == "y,phi,dphi,H"
     first = [float(x) for x in lines[1].split(",")]
@@ -272,11 +266,19 @@ def test_csv_export(tmp_path):
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, 1.575, 1.86, 5.0, None], ids=lambda nu: f"nu={nu}")
-def test_profile_to_csv_is_the_array_formula(nu):
-    # the CSV as it was written from numpy arrays of the nodes, dphi by np.cos
+def test_profile_to_csv_is_the_array_formula(nu, tmp_path):
+    # the profile CSV as it was written from numpy arrays of the nodes, dphi
+    # by np.cos: the node lists give it, and so does `exwave profile`, which
+    # prints the nonlinear profiles only
     p = integrate_linear_profile() if nu is None else integrate_profile(nu)
+    n = len(p.y_nodes)
     grid = np.array(p.y_nodes)
-    dphi = np.array(p._phi_theta) / np.cos(p._theta)
+    dphi = np.array([state[1] for state in p._sol.ys[:n]]) / np.cos(p._sol.ts[:n])
     rows = zip(grid, np.array(p.phi_nodes), dphi, p.energy_at(grid))
     want = "".join(",".join(f"{v:.12g}" for v in row) + "\n" for row in rows)
-    assert profile_to_csv(p) == "y,phi,dphi,H\n" + want
+    rows = zip(p.y_nodes, p.phi_nodes, p.dphi_nodes, map(p.energy_at, p.y_nodes))
+    assert "".join(",".join(f"{v:.12g}" for v in row) + "\n" for row in rows) == want
+    if nu is not None:
+        out = tmp_path / "phi.csv"
+        assert cli.main(["profile", "--nu", repr(nu), "--out", str(out)]) == 0
+        assert out.read_text() == "y,phi,dphi,H\n" + want

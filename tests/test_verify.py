@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from exwave import verify
+from exwave import cli, verify
 
 
 @pytest.fixture(scope="module")
@@ -170,18 +170,21 @@ def test_run_all_fails_only_the_block_that_raised(monkeypatch, check, n_failed):
     assert all(item.passed for item in report.items if item not in failed)
 
 
-def test_report_json_deterministic():
-    a = verify.run_all().to_json()
-    b = verify.run_all().to_json()
+def test_report_json_deterministic(tmp_path):
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        assert cli.main(["verify", "--out", str(path)]) == 0
+    a, b = (path.read_text() for path in paths)
     assert a == b
     payload = json.loads(a)
     assert payload["overall"] is True
     assert all(isinstance(item["computed"], float) for item in payload["items"])
 
 
-def test_table_csv_format(table):
-    rows, summary, _ = table
-    lines = verify.table_to_csv(rows, summary).splitlines()
+def test_table_csv_format(tmp_path):
+    path = tmp_path / "table.csv"
+    assert cli.main(["table1", "--out", str(path)]) == 0
+    lines = path.read_text().splitlines()
     assert lines[0] == "k,range,y_k,lambda_k,min_g,product,contribution"
     assert len(lines) == 17
     cells = lines[8].split(",")
@@ -228,13 +231,3 @@ def test_table_roots_take_at_most_16_phi_at_calls_each(monkeypatch):
     assert len(per_root) == 17, per_root   # y0 and the 16 rows
     assert max(per_root) <= 16, per_root   # plain bisection took 41.3 on average
 
-
-def test_verify_table_csv_is_the_committed_one(tmp_path):
-    from pathlib import Path
-
-    from exwave import cli
-
-    table = tmp_path / "table.csv"
-    assert cli.main(["verify", "--out", str(tmp_path / "report.json"), "--table", str(table)]) == 0
-    fixture = Path(__file__).parent / "data" / "verify_table.csv"
-    assert table.read_bytes() == fixture.read_bytes()
