@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -360,15 +359,14 @@ def energy(tr: Trajectory, t: float, R: float) -> float:
     The potential term is included only for the focusing equation, so the
     quantity is the conserved one for whichever equation was simulated.  A
     request for the final stored level falls back one step (the centered
-    velocity needs a forward level).  A finite R outside the grid is clamped
-    to it with a warning.
+    velocity needs a forward level).  An R that is not finite or lies off the
+    grid [r_min, r_max] raises ValueError.
     """
     if not math.isfinite(R):
         raise ValueError(f"R must be finite, got {R}")
+    if not tr.r[0] <= R <= tr.r[-1]:
+        raise ValueError(f"R={R} outside the grid [{tr.r[0]}, {tr.r[-1]}]")
     u, ut, ur = _fields(tr, t)
-    if R < tr.r[0] or R > tr.r[-1]:
-        warnings.warn(f"R={R} outside the grid; clamped")
-        R = min(max(R, tr.r[0]), tr.r[-1])
     dens = 0.5 * ur ** 2 + 0.5 * ut ** 2
     if tr.cfg.nonlinearity == "focusing":
         dens = dens - 0.3 * np.abs(u) ** (10.0 / 3.0)

@@ -27,6 +27,8 @@ phi_theta(pi/2)^2.
 
 A profile is a value: its node lists ``y_nodes``, ``phi_nodes`` and
 ``dphi_nodes`` and its dense ``phi_at``; ``cli`` writes the profile CSV.
+:func:`inverse_phi` returns the first preimage of a value, the abscissa the
+verification table defines.
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ __all__ = [
     "LinearProfile",
     "ProfileError",
     "NoSolutionError",
-    "AmbiguousRootError",
-    "BracketingError",
     "integrate_profile",
     "integrate_linear_profile",
     "inverse_phi",
@@ -63,6 +63,7 @@ _DRIFT_PHI_CAP = 20.0     # conserved-quantity drift is only meaningful while
                           # |phi|^(10/3) stays far from the cancellation floor
 _THETA_CAP = math.pi / 2 - 2.0 ** -13   # last grid point kept below y = 1
 _MAX_STEP = math.pi / 256  # accuracy floor so coarse tolerances stay honest
+_ROOT_TOL = 1e-14          # width of an inverse_phi bracket
 
 
 class ProfileError(RuntimeError):
@@ -71,18 +72,6 @@ class ProfileError(RuntimeError):
 
 class NoSolutionError(ProfileError):
     pass
-
-
-class AmbiguousRootError(ProfileError):
-    def __init__(self, message, crossings):
-        super().__init__(f"{message}: crossings at y = {crossings}")
-        self.crossings = list(crossings)
-
-
-class BracketingError(ProfileError):
-    def __init__(self, message, scan):
-        super().__init__(message)
-        self.scan = scan
 
 
 class BlowUp(namedtuple("BlowUp", "y_plus")):
@@ -239,16 +228,15 @@ def phi_star_exact(y):
     return _pointwise(one, y)
 
 
-def inverse_phi(p: SelfSimilarProfile, z: float, tol: float = 1e-14) -> float:
-    """Smallest y with phi(y) = z, by ITP root bracketing (:func:`bisect`)
-    between bracketing grid points.
+def inverse_phi(p: SelfSimilarProfile, z: float) -> float:
+    """Smallest y with phi(y) = z: the first preimage of z.
 
-    The root is located on the dense interpolant to ``tol`` (machine level by
-    default, independent of the integration tolerance).  Raises
-    :class:`NoSolutionError` when z exceeds the supremum and
-    :class:`AmbiguousRootError` (reporting every crossing) when the value is
-    attained more than once on the computed range.  A non-finite z raises
-    ValueError.
+    ITP (:func:`bisect`) brackets the root on the dense interpolant to width
+    ``_ROOT_TOL``, independent of the integration tolerance, inside the first
+    grid step where phi - z changes sign; failing that, inside the stretch
+    from the last node to y = 1 of a :class:`Global` profile.  Raises
+    :class:`NoSolutionError` when phi never attains z on the computed range,
+    and ValueError for a non-finite z.
     """
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z!r}")
@@ -258,31 +246,17 @@ def inverse_phi(p: SelfSimilarProfile, z: float, tol: float = 1e-14) -> float:
     if z > p.sup_phi:
         raise NoSolutionError(f"z={z} exceeds the profile supremum {p.sup_phi}")
     diff = [v - z for v in phi]
-    # (lo, hi, phi(hi) - z) of each grid step where phi - z changes sign
-    brackets = [(grid[i], grid[i + 1], diff[i + 1]) for i in range(len(diff) - 1)
-                if diff[i] * diff[i + 1] <= 0.0]
-    # the value may only be attained past the last grid point, short of y = 1
-    if isinstance(p.category, Global) and not brackets:
-        d_end = p.category.limit_phi - z
-        if diff[-1] * d_end <= 0.0:
-            brackets = [(grid[-1], p.y_max, d_end)]
-    if not brackets:
+    # the first grid step where phi - z changes sign
+    i = next((i for i in range(1, len(diff)) if diff[i - 1] * diff[i] <= 0.0), None)
+    if i is not None:
+        lo, hi, d_hi = grid[i - 1], grid[i], diff[i]
+    elif isinstance(p.category, Global) and diff[-1] * (p.category.limit_phi - z) <= 0.0:
+        # the value may only be attained past the last grid point, short of y = 1
+        lo, hi, d_hi = grid[-1], p.y_max, p.category.limit_phi - z
+    else:
         raise NoSolutionError(f"phi never attains z={z} on the computed range")
-
-    def refine(lo, hi, d_hi):
-        lo, hi = bisect(lambda y: p.phi_at(y) - z, lo, hi, p.phi_at(lo) - z,
-                        max(tol, 4.0 * math.ulp(1.0)), d_hi)
-        return 0.5 * (lo + hi)
-
-    roots = [refine(*bracket) for bracket in brackets]
-    # coincident brackets at a shared grid node are one root, not two
-    unique = []
-    for r in sorted(roots):
-        if not unique or r - unique[-1] > max(10 * tol, 1e-12):
-            unique.append(r)
-    if len(unique) > 1:
-        raise AmbiguousRootError("phi attains z more than once", unique)
-    return unique[0]
+    lo, hi = bisect(lambda y: p.phi_at(y) - z, lo, hi, p.phi_at(lo) - z, _ROOT_TOL, d_hi)
+    return 0.5 * (lo + hi)
 
 
 _PHI_STAR = 2.25 ** 0.75   # maximum of V = (9/8) phi^2 - (3/10) phi^(10/3)
@@ -335,29 +309,21 @@ def quarter_period(nu: float) -> float:
     return integrate_adaptive(integrand, 0.0, 1.0, 1e-12)
 
 
-def find_nu2(tol: float = 1e-8, bracket=(1.0, 1.86)) -> float:
+def find_nu2(tol: float = 1e-8) -> float:
     """The slope nu at which the endpoint flux of the profile vanishes.
 
     The flux vanishes when the profile turns exactly at y = 1, i.e. when the
     quarter period (see :func:`quarter_period`) equals pi/2.  Brackets the
-    root of T(nu) - pi/2 over ``bracket`` = (lo, hi), two finite numbers with
-    lo < hi, to width ``tol`` by :func:`bisect`: it is negative below the
-    root (the profile has already turned) and positive above it (still
-    rising at y = 1, or never turning).
+    root of T(nu) - pi/2 over (1.0, 1.86) to width ``tol`` by :func:`bisect`:
+    the excess is negative at 1.0 (the profile has already turned) and +inf
+    at 1.86, above the separatrix sqrt(2 V(phi*)) ~ 1.7428 (never turns).
     """
     _check_tol(tol)
-    lo, hi = bracket
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"bracket must be two finite numbers lo < hi, got {bracket!r}")
 
     def excess(nu):
         return quarter_period(nu) - 0.5 * math.pi
 
-    s_lo, s_hi = excess(lo), excess(hi)
-    if s_lo * s_hi > 0.0:
-        scan = [(lo, s_lo), (hi, s_hi)]
-        raise BracketingError("quarter period does not cross pi/2 on the bracket", scan)
-    lo, hi = bisect(excess, lo, hi, s_lo, tol, s_hi)
+    lo, hi = bisect(excess, 1.0, 1.86, excess(1.0), tol, excess(1.86))
     return 0.5 * (lo + hi)
 
 

@@ -49,7 +49,6 @@ class RadialData:
     tail_radius: float | None = None
     tail_c0: float = 0.0
     tail_c1: float = 0.0
-    du0_reduced_accuracy: bool = False
     breakpoints: tuple = ()   # radii where u0/u1 may jump or kink
     u1_tail: Callable | None = None
 
@@ -67,8 +66,8 @@ class RadialData:
     @classmethod
     def from_samples(cls, r, u0_vals, u1_vals, tail="none"):
         """Sampled data: not-a-knot cubic splines on the strictly increasing
-        grid 0 <= r[0] <= r <= r[-1]; u0' comes from the interpolant and is
-        flagged.  Each callable takes a float or, point by point, an array.
+        grid 0 <= r[0] <= r <= r[-1]; u0' is the interpolant's derivative.
+        Each callable takes a float or, point by point, an array.
 
         ``tail="none"`` gives zero outside the grid (compact data).
         ``tail="r3"`` continues u0 and u1 below the grid evenly, as
@@ -126,5 +125,4 @@ class RadialData:
         return cls(u0=extended(s0, lambda x: a0 + b0 * x * x, c0, -3.0),
                    u1=extended(s1, lambda x: a1 + b1 * x * x, c1, -3.0),
                    du0=extended(d0, lambda x: 2.0 * b0 * x, dc0, -4.0),
-                   tail_radius=hi, tail_c0=c0, tail_c1=c1,
-                   du0_reduced_accuracy=True, u1_tail=u1_tail)
+                   tail_radius=hi, tail_c0=c0, tail_c1=c1, u1_tail=u1_tail)

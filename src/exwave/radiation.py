@@ -376,15 +376,12 @@ def profile_from_data(d: RadialData) -> RadiationProfile:
     both for s > 0, with G(s) = G_even(s) + G_odd(s) and
     G(-s) = -G_even(s) + G_odd(s).  (The labels record the time parity of the
     generating data, not the parity in s.)  When no derivative handle exists,
-    u0' falls back to centered differences and the result is flagged.
+    u0' falls back to centered differences.
     Data with neither a tail_radius nor a declared decay > 2 are rejected.
     """
     u0, du0, u1 = d.u0, d.du0, d.u1
     u1_tail = _u1_tail(d)
-    reduced = d.du0_reduced_accuracy
     if du0 is None:
-        reduced = True
-
         def du0(r):
             h = _DU0_STEP * max(1.0, abs(r))
             return (u0(r + h) - u0(r - h)) / (2.0 * h)
@@ -411,9 +408,7 @@ def profile_from_data(d: RadialData) -> RadiationProfile:
     else:
         raise ValueError("profile recovery needs a tail_radius or a declared decay")
     knots = sorted({k for b in d.breakpoints for k in (b, -b)})
-    prof = RadiationProfile(fn, support=support, decay=decay, breakpoints=knots)
-    prof.du0_reduced_accuracy = reduced
-    return prof
+    return RadiationProfile(fn, support=support, decay=decay, breakpoints=knots)
 
 
 # -- residues and asymptotic numbers ------------------------------------------

@@ -270,15 +270,15 @@ def _g_constants_gap():
 def run_all(tol: float = TOL, nu0: float = NU0) -> VerificationReport:
     """Run every check and assemble the report in a fixed deterministic order.
 
-    A non-finite or nonpositive tolerance or a non-finite nu0 raises
-    ValueError.  A block that raises (for instance at an injected nu0 for
-    which the table cannot be built) is recorded as its declared items, all
-    failing with the error as their note; nothing else raises out of here.
+    A tolerance that is not finite and positive, or a nu0 that is not finite
+    and nonnegative, raises ValueError.  A block that raises (say, at a nu0
+    for which the table cannot be built) is recorded as its declared items,
+    all failing with the error as their note; nothing else raises out of here.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerances must be finite and positive")
-    if not math.isfinite(nu0):
-        raise ValueError("nu0 must be finite")
+    if not (math.isfinite(nu0) and nu0 >= 0):
+        raise ValueError("nu0 must be finite and nonnegative")
     report = VerificationReport()
 
     def guarded(checks, block):

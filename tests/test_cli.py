@@ -384,6 +384,13 @@ def test_verify_non_finite_tolerance_exits_1(tmp_path):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("nu0", ["nan", "-1"])
+def test_verify_bad_nu0_exits_1(tmp_path, capsys, nu0):
+    assert run_cli(["verify", "--nu0", nu0, "--out", str(tmp_path / "r.json")]) == 1
+    assert "nu0 must be finite and nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as info:
         cli.main(["verify", "--bogus"])

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -367,12 +368,13 @@ def test_virial_rejects_oversized_cutoff():
         pdesim.virial(tr, 0.5, 3.0)
 
 
-def test_energy_clamps_radius_with_warning():
+def test_energy_rejects_a_radius_off_the_grid():
     d, cfg = ground_state_setup(dr=0.05, T=0.5)
     tr = pdesim.simulate(d, cfg)
-    with pytest.warns(UserWarning):
-        val = pdesim.energy(tr, 0.5, 0.1)
-    assert np.isfinite(val)
+    for bad in (0.1, tr.r[-1] + 0.05):
+        with pytest.raises(ValueError, match=re.escape(f"R={bad} outside the grid [1.0, 11.0]")):
+            pdesim.energy(tr, 0.5, bad)
+    assert np.isfinite(pdesim.energy(tr, 0.5, tr.r[-1]))
 
 
 def test_energy_rejects_non_finite_radius():

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from exwave import cli, profiles
-from exwave.profiles import (AmbiguousRootError, BlowUp, Global, NoSolutionError,
-                             find_nu2, integrate_linear_profile,
-                             integrate_profile, inverse_phi, phi_star_exact,
-                             quarter_period, wronskian_compare)
+from exwave.profiles import (BlowUp, Global, NoSolutionError, find_nu2,
+                             integrate_linear_profile, integrate_profile, inverse_phi,
+                             phi_star_exact, quarter_period, wronskian_compare)
 
 
 def test_grid_anchoring_invariants():
@@ -102,11 +101,17 @@ def test_inverse_phi_errors():
         inverse_phi(p, 10.0)
     with pytest.raises(NoSolutionError, match="never attains z=-0.5"):
         inverse_phi(p, -0.5)
-    # an oscillating profile attains small values more than once
+
+
+def test_inverse_phi_returns_the_first_preimage():
+    # the nu = 0.5 profile turns before y = 1, so it attains z twice
     posc = integrate_profile(0.5, 1e-10)
-    with pytest.raises(AmbiguousRootError) as info:
-        inverse_phi(posc, 0.9 * posc.sup_phi)
-    assert len(info.value.crossings) > 1
+    z = 0.9 * posc.sup_phi
+    assert posc.phi_nodes[-1] < z   # phi rises through z and falls back through it
+    y = inverse_phi(posc, z)
+    assert abs(posc.phi_at(y) - z) < 1e-11
+    below = [phi - z for yk, phi in zip(posc.y_nodes, posc.phi_nodes) if yk < y]
+    assert all(d < 0.0 for d in below)
 
 
 def test_linear_profile_energy_at_is_its_conserved_energy():
@@ -184,23 +189,13 @@ def test_global_limits_keep_the_first_integral(nu):
 
 
 def test_find_nu2():
+    # the fixed bracket (1.0, 1.86): turned before y = 1 at 1.0, never at 1.86
+    assert quarter_period(1.0) < 0.5 * math.pi < quarter_period(1.86) == math.inf
     nu2 = find_nu2(tol=1e-8)
     assert nu2 == pytest.approx(1.575, abs=5e-3)
     prof = integrate_profile(nu2, 1e-12)
     assert abs(prof.category.limit_flux) < 1e-7
     assert find_nu2(tol=1e-8) == nu2  # determinism
-
-
-def test_find_nu2_bracketing_failure():
-    with pytest.raises(profiles.BracketingError):
-        find_nu2(tol=1e-6, bracket=(1.7, 1.74))
-
-
-@pytest.mark.parametrize("bracket", [(1.86, 1.0), (1.5, 1.5), (math.nan, 1.86), (1.0, math.inf)])
-def test_find_nu2_rejects_a_bracket_that_is_not_finite_lo_below_hi(bracket):
-    # reversed, (1.86, 1.0) passed the sign test and came back as 1.43
-    with pytest.raises(ValueError, match="lo < hi"):
-        find_nu2(bracket=bracket)
 
 
 def test_quarter_period_harmonic_limit():
