@@ -34,7 +34,7 @@ print(f"maximum value = {max(lp.phi_nodes):.6f}  (closed form peaks at 2/3)")
 
 print()
 print("=== the flux-vanishing slope ===")
-nu2 = profiles.find_nu2(tol=1e-8)
+nu2 = profiles.find_nu2()
 print(f"nu2 = {nu2:.6f}   (reference 1.575)")
 print(f"quarter period at nu2: {profiles.quarter_period(nu2):.10f}  (pi/2 = {math.pi / 2:.10f})")
 flux = profiles.integrate_profile(nu2).category.limit_flux

@@ -5,8 +5,8 @@ and writes no file and no stream.
 Kept apart from ``cli`` so that the other subcommands compile none of it;
 ``cli`` imports it only for simulate.  Every run needs numpy, the
 nonlinearity and the solver, so they are imported at the top; radiation is
-imported only for data columns or a profile, so the closed-form presets
-never load it.
+imported only for a profile, and ``cli`` loads a data CSV, so the
+closed-form presets never load it.
 """
 
 from __future__ import annotations
@@ -71,19 +71,17 @@ def _levels_read(cfg, n_levels, free_wave):
 SimulateRun = namedtuple("SimulateRun", "r snapshots diag levels t_end blowup")
 
 
-def run(args, columns=None) -> SimulateRun:
-    """The run ``args`` asks for, from its preset or from ``columns``, the r,
-    u0 and u1 columns of a data CSV: the grid radii ``r`` as floats, the
+def run(args, data=None) -> SimulateRun:
+    """The run ``args`` asks for, from its preset or from ``data``, the pair
+    ``cli`` loads from a data CSV: the grid radii ``r`` as floats, the
     ``snapshots`` as an iterator of (t, u over r), each made only when it is
     read, the diagnostics ``diag``, and how far the run got (``levels``,
     ``t_end``, ``blowup``)."""
     bv, nonlin = None, "focusing"
     # pdesim.simulate reads only d.u0 and d.u1, so the closed-form presets
     # pass a plain pair and never load radiation.
-    if columns is not None:
-        from . import radiation
-
-        d = radiation.RadialData.from_samples(*columns)
+    if data is not None:
+        d = data
     elif args.preset == "ground-state":
         d = SimpleNamespace(u0=lambda r: nl.ground_state(r)[0],
                             u1=lambda r: np.zeros_like(np.asarray(r, dtype=float)))

@@ -247,6 +247,12 @@ def _load_profile(path):
     return radiation.RadiationProfile.from_samples(s, g_vals)
 
 
+def _load_data(path):
+    from . import radiation
+
+    return radiation.RadialData.from_samples(*_read_csv_columns(path, 3))
+
+
 def _cmd_radiation(args) -> int:
     from . import radiation
     from ._spline import linspace
@@ -265,9 +271,7 @@ def _cmd_radiation(args) -> int:
         _info(f"data written on {len(r)} radii")
         return 0
     if args.mode == "from-data":
-        r, u0_vals, u1_vals = _read_csv_columns(args.infile, 3)
-        d = radiation.RadialData.from_samples(r, u0_vals, u1_vals, tail="r3")
-        G = radiation.profile_from_data(d)
+        G = radiation.profile_from_data(_load_data(args.infile))
         s = linspace(G.support[0], G.support[1], args.n)
         _emit(("s,G\n", _csv_rows(*map(_format_column, (s, [G.value(x) for x in s])))),
               args.out)
@@ -290,7 +294,7 @@ def _cmd_simulate(args) -> int:
 
     if (args.preset is None) == (args.data is None):
         raise ValueError("exactly one of --preset and --data is required")
-    sim = run(args, None if args.data is None else _read_csv_columns(args.data, 3))
+    sim = run(args, None if args.data is None else _load_data(args.data))
     _emit(_simulate_csv(sim.r, sim.snapshots), args.out)
     if args.diag is not None:
         _atomic_write(args.diag, _json_dumps(sim.diag))

@@ -133,6 +133,8 @@ def nonlinear_profile_shift(Fsrc, s: float, *, t_support=None, r_support=None,
     """
     if t_support is None and decay is None:
         raise ValueError("source needs t_support or a declared decay exponent")
+    if r_support is None and decay is None:
+        raise ValueError("source needs r_support or a declared decay exponent")
 
     def along_ray(t):
         return (s + t) ** 2 * Fsrc(t, t + s)

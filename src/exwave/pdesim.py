@@ -268,7 +268,9 @@ def simulate(d, cfg: SimConfig, levels=None) -> Trajectory:
     The first step is the Taylor expansion
     w^1 = w^0 + dt * r^2 u1 + (dt^2/2) (D_rr w^0 + source), which keeps the
     scheme time-reversal symmetric: data (0, u1) run forward and with -u1
-    give exactly opposite fields.
+    give exactly opposite fields.  Every level, level 1 included, passes the
+    blow-up guard before it is kept; data that are not finite on the grid,
+    or whose w = r^2 u0 already exceeds ``BLOWUP_GUARD``, raise ValueError.
 
     ``levels`` lists the level indices to keep (default: all of them); the
     memory held is one grid row per kept level plus a few work rows.  A run
@@ -312,32 +314,33 @@ def simulate(d, cfg: SimConfig, levels=None) -> Trajectory:
             w_arr[-1] = w_before[-1]
 
     r2 = r ** 2
-    w_prev = r2 * u0g
-    record(0, w_prev)
-    lap0 = np.zeros_like(w_prev)
-    lap0[1:-1] = (w_prev[2:] - 2.0 * w_prev[1:-1] + w_prev[:-2]) / cfg.dr ** 2
-    w_curr = w_prev + dt * r2 * u1g + 0.5 * dt * dt * (lap0 + _source(w_prev, r2, cfg))
-    boundary_fill(w_curr, w_prev, t_levels[1] if n_t >= 1 else 0.0)
-    if n_t >= 1:
-        record(1, w_curr)
+    with np.errstate(over="ignore"):   # an overflow to inf is rejected below
+        w_curr = r2 * u0g
+    if not np.abs(w_curr).max() <= BLOWUP_GUARD:   # no sum of squares to overflow
+        raise ValueError(f"initial data exceed the blow-up guard: |r^2 u0| > {BLOWUP_GUARD:g}")
+    record(0, w_curr)
     n_levels = n_t + 1
     blowup = None
     # The folded step of the module docstring, in place on three rotating rows
     # and one interior work row; the blow-up radius is located only on blow-up.
-    w_next = np.empty_like(w_curr)
+    w_prev, w_next = np.empty_like(w_curr), np.empty_like(w_curr)
     a, b = _source_coefficients(r2[1:-1], cfg)
     c2 = (dt / cfg.dr) ** 2
     alpha = None if a is None else (dt * dt) * a
     gamma = (2.0 - 2.0 * c2) + (dt * dt) * b
     f = np.empty_like(gamma)
-    for n in range(1, n_t):
+    for n in range(n_t):
         nxt, w = w_next[1:-1], w_curr[1:-1]
-        np.add(w_curr[2:], w_curr[:-2], out=nxt)
-        if c2 != 1.0:  # x * 1.0 is x, so cfl = 1 skips a row pass
-            np.multiply(nxt, c2, out=nxt)
-        np.subtract(nxt, w_prev[1:-1], out=nxt)
-        np.multiply(w, _coefficient(w, alpha, gamma, out=f), out=f)
-        np.add(nxt, f, out=nxt)
+        if n == 0:   # the Taylor step, D_rr w + source in acc; boundary_fill sets the ends
+            acc = (w_curr[2:] - 2.0 * w + w_curr[:-2]) / cfg.dr ** 2 + _source(w, r2[1:-1], cfg)
+            nxt[:] = w + dt * r2[1:-1] * u1g[1:-1] + 0.5 * dt * dt * acc
+        else:
+            np.add(w_curr[2:], w_curr[:-2], out=nxt)
+            if c2 != 1.0:  # x * 1.0 is x, so cfl = 1 skips a row pass
+                np.multiply(nxt, c2, out=nxt)
+            np.subtract(nxt, w_prev[1:-1], out=nxt)
+            np.multiply(w, _coefficient(w, alpha, gamma, out=f), out=f)
+            np.add(nxt, f, out=nxt)
         boundary_fill(w_next, w_curr, t_levels[n + 1])
         if _exceeds_guard(w_next):
             loc = int(np.argmax(np.abs(w_next)))

@@ -309,25 +309,23 @@ def quarter_period(nu: float) -> float:
     return integrate_adaptive(integrand, 0.0, 1.0, 1e-12)
 
 
-def find_nu2(tol: float = 1e-8) -> float:
+def find_nu2() -> float:
     """The slope nu at which the endpoint flux of the profile vanishes.
 
     The flux vanishes when the profile turns exactly at y = 1, i.e. when the
     quarter period (see :func:`quarter_period`) equals pi/2.  Brackets the
-    root of T(nu) - pi/2 over (1.0, 1.86) to width ``tol`` by :func:`bisect`:
+    root of T(nu) - pi/2 over (1.0, 1.86) to width 1e-8 by :func:`bisect`:
     the excess is negative at 1.0 (the profile has already turned) and +inf
     at 1.86, above the separatrix sqrt(2 V(phi*)) ~ 1.7428 (never turns).
     """
-    _check_tol(tol)
-
     def excess(nu):
         return quarter_period(nu) - 0.5 * math.pi
 
-    lo, hi = bisect(excess, 1.0, 1.86, excess(1.0), tol, excess(1.86))
+    lo, hi = bisect(excess, 1.0, 1.86, excess(1.0), 1e-8, excess(1.86))
     return 0.5 * (lo + hi)
 
 
-def wronskian_compare(c: float, y: float, tol: float = 1e-12):
+def wronskian_compare(c: float, y: float):
     """The pair (phi_c(y), c * phi_star(y)) entering the comparison bound.
 
     For 0 < c <= 0.05 the nonlinear profile dominates its linear scaling:
@@ -337,6 +335,6 @@ def wronskian_compare(c: float, y: float, tol: float = 1e-12):
         raise ValueError("c must lie in (0, 0.05]")
     if not (0.0 < y < 1.0):
         raise ValueError("y must lie in (0, 1)")
-    prof = integrate_profile(c, tol)
+    prof = integrate_profile(c)
     return prof.phi_at(y), c * phi_star_exact(y)
 

@@ -64,23 +64,21 @@ class RadialData:
                              f"got tail_radius={self.tail_radius}, decay={self.decay}")
 
     @classmethod
-    def from_samples(cls, r, u0_vals, u1_vals, tail="none"):
+    def from_samples(cls, r, u0_vals, u1_vals):
         """Sampled data: not-a-knot cubic splines on the strictly increasing
         grid 0 <= r[0] <= r <= r[-1]; u0' is the interpolant's derivative.
         Each callable takes a float or, point by point, an array.
 
-        ``tail="none"`` gives zero outside the grid (compact data).
-        ``tail="r3"`` continues u0 and u1 below the grid evenly, as
-        a + b r^2 matched to the spline's value and slope at r[0] (smooth
-        radial data are even in r), with u0' = 2 b r there; beyond the grid
-        it continues them with the generic far field c/r^3, the coefficients
-        read off the last sample.  Both are the same closures, compact data
-        with every coefficient 0, and both declare ``tail_radius=r[-1]``.
-        Either way ``u1_tail`` integrates exactly these data: rho times the
-        u1 spline is a piecewise quartic.
+        Off the grid the data continue one way.  Below r[0] u0 and u1 are
+        even, a + b r^2 matched to the spline's value and slope at r[0]
+        (smooth radial data are even in r), with u0' = 2 b r there.  Past
+        r[-1] they are the generic far field c r^-3, the coefficients read off
+        the last sample, and the data declare ``tail_radius=r[-1]``.  That is
+        exact, to the printed digits, for the data ``radiation to-data``
+        writes: they reach past the profile's support radius, beyond which a
+        free wave is c r^-3.  ``u1_tail`` integrates exactly these data: rho
+        times the u1 spline is a piecewise quartic.
         """
-        if tail not in ("none", "r3"):
-            raise ValueError("tail must be 'none' or 'r3'")
         r, u0_vals, u1_vals = floats(r), floats(u0_vals), floats(u1_vals)
         s0 = cubic_spline(r, u0_vals)
         s1 = cubic_spline(r, u1_vals)
@@ -96,12 +94,8 @@ class RadialData:
             return spline.at(lo) - b * lo * lo, b
 
         # u = a + b r^2 on (0, lo) and c r^-3 past hi, u0' = -3 c0 r^-4 there
-        if tail == "r3":
-            (a0, b0), (a1, b1) = even(s0, d0), even(s1, s1.derivative())
-            c0, c1 = hi ** 3 * u0_vals[-1], hi ** 3 * u1_vals[-1]
-            dc0 = -3.0 * c0
-        else:   # +0.0 throughout: -3.0 * 0.0 would give u0' = -0.0 past hi
-            a0 = b0 = a1 = b1 = c0 = c1 = dc0 = 0.0
+        (a0, b0), (a1, b1) = even(s0, d0), even(s1, s1.derivative())
+        c0, c1 = hi ** 3 * u0_vals[-1], hi ** 3 * u1_vals[-1]
         rho_u1 = times_x(s1).antiderivative()
         rho_u1_end = rho_u1.at(hi)
 
@@ -124,5 +118,5 @@ class RadialData:
 
         return cls(u0=extended(s0, lambda x: a0 + b0 * x * x, c0, -3.0),
                    u1=extended(s1, lambda x: a1 + b1 * x * x, c1, -3.0),
-                   du0=extended(d0, lambda x: 2.0 * b0 * x, dc0, -4.0),
+                   du0=extended(d0, lambda x: 2.0 * b0 * x, -3.0 * c0, -4.0),
                    tail_radius=hi, tail_c0=c0, tail_c1=c1, u1_tail=u1_tail)

@@ -65,6 +65,13 @@ def _piecewise(fn, a, b, knots, tol):
     return sum(integrate_adaptive(fn, lo, hi, tol) for lo, hi in zip(cuts[:-1], cuts[1:]))
 
 
+def _check_not_nan(*points):
+    """ValueError for a NaN among the points, which no comparison would catch."""
+    for x in points:
+        if x != x:
+            raise ValueError(f"a profile point must not be NaN, got {x!r}")
+
+
 def _dyadic_radii(R):
     """+-1, +-2, +-4, ... up to R.  Cut there, a wide window of a decaying
     profile keeps panels near 0 that a single panel's nodes would miss."""
@@ -139,8 +146,12 @@ class RadiationProfile:
     # -- evaluation ---------------------------------------------------------
 
     def value(self, s):
-        """G(s), 0 outside the support."""
-        return _pointwise(self._at, s)
+        """G(s), 0 outside the support; ValueError for a NaN s."""
+        return _pointwise(self._checked_at, s)
+
+    def _checked_at(self, s):
+        _check_not_nan(s)
+        return self._at(s)
 
     def _at(self, s):
         if self.support is not None and not self.support[0] <= s <= self.support[1]:
@@ -211,11 +222,13 @@ class RadiationProfile:
                 + integrate_tail(lambda s: fn(-s), R, _QTOL, decay=decay))
 
     def moment0(self, a, b):
-        """int_a^b G(s) ds on a finite interval."""
+        """int_a^b G(s) ds on a finite interval; ValueError for a NaN end."""
+        _check_not_nan(a, b)
         return self._moment(0, a, b)
 
     def moment1(self, a, b):
-        """int_a^b s G(s) ds on a finite interval."""
+        """int_a^b s G(s) ds on a finite interval; ValueError for a NaN end."""
+        _check_not_nan(a, b)
         return self._moment(1, a, b)
 
     def moment0_vec(self, a, b):
@@ -229,7 +242,10 @@ class RadiationProfile:
     # -- norms ---------------------------------------------------------------
 
     def l2_tail_sq(self, R):
-        """int_{|s| > R} G(s)^2 ds."""
+        """int_{|s| > R} G(s)^2 ds; ValueError unless R >= 0 (for R < 0 the
+        two sides would overlap on [R, -R])."""
+        if not R >= 0.0:
+            raise ValueError(f"R must be nonnegative, got {R!r}")
         return self._outside(2, R)
 
     @property

@@ -307,7 +307,7 @@ def run_all(tol: float = TOL, nu0: float = NU0) -> VerificationReport:
         (_TABLE_BLOCK, table_block),
         (_PUSHUP, lambda: check_pushup(tol)),
         ((_G_CONSTANTS,), lambda: [_G_CONSTANTS.judge(_g_constants_gap())]),
-        ((_NU2,), lambda: [_NU2.judge(profiles.find_nu2(tol=1e-8))]),
+        ((_NU2,), lambda: [_NU2.judge(profiles.find_nu2())]),
     ]
     for checks, block in blocks:
         report.items.extend(guarded(checks, block))

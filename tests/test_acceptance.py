@@ -82,7 +82,7 @@ def test_05_pushup():
 
 
 def test_06_nu2():
-    nu2 = profiles.find_nu2(tol=1e-8)
+    nu2 = profiles.find_nu2()
     report("06 nu2", abs(nu2 - 1.575) <= 5e-3, f"(nu2 = {nu2:.6f}, target 1.575 +- 0.005)")
 
 

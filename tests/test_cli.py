@@ -543,6 +543,35 @@ def test_simulate_data_with_nan_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_data_past_the_guard_exits_1(tmp_path, capsys):
+    data_csv = tmp_path / "data.csv"
+    data_csv.write_text("r,u0,u1\n1,1e200,0\n2,1e200,0\n3,1e200,0\n4,1e200,0\n")
+    out = tmp_path / "x.csv"
+    assert run_cli(["simulate", "--data", str(data_csv), "--rmin", "1", "--rmax", "4",
+                    "--dr", "0.1", "--T", "0.1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: initial data exceed the blow-up guard: |r^2 u0| > 1e+12\n")
+    assert not out.exists()
+
+
+def test_simulate_continues_a_data_csv_as_from_data_does(tmp_path):
+    # past its last radius r = 3 the golden to-data CSV is a free wave's far
+    # field c r^-3, and simulate --data continues it so, as from-data does
+    data_csv = os.path.join(os.path.dirname(__file__), "data", "golden", "radiation-to-data",
+                            "data.csv")
+    out = tmp_path / "traj.csv"
+    assert run_cli(["simulate", "--data", data_csv, "--rmin", "0.5", "--rmax", "5",
+                    "--dr", "0.05", "--T", "0.5", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    past = [(float(r), float(u)) for t, r, u in rows if t == "0" and float(r) > 3.0]
+    assert len(past) == 40
+    u0_end = 0.00376249270075   # the CSV's last row, at r = 3
+    assert past[0] == (3.05, 0.00358046895274)
+    for r, u in past:
+        assert u == pytest.approx(27.0 * u0_end / r ** 3, rel=1e-11, abs=0.0)
+    assert cli._load_data(data_csv).u0(3.05) == pytest.approx(0.00358046895274, rel=1e-11)
+
+
 @pytest.mark.parametrize("T", ["1e7", "1e13"])
 def test_simulate_over_budget_exits_1_at_once(tmp_path, capsys, T):
     out = tmp_path / "x.csv"
@@ -812,7 +841,7 @@ def test_radiation_csvs_are_the_per_cell_text(tmp_path):
     assert run_cli(["radiation", "from-data", "--in", str(data_csv), "--n", "101",
                     "--out", str(back_csv)]) == 0
     G = radiation.profile_from_data(radiation.RadialData.from_samples(
-        *np.loadtxt(data_csv, delimiter=",", skiprows=1).T, tail="r3"))
+        *np.loadtxt(data_csv, delimiter=",", skiprows=1).T))
     s_back = np.linspace(G.support[0], G.support[1], 101)
     assert back_csv.read_text() == _old_csv("s,G", s_back, G.value(s_back))
 

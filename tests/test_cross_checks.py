@@ -79,6 +79,6 @@ def _nu2_by_endpoint_flux(tol=1e-8, bracket=(1.0, 1.86), ode_tol=1e-10):
 
 
 def test_nu2_period_integral_against_ode_flux_bisection():
-    nu2 = profiles.find_nu2(tol=1e-8)
+    nu2 = profiles.find_nu2()
     assert abs(nu2 - _nu2_by_endpoint_flux()) <= 1e-8
     assert abs(profiles.integrate_profile(nu2, 1e-12).category.limit_flux) < 1e-7

@@ -192,6 +192,33 @@ def test_blowup_guard_trips_on_negative_fields():
     assert np.array_equal(flipped.w, -fwd.w)
 
 
+@pytest.mark.parametrize("T", [0.1, 0.2])
+def test_blowup_guard_sees_level_one(T):
+    # the Taylor step makes level 1 in the loop, so the guard reads it too:
+    # dt r^2 u1 = 1e14 r^2 on the interior
+    d = rad.RadialData(u0=zero_fn, u1=lambda r: np.full_like(np.asarray(r, dtype=float), 1e15),
+                       tail_radius=2.0)
+    tr = pdesim.simulate(d, pdesim.SimConfig(r_min=1.0, r_max=2.0, dr=0.1, T=T))
+    assert tr.blowup == pdesim.BlowUpTruncation(time=0.1, radius=1.9)
+    assert np.array_equal(tr.times, [0.0]) and np.array_equal(tr.rows, [0])
+    assert np.array_equal(tr.w, [np.zeros(11)])
+
+
+def test_simulate_rejects_initial_data_past_the_guard():
+    cfg = pdesim.SimConfig(r_min=1.0, r_max=2.0, dr=0.1, T=0.1)
+    # |r^2 u0| > BLOWUP_GUARD at r = 1 already; 1e307 r^2 overflows to inf
+    for u0 in (1.01e12, -1e200, 1e307):
+        d = rad.RadialData(u0=lambda r, u0=u0: np.full_like(np.asarray(r, dtype=float), u0),
+                           u1=zero_fn, tail_radius=2.0)
+        with pytest.raises(ValueError, match=re.escape("blow-up guard: |r^2 u0| > 1e+12")):
+            pdesim.simulate(d, cfg)
+    # at the guard is data, not blow-up: w = 1e12 on the frozen end r = 1
+    d = rad.RadialData(u0=lambda r: np.where(np.asarray(r) == 1.0, 1e12, 0.0), u1=zero_fn,
+                       tail_radius=2.0)
+    tr = pdesim.simulate(d, cfg)
+    assert tr.blowup is None and tr.w[1][0] == 1e12
+
+
 def test_guard_filter_passes_a_large_row_below_the_guard():
     # the sum of squares, 6.5e27, exceeds the guard's square: the exact test decides
     row = np.full(8001, 0.9e12)

@@ -70,7 +70,29 @@ _NON_FINITE_PROBES = {
     "free_wave_gradient(t=-inf)": lambda: rad.free_wave_gradient(box_profile(), 2.0, -_INF),
     "inverse_phi(nan)": lambda: profiles.inverse_phi(profiles.integrate_profile(1.86, 1e-10),
                                                      _NAN),
+    # a profile's point, end or radius: NaN, and a negative R, where the two
+    # sides of the tail would overlap on [R, -R]
+    "box.value(nan)": lambda: box_profile().value(_NAN),
+    "spline.value(nan)": lambda: _spline_profile().value(_NAN),
+    "spline.value([0, nan])": lambda: _spline_profile().value(np.array([0.0, _NAN])),
+    "box.moment0(nan,1)": lambda: box_profile().moment0(_NAN, 1.0),
+    "spline.moment0(nan,1)": lambda: _spline_profile().moment0(_NAN, 1.0),
+    "decaying.moment0(nan,1)": lambda: _decaying_profile().moment0(_NAN, 1.0),
+    "box.moment1(0,nan)": lambda: box_profile().moment1(0.0, _NAN),
+    "spline.moment1_vec(nan)": lambda: _spline_profile().moment1_vec(np.array([_NAN]), 1.0),
+    "box.l2_tail_sq(nan)": lambda: box_profile().l2_tail_sq(_NAN),
+    "box.l2_tail_sq(-0.5)": lambda: box_profile().l2_tail_sq(-0.5),
+    "decaying.l2_tail_sq(-0.5)": lambda: _decaying_profile().l2_tail_sq(-0.5),
 }
+
+
+def _spline_profile():
+    s = np.linspace(-1.0, 1.0, 41)
+    return rad.RadiationProfile.from_samples(s, (1.0 - s * s) ** 3)
+
+
+def _decaying_profile():
+    return rad.RadiationProfile(lambda s: 1.0 / (1.0 + s * s) ** 3, decay=6.0)
 
 
 @pytest.mark.parametrize("probe", _NON_FINITE_PROBES.values(), ids=_NON_FINITE_PROBES.keys())
@@ -240,8 +262,7 @@ def test_profile_recovery_rejects_undeclared_tails():
 def test_recovered_profile_array_matches_pointwise():
     # one array evaluation, with s = 0 and both signs, equals the scalar calls
     r = np.linspace(0.1, 3.0, 301)
-    sampled = rad.RadialData.from_samples(r, np.exp(-r) * np.cos(3.0 * r), np.sin(2.0 * r),
-                                          tail="r3")
+    sampled = rad.RadialData.from_samples(r, np.exp(-r) * np.cos(3.0 * r), np.sin(2.0 * r))
     s = np.array([-3.5, -1.7, -0.05, 0.0, 0.05, 1.7, 2.999, 3.5])
     for d in (sampled, ground_state_data()):
         G = rad.profile_from_data(d)
@@ -256,7 +277,7 @@ def test_array_arguments_give_the_float_calls_bit_for_bit():
     G = rad.RadiationProfile.from_samples(grid, vals)
     grid = np.linspace(0.1, 3.0, 97)
     u0, u1 = np.exp(-grid) * np.cos(3.0 * grid), np.sin(2.0 * grid)
-    data = [rad.RadialData.from_samples(grid, u0, u1, tail=tail) for tail in ("r3", "none")]
+    data = [rad.RadialData.from_samples(grid, u0, u1)]
     s = np.array([[-2.0, -1.5, -0.7, 0.0], [0.3, 1.1, 1.5, 2.5]])
     r = np.array([0.05, 0.1, 0.77, 1.5, 2.999, 3.0, 4.5])
     of_s = [G.value, G._spline, G._spline.derivative(), G._spline.antiderivative()]
@@ -286,23 +307,11 @@ def test_float_linspace_is_numpys_bit_for_bit(start, stop, num):
 def test_sampled_data_reject_radii_out_of_range():
     with pytest.raises(ValueError, match="nonnegative"):
         rad.RadialData.from_samples([-1.0, 0.0, 1.0, 2.0], [0.0, 1.0, 0.5, 0.0], [0.0] * 4)
-    for tail in ("r3", "none"):
-        with pytest.raises(ValueError, match=re.escape("radius 1e+80 is out of range: r**4")):
-            rad.RadialData.from_samples([1.0, 2.0, 1e80], [1.0, 0.5, 0.0], [0.0] * 3, tail=tail)
+    with pytest.raises(ValueError, match=re.escape("radius 1e+80 is out of range: r**4")):
+        rad.RadialData.from_samples([1.0, 2.0, 1e80], [1.0, 0.5, 0.0], [0.0] * 3)
     # r[0] = 0 is allowed: the even continuation holds u0 at its value there
-    d = rad.RadialData.from_samples([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.2, 0.1], [0.0] * 4,
-                                    tail="r3")
+    d = rad.RadialData.from_samples([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.2, 0.1], [0.0] * 4)
     assert d.u0(0.0) == 1.0
-
-
-def test_compact_samples_are_positive_zero_off_the_grid():
-    r = np.linspace(0.5, 3.0, 26)
-    d = rad.RadialData.from_samples(r, -np.exp(-r), -np.cos(r), tail="none")
-    off = [0.1, 0.25, 0.499, 3.001, 4.0, 1e6]
-    values = [f(x) for f in (d.u0, d.du0, d.u1) for x in off]
-    values += [d.u1_tail(s) for s in (3.0, 3.5, 1e6)]
-    assert [(v, math.copysign(1.0, v)) for v in values] == [(0.0, 1.0)] * len(values)
-    assert not np.signbit(d.du0(np.array(off))).any()
 
 
 _BY_RADIUS = {"free_wave": lambda G, R: rad.free_wave(G, R, 0.0),
@@ -393,7 +402,7 @@ def test_data_and_profiles_declare_one_far_field():
     d = rad.data_from_profile(rad.RadiationProfile(lambda s: 1.0 / (1.0 + s * s) ** 3, decay=6.0))
     assert (d.tail_radius, d.decay) == (None, 3.0)
     r = np.linspace(0.5, 2.0, 7)
-    assert rad.RadialData.from_samples(r, np.exp(-r), r * 0.0, tail="r3").decay is None
+    assert rad.RadialData.from_samples(r, np.exp(-r), r * 0.0).decay is None
 
 
 def test_nan_decay_is_no_declared_decay():
@@ -573,6 +582,9 @@ def test_nonlinear_shift_rectangle_source():
                                        r_support=(2.0, 3.0)) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         ext.nonlinear_profile_shift(fsrc, 0.0)
+    # the shells need the source's radial extent or its decay
+    with pytest.raises(ValueError, match="r_support or a declared decay"):
+        ext.nonlinear_profile_shift(fsrc, 0.0, t_support=(0.0, 1.0))
 
 
 # -- ground-state residue radius --------------------------------------------------------
@@ -689,20 +701,19 @@ def _knot_split_quad(f, a, b, knots):
     return math.fsum(quad(f, lo, hi)[0] for lo, hi in zip(cuts[:-1], cuts[1:]))
 
 
-@pytest.mark.parametrize("tail", ["r3", "none"])
-def test_stored_u1_tail_matches_quad(tail):
+def test_stored_u1_tail_matches_quad():
     from scipy.interpolate import CubicSpline
 
     r = np.linspace(0.1, 3.0, 601)
     u0 = np.exp(-r) * np.cos(3.0 * r)
     u1 = np.sin(2.0 * r) / (1.0 + r * r) + 0.5
-    d = rad.RadialData.from_samples(r, u0, u1, tail=tail)
+    d = rad.RadialData.from_samples(r, u0, u1)
     s1 = CubicSpline(r, u1)
-    c1 = r[-1] ** 3 * u1[-1] if tail == "r3" else 0.0
-    # below the grid "r3" continues u1 evenly, a + b rho^2, with the value
-    # and slope of the spline at r[0]
-    b = s1(r[0], 1) / (2.0 * r[0]) if tail == "r3" else 0.0
-    a = s1(r[0]) - b * r[0] ** 2 if tail == "r3" else 0.0
+    c1 = r[-1] ** 3 * u1[-1]
+    # below the grid u1 continues evenly, a + b rho^2, with the value and
+    # slope of the spline at r[0]
+    b = s1(r[0], 1) / (2.0 * r[0])
+    a = s1(r[0]) - b * r[0] ** 2
     points = np.array([0.0, 0.099, 1.2345, 3.0, 3.7])
     got = rad._u1_tail(d)(points)
     for s, g in zip(points, got):
@@ -719,15 +730,14 @@ def test_sampled_round_trip_below_the_grid():
     G = random_smooth_profile(np.random.default_rng(7))
     r = np.linspace(0.1, 3.0, 2001)
     exact = rad.data_from_profile(G)
-    d = rad.RadialData.from_samples(r, exact.u0(r), exact.u1(r), tail="r3")
+    d = rad.RadialData.from_samples(r, exact.u0(r), exact.u1(r))
     s = np.linspace(-0.099, 0.099, 45)
     assert np.max(np.abs(rad.profile_from_data(d).value(s) - G.value(s))) < 1e-6
 
 
 def test_sampled_du0_is_the_derivative_below_the_grid():
     r = np.linspace(0.1, 3.0, 601)
-    d = rad.RadialData.from_samples(r, np.exp(-r) * np.cos(3.0 * r), np.sin(2.0 * r),
-                                    tail="r3")
+    d = rad.RadialData.from_samples(r, np.exp(-r) * np.cos(3.0 * r), np.sin(2.0 * r))
     x = np.array([0.01, 0.03, 0.05, 0.08, 0.099])
     h = 1e-6
     centered = (d.u0(x + h) - d.u0(x - h)) / (2.0 * h)
@@ -889,7 +899,7 @@ def test_recovered_profile_is_the_per_point_formula():
     r = _spline.linspace(0.1, 3.0, 301)
     u0_vals = [math.exp(-x) * math.cos(3.0 * x) for x in r]
     u1_vals = [math.sin(2.0 * x) / (1.0 + x * x) + 0.5 for x in r]
-    G = rad.profile_from_data(rad.RadialData.from_samples(r, u0_vals, u1_vals, tail="r3"))
+    G = rad.profile_from_data(rad.RadialData.from_samples(r, u0_vals, u1_vals))
     # the sampled data and the profile formula, one spline evaluation at a time
     s0, s1 = _spline.cubic_spline(r, u0_vals), _spline.cubic_spline(r, u1_vals)
     d0 = s0.derivative()

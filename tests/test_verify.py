@@ -200,7 +200,7 @@ def test_find_nu2_takes_at_most_14_quarter_periods(monkeypatch):
     quarter_period = profiles.quarter_period
     monkeypatch.setattr(profiles, "quarter_period",
                         lambda nu: calls.append(nu) or quarter_period(nu))
-    assert profiles.find_nu2(tol=1e-8) == pytest.approx(1.575, abs=1e-3)
+    assert profiles.find_nu2() == pytest.approx(1.575, abs=1e-3)
     assert len(calls) <= 14   # plain bisection took 29
 
 
