@@ -110,15 +110,13 @@ def run(args, data=None) -> SimulateRun:
         tr = pdesim.simulate(d, cfg, levels=_levels_read(cfg, n_levels, free_wave))
     snap_idx = _snapshot_levels(n_levels)
     diag = {"times": [], "energy": [], "virial": []}
-    for n in snap_idx:
+    scale = tr.r[-1] / 3.0
+    # the last level has no forward level for a centred velocity
+    for n in snap_idx[:-1] or snap_idx:
         t = float(tr.times[n])
-        if n >= len(tr.times) - 1 and n > 0:
-            continue
         diag["times"].append(t)
         diag["energy"].append(pdesim.energy(tr, t, args.rmin))
-        scale = tr.r[-1] / 3.0
-        j, jp, jpp = pdesim.virial(tr, t, scale)
-        diag["virial"].append([j, jp, jpp])
+        diag["virial"].append(list(pdesim.virial(tr, t, scale)))
     if free_wave:
         try:
             diag["extracted_profile"] = [[s, pdesim.extract_outgoing(tr, s)]

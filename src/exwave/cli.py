@@ -4,16 +4,18 @@ Subcommands: constants, profile, table1, verify, radiation, simulate.
 This module reads every CLI input file, and makes and writes all CLI text;
 the subcommands' computations return values.  Machine-readable output (CSV
 with 12 significant digits or raw-number JSON) goes to --out or stdout; a
-short human summary goes to stderr.  simulate writes its CSV one snapshot
-at a time, so the whole text never sits in memory.  Output files are
-written to a temporary name and renamed on success, so a failed run never
-leaves a partial file; an existing target that is not a regular file (a
-device or a FIFO) is written in place instead.  A symlinked target is
-resolved first, so the link stays and its target is replaced, and the file
-gets the mode a plain open() would give it.  Exit codes: 0 success,
-1 computation failure, 2 usage error, 3 verification failure, 141 stdout's
-reader closed early (128 + SIGPIPE, what the shell reports for a tool that
-SIGPIPE kills); the last stops quietly, with nothing on stderr.
+short human summary goes to stderr.  The JSON writer refuses NaN and
+Infinity, which are not JSON; a verify item that was not computed writes
+null.  simulate writes its CSV one snapshot at a time, so the whole text
+never sits in memory.  Output files are written to a temporary name and
+renamed on success, so a failed run never leaves a partial file; an
+existing target that is not a regular file (a device or a FIFO) is written
+in place instead.  A symlinked target is resolved first, so the link stays
+and its target is replaced, and the file gets the mode a plain open() would
+give it.  Exit codes: 0 success, 1 computation failure, 2 usage error,
+3 verification failure, 141 stdout's reader closed early (128 + SIGPIPE,
+what the shell reports for a tool that SIGPIPE kills); the last stops
+quietly, with nothing on stderr.
 
 Each subcommand imports only the exwave modules it runs: radiation loads no
 pdesim, profiles or verify, and no _ode, nonlinearity or quadrature either,
@@ -26,7 +28,8 @@ cache bytecode.  Only the subcommands that write JSON load json.  Only
 simulate loads numpy: constants, profile, table1, verify and radiation
 compute on floats and read their CSV input with the standard library; of
 these only radiation's to-data and from-data, which make a data pair, load
-dataclasses.  simulate loads radiation and _spline only where it reads a
+dataclasses, and of simulate only --data and the free-wave preset, for the
+same reason.  simulate loads radiation and _spline only where it reads a
 data CSV (--data) or a profile (the free-wave preset), and quadrature only
 for the box profile, whose moments are quadratures.  The process defaults
 OPENBLAS_NUM_THREADS to 1 (see below); set the variable to override it.
@@ -133,7 +136,7 @@ def _simulate_csv(r, snapshots):
 def _json_dumps(obj) -> str:
     import json   # here, so that the CSV-only subcommands never load it
 
-    return json.dumps(obj, indent=2)
+    return json.dumps(obj, indent=2, allow_nan=False)   # NaN and Infinity are not JSON
 
 
 def _table_csv(rows):

@@ -16,8 +16,11 @@ with alpha and gamma computed once per run and |w|^(4/3) = (cbrt w)^4.
 That is ten passes over the row per step, nine at cfl = 1, where the
 multiply by c2 = 1.0 is skipped (x * 1.0 is x), plus one BLAS dot for the
 blow-up guard; the exact max/min test runs only when that sum of squares
-exceeds the guard squared (see ``_exceeds_guard``).  About 8 ns per
-point-step on an 8001-node row at cfl = 1 (2-vCPU VM, numpy 2.4).
+exceeds the guard squared (see ``_exceeds_guard``).  Every level, level 0
+included, passes that one guard, and the run ignores overflow, so an
+overflow anywhere becomes an inf that the guard reports, never a numpy
+warning.  About 8 ns per point-step on an 8001-node row at cfl = 1 (2-vCPU
+VM, numpy 2.4).
 At cfl = 1 the d'Alembert part is w[i+1] + w[i-1] - w_prev, so it is
 transported along grid diagonals up to the rounding of the additions, and
 the -2u potential term sits in gamma.  That is what the characteristic-ray
@@ -26,17 +29,17 @@ integral and the discrete finite-speed check rely on.
 (w[i+1] - 2 w + w[i-1]) / dr^2, an independent check of the folded step.
 
 A run with ``boundary_values`` pins both end nodes to that closed form, after
-which the whole grid is usable; a run without it freezes them, and only the
-shrinking domain of dependence [r_min + t, r_max - t] is trusted
-(diagnostics refuse to read outside it).
+which the whole grid is usable; a run without it freezes them at level 0,
+and only the shrinking domain of dependence [r_min + t, r_max - t] is
+trusted (diagnostics refuse to read outside it).  ``energy`` and ``virial``
+raise ValueError rather than return a number that is not finite.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
 
 import numpy as np
 
@@ -80,31 +83,24 @@ class ConeCoverageError(RuntimeError):
         self.required_r_max = required_r_max
 
 
-@dataclass(frozen=True)
-class BlowUpTruncation:
-    time: float
-    radius: float
+BlowUpTruncation = namedtuple("BlowUpTruncation", "time radius")
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """Grid, nonlinearity and end values of one run.
+class SimConfig(namedtuple("SimConfig", "r_min r_max dr T cfl nonlinearity boundary_values",
+                           defaults=(1.0, "focusing", None))):
+    """Grid, nonlinearity ("focusing" or "linear") and end values of one run.
 
     The run takes n_t = round(T/dt) steps of dt = cfl * dr, so it ends at
     round(T/dt) * dt, which can lie up to dt/2 past T or short of it.
     ``boundary_values`` is the exact u(r, t) the ends are pinned to; without
-    it they are frozen (see the module docstring).
+    it they are frozen (see the module docstring).  The constructor checks
+    every field, and ``_make``, so ``_replace`` too, goes through it.
     """
 
-    r_min: float
-    r_max: float
-    dr: float
-    T: float
-    cfl: float = 1.0
-    nonlinearity: str = "focusing"            # "focusing" or "linear"
-    boundary_values: Callable | None = None   # u(r, t) at the pinned ends
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not all(map(math.isfinite, (self.r_min, self.r_max, self.dr, self.T, self.cfl))):
             raise ValueError("r_min, r_max, dr, T and cfl must be finite")
         if not (0.0 < self.r_min < self.r_max):
@@ -124,6 +120,9 @@ class SimConfig:
         if steps * (n + 1) > MAX_POINT_STEPS:
             raise ValueError(f"{steps * (n + 1):.3g} point-steps exceed the budget "
                              f"of {MAX_POINT_STEPS:.0e}")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def dt(self):
@@ -268,9 +267,10 @@ def simulate(d, cfg: SimConfig, levels=None) -> Trajectory:
     The first step is the Taylor expansion
     w^1 = w^0 + dt * r^2 u1 + (dt^2/2) (D_rr w^0 + source), which keeps the
     scheme time-reversal symmetric: data (0, u1) run forward and with -u1
-    give exactly opposite fields.  Every level, level 1 included, passes the
-    blow-up guard before it is kept; data that are not finite on the grid,
-    or whose w = r^2 u0 already exceeds ``BLOWUP_GUARD``, raise ValueError.
+    give exactly opposite fields.  Every level passes the one blow-up guard
+    before it is kept, and an overflow in any level is an inf that the guard
+    reports.  Data that are not finite on the grid raise ValueError, and so
+    does a level 0 past the guard (w = r^2 u0 beyond ``BLOWUP_GUARD``).
 
     ``levels`` lists the level indices to keep (default: all of them); the
     memory held is one grid row per kept level plus a few work rows.  A run
@@ -305,50 +305,45 @@ def simulate(d, cfg: SimConfig, levels=None) -> Trajectory:
             raise ValueError(f"boundary_values is {float(u)!r} at r={x!r}, t={t!r}")
         return x ** 2 * u
 
-    def boundary_fill(w_arr, w_before, t):
-        if cfg.boundary_values is not None:
-            w_arr[0] = end_value(r_lo, t)
-            w_arr[-1] = end_value(r_hi, t)
-        else:
-            w_arr[0] = w_before[0]
-            w_arr[-1] = w_before[-1]
-
     r2 = r ** 2
-    with np.errstate(over="ignore"):   # an overflow to inf is rejected below
-        w_curr = r2 * u0g
-    if not np.abs(w_curr).max() <= BLOWUP_GUARD:   # no sum of squares to overflow
-        raise ValueError(f"initial data exceed the blow-up guard: |r^2 u0| > {BLOWUP_GUARD:g}")
-    record(0, w_curr)
     n_levels = n_t + 1
     blowup = None
-    # The folded step of the module docstring, in place on three rotating rows
-    # and one interior work row; the blow-up radius is located only on blow-up.
-    w_prev, w_next = np.empty_like(w_curr), np.empty_like(w_curr)
-    a, b = _source_coefficients(r2[1:-1], cfg)
-    c2 = (dt / cfg.dr) ** 2
-    alpha = None if a is None else (dt * dt) * a
-    gamma = (2.0 - 2.0 * c2) + (dt * dt) * b
-    f = np.empty_like(gamma)
-    for n in range(n_t):
-        nxt, w = w_next[1:-1], w_curr[1:-1]
-        if n == 0:   # the Taylor step, D_rr w + source in acc; boundary_fill sets the ends
-            acc = (w_curr[2:] - 2.0 * w + w_curr[:-2]) / cfg.dr ** 2 + _source(w, r2[1:-1], cfg)
-            nxt[:] = w + dt * r2[1:-1] * u1g[1:-1] + 0.5 * dt * dt * acc
-        else:
-            np.add(w_curr[2:], w_curr[:-2], out=nxt)
-            if c2 != 1.0:  # x * 1.0 is x, so cfl = 1 skips a row pass
-                np.multiply(nxt, c2, out=nxt)
-            np.subtract(nxt, w_prev[1:-1], out=nxt)
-            np.multiply(w, _coefficient(w, alpha, gamma, out=f), out=f)
-            np.add(nxt, f, out=nxt)
-        boundary_fill(w_next, w_curr, t_levels[n + 1])
-        if _exceeds_guard(w_next):
-            loc = int(np.argmax(np.abs(w_next)))
-            blowup = BlowUpTruncation(time=t_levels[n + 1], radius=float(r[loc]))
-            n_levels = n + 1
-            break
-        record(n + 1, w_next)
-        w_prev, w_curr, w_next = w_curr, w_next, w_prev
+    with np.errstate(over="ignore"):   # an overflow is an inf, which the guard reports
+        w_curr = r2 * u0g
+        if _exceeds_guard(w_curr):
+            raise ValueError(f"initial data exceed the blow-up guard: |r^2 u0| > {BLOWUP_GUARD:g}")
+        record(0, w_curr)
+        # The folded step of the module docstring, in place on three rotating
+        # rows and one interior work row.  It writes interiors only, so frozen
+        # ends keep the level-0 values that all three rows start with.
+        w_prev, w_next = w_curr.copy(), w_curr.copy()
+        a, b = _source_coefficients(r2[1:-1], cfg)
+        c2 = (dt / cfg.dr) ** 2
+        alpha = None if a is None else (dt * dt) * a
+        gamma = (2.0 - 2.0 * c2) + (dt * dt) * b
+        f = np.empty_like(gamma)
+        for n in range(n_t):
+            nxt, w = w_next[1:-1], w_curr[1:-1]
+            if n == 0:   # the Taylor step, D_rr w + source in acc
+                acc = (w_curr[2:] - 2.0 * w + w_curr[:-2]) / cfg.dr ** 2 + _source(w, r2[1:-1], cfg)
+                nxt[:] = w + dt * r2[1:-1] * u1g[1:-1] + 0.5 * dt * dt * acc
+            else:
+                np.add(w_curr[2:], w_curr[:-2], out=nxt)
+                if c2 != 1.0:  # x * 1.0 is x, so cfl = 1 skips a row pass
+                    np.multiply(nxt, c2, out=nxt)
+                np.subtract(nxt, w_prev[1:-1], out=nxt)
+                np.multiply(w, _coefficient(w, alpha, gamma, out=f), out=f)
+                np.add(nxt, f, out=nxt)
+            if cfg.boundary_values is not None:
+                w_next[0] = end_value(r_lo, t_levels[n + 1])
+                w_next[-1] = end_value(r_hi, t_levels[n + 1])
+            if _exceeds_guard(w_next):
+                loc = int(np.argmax(np.abs(w_next)))
+                blowup = BlowUpTruncation(time=t_levels[n + 1], radius=float(r[loc]))
+                n_levels = n + 1
+                break
+            record(n + 1, w_next)
+            w_prev, w_curr, w_next = w_curr, w_next, w_prev
     rows = rows[:n_levels]
     return Trajectory(cfg, r, times[:n_levels], store[: np.count_nonzero(rows >= 0)], u1g,
                       blowup=blowup, rows=rows)
@@ -363,19 +358,28 @@ def energy(tr: Trajectory, t: float, R: float) -> float:
     quantity is the conserved one for whichever equation was simulated.  A
     request for the final stored level falls back one step (the centered
     velocity needs a forward level).  An R that is not finite or lies off the
-    grid [r_min, r_max] raises ValueError.
+    grid [r_min, r_max] raises ValueError, and so does an energy that is not finite.
     """
     if not math.isfinite(R):
         raise ValueError(f"R must be finite, got {R}")
     if not tr.r[0] <= R <= tr.r[-1]:
         raise ValueError(f"R={R} outside the grid [{tr.r[0]}, {tr.r[-1]}]")
     u, ut, ur = _fields(tr, t)
-    dens = 0.5 * ur ** 2 + 0.5 * ut ** 2
-    if tr.cfg.nonlinearity == "focusing":
-        dens = dens - 0.3 * np.abs(u) ** (10.0 / 3.0)
-    dens = dens * tr.r ** 4
-    mask = tr.r >= R - 1e-12
-    return SIGMA4 * float(np.trapezoid(dens[mask], tr.r[mask]))
+    with np.errstate(over="ignore", invalid="ignore"):   # _finite reports it
+        dens = 0.5 * ur ** 2 + 0.5 * ut ** 2
+        if tr.cfg.nonlinearity == "focusing":
+            dens = dens - 0.3 * np.abs(u) ** (10.0 / 3.0)
+        dens = dens * tr.r ** 4
+        mask = tr.r >= R - 1e-12
+        e = SIGMA4 * float(np.trapezoid(dens[mask], tr.r[mask]))
+    return _finite("energy", t, e)
+
+
+def _finite(name, t, value):
+    """value, or ValueError naming the quantity and t if it is not finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} at t={t!r} is not finite: {value!r}")
+    return value
 
 
 def _fields(tr, t):
@@ -547,7 +551,7 @@ def virial(tr: Trajectory, t: float, scale: float):
     (so for stationary data J is constant and J' vanishes).  The |u|^{10/3}
     term is present only for the focusing equation.  All integrals are grid
     quadratures over [r_min, r_max]; the caller keeps the field supported
-    inside the grid.
+    inside the grid.  A value that is not finite raises ValueError.
     """
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be finite and positive, got {scale}")
@@ -560,10 +564,11 @@ def virial(tr: Trajectory, t: float, scale: float):
     def quad(values):
         return SIGMA4 * float(np.trapezoid(values, tr.r))
 
-    j = quad(u * u * phi * r4)
-    jp = 2.0 * quad(u * ut * phi * r4)
-    core = ut ** 2 - ur ** 2
-    if tr.cfg.nonlinearity == "focusing":
-        core = core + np.abs(u) ** (10.0 / 3.0)
-    jpp = 2.0 * quad(core * phi * r4) - 2.0 * quad(u * ur * dphi / scale * r4)
-    return j, jp, jpp
+    with np.errstate(over="ignore", invalid="ignore"):   # _finite reports it
+        j = quad(u * u * phi * r4)
+        jp = 2.0 * quad(u * ut * phi * r4)
+        core = ut ** 2 - ur ** 2
+        if tr.cfg.nonlinearity == "focusing":
+            core = core + np.abs(u) ** (10.0 / 3.0)
+        jpp = 2.0 * quad(core * phi * r4) - 2.0 * quad(u * ur * dphi / scale * r4)
+    return tuple(_finite(name, t, v) for name, v in zip(("J", "J'", "J''"), (j, jp, jpp)))

@@ -119,7 +119,8 @@ class _Check(namedtuple("_Check", "name target tolerance rule note", defaults=("
         return ReportItem(self.name, computed, target, self.tolerance, passed, self.note)
 
     def failed(self, exc) -> ReportItem:
-        return ReportItem(self.name, float("nan"), float("nan"), 0.0, False, f"failed: {exc}")
+        """The item of a block that raised: computed None, as declared otherwise."""
+        return ReportItem(self.name, None, self.target, self.tolerance, False, f"failed: {exc}")
 
 
 _RULES = {

@@ -164,10 +164,11 @@ _UNUSED_MODULES = {
 # subcommands (and radiation modes) that compute on floats only, so they
 # never import numpy
 _NO_NUMPY = {"constants", "profile", "table1", "verify", "radiation", "residues", "asymptotic"}
-# subcommands whose records are namedtuples, and the radiation modes that make
-# no data pair, so they never import dataclasses (nor inspect, which
-# dataclasses imports)
-_NO_DATACLASSES = {"constants", "profile", "table1", "verify", "residues", "asymptotic"}
+# subcommands whose records are namedtuples, the radiation modes that make no
+# data pair and the closed-form simulate presets, so they never import
+# dataclasses (nor inspect, which dataclasses imports, unless numpy has)
+_NO_DATACLASSES = {"constants", "profile", "table1", "verify", "residues", "asymptotic",
+                   "simulate-ground-state", "simulate-self-similar"}
 # the runs that write JSON, the only ones that load json
 _WRITES_JSON = {"constants", "verify", "residues", "asymptotic", "simulate-diag"}
 
@@ -182,7 +183,8 @@ def _assert_loads_only_its_modules(proc, command, run=None):
     if command in _NO_NUMPY:
         assert "numpy" not in loaded
     if command in _NO_DATACLASSES:
-        assert not {"dataclasses", "inspect"} & loaded
+        assert "dataclasses" not in loaded
+        assert "inspect" not in loaded or "numpy" in loaded
     assert ("json" in loaded) == ((run or command) in _WRITES_JSON)
 
 
@@ -552,6 +554,30 @@ def test_simulate_data_past_the_guard_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: initial data exceed the blow-up guard: |r^2 u0| > 1e+12\n")
     assert not out.exists()
+
+
+def test_simulate_diagnostic_overflow_exits_1(tmp_path, capsys):
+    # u1 = 1e200: the guard stops the run at level 1, and the energy at
+    # t = 0 overflows; the run writes nothing and says so on one line
+    data_csv = tmp_path / "data.csv"
+    data_csv.write_text("r,u0,u1\n" + "".join(f"{1 + 0.1 * i:.12g},0,1e200\n"
+                                              for i in range(31)))
+    out, diag = tmp_path / "x.csv", tmp_path / "diag.json"
+    assert run_cli(["simulate", "--data", str(data_csv), "--rmin", "1", "--rmax", "4",
+                    "--dr", "0.1", "--T", "0.5", "--out", str(out), "--diag", str(diag)]) == 1
+    assert capsys.readouterr().err == "error: energy at t=0.0 is not finite: inf\n"
+    assert not out.exists() and not diag.exists()
+
+
+def test_simulate_box_preset_starts_from_its_closed_form(tmp_path):
+    # the box G = 1 on [0, 1] gives u0 = min(r, 1)^2 / (2 r^3) at t = 0
+    out = tmp_path / "traj.csv"
+    assert run_cli(["simulate", "--preset", "free-wave", "--gspec", "box:0:1", "--rmin", "0.5",
+                    "--rmax", "3", "--dr", "0.05", "--T", "0.5", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    first = [(r, u) for t, r, u in rows if t == "0"]
+    assert len(first) == 51
+    assert all(u == f"{min(float(r), 1.0) ** 2 / (2.0 * float(r) ** 3):.12g}" for r, u in first)
 
 
 def test_simulate_continues_a_data_csv_as_from_data_does(tmp_path):

@@ -1,4 +1,5 @@
-"""Each demo exits 0 and prints ``tests/data/golden/demos/<demo>.stdout``.
+"""Each demo exits 0, prints ``tests/data/golden/demos/<demo>.stdout`` and
+prints nothing on stderr.
 
 A demo that imports no numpy must match its file byte for byte; one that
 does gets ``test_golden.py``'s number rule.  A change that alters a demo's
@@ -31,6 +32,7 @@ def run_demo(demo: Path) -> subprocess.CompletedProcess:
 def test_demo_runs(demo):
     proc = run_demo(demo)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""   # a numpy warning in a demo shows here
     want = (DEMO_GOLDEN / f"{demo.stem}.stdout").read_text(encoding="utf-8")
     through_numpy = "import numpy" in demo.read_text(encoding="utf-8")
     diff = _difference(demo.name, want, proc.stdout, through_numpy)

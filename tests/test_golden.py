@@ -5,8 +5,9 @@ with ``tests/data/golden/<case>/``.
 The rule:
 - An output that no numpy code touched must match the golden file byte for
   byte.  Only ``simulate`` loads numpy, so that is every other subcommand.
-- ``simulate``'s outputs go through numpy (``np.cbrt``, ``np.trapezoid``, a
-  BLAS dot), whose last bits may differ between numpy releases and CPUs.
+- ``simulate``'s outputs go through numpy (``np.cbrt``, ``np.trapezoid`` and
+  the extraction's LAPACK 3 x 3 solve), whose last bits may differ between
+  numpy releases and CPUs.
   For them the line count, and every character outside a number (headers,
   separators, JSON keys, words), must match exactly.  Integers must match
   exactly.  Every other number may differ from the golden one by one unit
@@ -19,6 +20,8 @@ The rule:
   the first kept.  No number may be printed with more digits than every
   golden number of its column.
 - The set of files a command leaves behind must be the golden set.
+- Every golden number is finite: JSON holds no NaN or Infinity, which are
+  not JSON, and no CSV cell is nan or inf.
 
 A PR that changes an output on purpose regenerates the case with
 ``python tests/regenerate_golden.py CASE...`` and lists the change.
@@ -217,3 +220,28 @@ def test_cli_output_is_the_golden_output(case):
     problems = [f"{name}: {diff}" for name in want
                 if (diff := _difference(name, want[name], got[name], through_numpy))]
     assert not problems, "\n".join(problems)
+
+
+_CSV_HEADER = re.compile(r"[A-Za-z_]\w*(,[A-Za-z_]\w*)+\n")
+
+
+def _refuse(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_golden_outputs_hold_only_finite_numbers():
+    n_json = n_csv = 0
+    for path in sorted(GOLDEN.glob("*/*")):
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".json" or text.startswith("{"):
+            json.loads(text, parse_constant=_refuse)
+            n_json += 1
+        elif path.suffix == ".csv" or _CSV_HEADER.match(text):
+            header, *lines = text.splitlines()
+            for line in lines:
+                for column, cell in zip(header.split(","), line.split(",")):
+                    # the table's range cell is "lo-hi", with lo > 0
+                    numbers = cell.split("-", 1) if column == "range" else [cell]
+                    assert all(math.isfinite(float(x)) for x in numbers), (path, line)
+            n_csv += 1
+    assert n_json >= 9 and n_csv >= 13   # the JSON and CSV outputs, stdout included

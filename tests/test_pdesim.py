@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from exwave import pdesim, profiles
+from exwave import _cli_simulate, pdesim, profiles
 from exwave import exterior as ext
 from exwave import radiation as rad
 from exwave.nonlinearity import SIGMA4, ground_state
@@ -50,6 +50,52 @@ def test_config_rejects_non_finite_numbers():
         pdesim.SimConfig(r_min=1.0, r_max=2.0, dr=float("nan"), T=1.0)
     with pytest.raises(ValueError, match="finite"):
         pdesim.SimConfig(r_min=1.0, r_max=2.0, dr=0.1, T=float("inf"))
+
+
+def test_config_keeps_its_fields_and_replace_checks_again():
+    cfg = pdesim.SimConfig(1.0, 2.0, 0.1, 1.0)
+    assert pdesim.SimConfig._fields == ("r_min", "r_max", "dr", "T", "cfl", "nonlinearity",
+                                        "boundary_values")
+    assert cfg == (1.0, 2.0, 0.1, 1.0, 1.0, "focusing", None)
+    assert cfg._replace(cfl=0.5).dt == 0.05
+    # _replace goes through the constructor, so its result is checked too
+    with pytest.raises(ValueError, match=re.escape("cfl must lie in (0, 1]")):
+        cfg._replace(cfl=2.0)
+
+
+def _zero_run(r_min=0.5, r_max=3.0, T=0.5):
+    d = rad.RadialData(u0=zero_fn, u1=zero_fn, tail_radius=r_max)
+    return pdesim.simulate(d, pdesim.SimConfig(r_min=r_min, r_max=r_max, dr=0.1, T=T))
+
+
+# each rejection of the simulate layer that no other test reaches
+_REJECTIONS = {
+    "dr-not-positive": (lambda: pdesim.SimConfig(r_min=1.0, r_max=2.0, dr=-0.1, T=1.0),
+                        "dr and T must be positive"),
+    "unknown-nonlinearity": (lambda: pdesim.SimConfig(r_min=1.0, r_max=2.0, dr=0.1, T=1.0,
+                                                      nonlinearity="defocusing"),
+                             "nonlinearity must be 'focusing' or 'linear'"),
+    "time-not-stored": (lambda: _zero_run().level(-1.0), "time -1.0 is not stored"),
+    "velocity-at-last-level": (lambda: _zero_run().ut_level(5), "no forward level"),
+    "edge-stencil": (lambda: _zero_run().discrete_residual(0, 1),
+                     "stencil must be interior"),
+    "ray-foot-off-grid": (lambda: pdesim.characteristic_integral(
+        _zero_run(r_min=0.55, r_max=3.05), 2.0), "grid must contain the ray foot r = 1"),
+    "ray-foot-at-an-end": (lambda: pdesim.characteristic_integral(_zero_run(r_min=1.0), 2.0),
+                           "r = 1 must be an interior grid node"),
+    "ray-past-the-run": (lambda: pdesim.characteristic_integral(_zero_run(), 2.0),
+                         "trajectory does not cover the ray up to R_prime"),
+    "ray-past-the-trusted-region": (lambda: pdesim.characteristic_integral(
+        _zero_run(T=2.0), 2.5), "ray endpoint outside the trusted region"),
+    "bad-gspec": (lambda: _cli_simulate._parse_gspec("wave:0:1"), "bad G-spec 'wave:0:1'"),
+    "empty-gspec-range": (lambda: _cli_simulate._parse_gspec("box:1:0"), "G-spec needs lo < hi"),
+}
+
+
+@pytest.mark.parametrize("call, message", _REJECTIONS.values(), ids=_REJECTIONS.keys())
+def test_simulate_layer_rejections(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_ground_state_is_stationary():
@@ -202,6 +248,19 @@ def test_blowup_guard_sees_level_one(T):
     assert tr.blowup == pdesim.BlowUpTruncation(time=0.1, radius=1.9)
     assert np.array_equal(tr.times, [0.0]) and np.array_equal(tr.rows, [0])
     assert np.array_equal(tr.w, [np.zeros(11)])
+
+
+def test_diagnostics_reject_a_non_finite_value():
+    # r^2 u1 = 1e200 r^2: the guard stops the run at level 1, and at level 0
+    # u_t^2 overflows in both diagnostics
+    d = rad.RadialData(u0=zero_fn, u1=lambda r: np.full_like(np.asarray(r, dtype=float), 1e200),
+                       tail_radius=4.0)
+    tr = pdesim.simulate(d, pdesim.SimConfig(r_min=1.0, r_max=4.0, dr=0.1, T=0.5))
+    assert tr.blowup.time == 0.1 and tr.blowup.radius == pytest.approx(3.9)
+    with pytest.raises(ValueError, match=re.escape("energy at t=0.0 is not finite: inf")):
+        pdesim.energy(tr, 0.0, 1.0)
+    with pytest.raises(ValueError, match=re.escape("J'' at t=0.0 is not finite")):
+        pdesim.virial(tr, 0.0, 1.0)
 
 
 def test_simulate_rejects_initial_data_past_the_guard():

@@ -166,7 +166,7 @@ def test_run_all_fails_only_the_block_that_raised(monkeypatch, check, n_failed):
     assert _names(report) == names
     failed = [item for item in report.items if item.note == "failed: injected"]
     assert len(failed) == n_failed
-    assert all(not item.passed and np.isnan(item.computed) for item in failed)
+    assert all(not item.passed and item.computed is None for item in failed)
     assert all(item.passed for item in report.items if item not in failed)
 
 
