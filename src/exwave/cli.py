@@ -112,21 +112,18 @@ def _emit(text, out: str | None) -> None:
     sys.stdout.flush()  # a closed reader shows here, before the summary
 
 
-def _format_column(values) -> list[str]:
-    """Each float of a list as 12-significant-digit text, formatted once."""
-    return [f"{v:.12g}" for v in values]
-
-
 def _csv_rows(*columns) -> str:
-    """One CSV line per row of equally long columns of text."""
-    return "".join(",".join(row) + "\n" for row in zip(*columns))
+    """One CSV line per row of equally long float columns.  Every CSV cell
+    the CLI writes is a '%.12g' slot of a line template, text cells written
+    into it, and one %-format fills the slots: '%.12g' % v is f"{v:.12g}"
+    for every float, and no text cell holds a '%'."""
+    line = ",".join(["%.12g"] * len(columns)) + "\n"
+    return (line * len(columns[0])) % tuple(v for row in zip(*columns) for v in row)
 
 
 def _simulate_csv(r, snapshots):
-    """The simulate CSV, one chunk per (t, u) snapshot.  One line template
-    per radius, the time joined in front of each, then a single %-format per
-    snapshot: '%.12g' % v is f"{v:.12g}" for every float, and no formatted
-    number holds a '%'."""
+    """The simulate CSV, one chunk per (t, u) snapshot, by _csv_rows's rule:
+    r is written into the line templates once, t joined in per snapshot."""
     templates = [""] + [f",{x:.12g},%.12g\n" for x in r]
     yield "t,r,u\n"
     for t, u in snapshots:
@@ -141,10 +138,10 @@ def _json_dumps(obj) -> str:
 
 def _table_csv(rows):
     """The table CSV: k, the z range and the five computed columns of each row."""
-    k, z_lo, z_hi, *cells = zip(*rows)
+    lines = "".join(f"{k},{z_lo:g}-{z_hi:.6g}" + ",%.12g" * 5 + "\n"
+                    for k, z_lo, z_hi, *_ in rows)
     return ("k,range,y_k,lambda_k,min_g,product,contribution\n",
-            _csv_rows(map(str, k), [f"{a:g}-{b:.6g}" for a, b in zip(z_lo, z_hi)],
-                      *map(_format_column, cells)))
+            lines % tuple(v for row in rows for v in row[3:]))
 
 
 # report.json's keys, in the order of a ReportItem's fields
@@ -209,7 +206,7 @@ def _cmd_profile(args) -> int:
     prof = profiles.integrate_profile(args.nu, args.tol)
     columns = (prof.y_nodes, prof.phi_nodes, prof.dphi_nodes,
                [prof.energy_at(y) for y in prof.y_nodes])
-    _emit(("y,phi,dphi,H\n", _csv_rows(*map(_format_column, columns))), args.out)
+    _emit(("y,phi,dphi,H\n", _csv_rows(*columns)), args.out)
     _info(f"nu={args.nu}: category={prof.category}, sup_phi={prof.sup_phi:.9g}, "
           f"drift={prof.energy_drift:.3g}")
     return 0
@@ -270,14 +267,13 @@ def _cmd_radiation(args) -> int:
         d = radiation.data_from_profile(G)
         u0 = [d.u0(x) for x in r]
         u1 = [d.u1(x) for x in r]
-        _emit(("r,u0,u1\n", _csv_rows(*map(_format_column, (r, u0, u1)))), args.out)
+        _emit(("r,u0,u1\n", _csv_rows(r, u0, u1)), args.out)
         _info(f"data written on {len(r)} radii")
         return 0
     if args.mode == "from-data":
         G = radiation.profile_from_data(_load_data(args.infile))
         s = linspace(G.support[0], G.support[1], args.n)
-        _emit(("s,G\n", _csv_rows(*map(_format_column, (s, [G.value(x) for x in s])))),
-              args.out)
+        _emit(("s,G\n", _csv_rows(s, [G.value(x) for x in s])), args.out)
         _info(f"profile written on {len(s)} samples")
         return 0
     G = _load_profile(args.infile)

@@ -31,8 +31,10 @@ integral and the discrete finite-speed check rely on.
 A run with ``boundary_values`` pins both end nodes to that closed form, after
 which the whole grid is usable; a run without it freezes them at level 0,
 and only the shrinking domain of dependence [r_min + t, r_max - t] is
-trusted (diagnostics refuse to read outside it).  ``energy`` and ``virial``
-raise ValueError rather than return a number that is not finite.
+trusted.  ``extract_outgoing`` and ``characteristic_integral`` refuse to read
+outside it; ``energy`` and ``virial`` integrate the range they are given,
+trusted or not, and raise ValueError rather than return a number that is not
+finite.
 """
 
 from __future__ import annotations
@@ -220,7 +222,10 @@ def _trusted_bounds(cfg, t):
 def _coefficient(w, a, b, out=None):
     """a |w|^(4/3) + b pointwise, with |w|^(4/3) = (cbrt w)^4; a = None (the
     linear equation) gives b itself.  The one definition of the nonlinearity:
-    the source is w times this at (a, b) = _source_coefficients(r2, cfg)."""
+    the source is w times this at (a, b) = _source_coefficients(r2, cfg).
+    simulate calls it with the (a, b) it makes once per run; _source, which
+    makes them again, serves only the oracles discrete_residual and
+    characteristic_integral."""
     if a is None:
         return b
     out = np.cbrt(w, out=out)
@@ -290,10 +295,6 @@ def simulate(d, cfg: SimConfig, levels=None) -> Trajectory:
     rows[kept] = np.arange(len(kept))
     store = np.empty((len(kept), len(r)))
 
-    def record(n, w_arr):
-        if rows[n] >= 0:
-            store[rows[n]] = w_arr
-
     # The closed form is called on Python floats, which it evaluates faster
     # than numpy scalars and to the same bits.
     r_lo, r_hi = float(r[0]), float(r[-1])
@@ -312,7 +313,8 @@ def simulate(d, cfg: SimConfig, levels=None) -> Trajectory:
         w_curr = r2 * u0g
         if _exceeds_guard(w_curr):
             raise ValueError(f"initial data exceed the blow-up guard: |r^2 u0| > {BLOWUP_GUARD:g}")
-        record(0, w_curr)
+        if rows[0] >= 0:
+            store[rows[0]] = w_curr
         # The folded step of the module docstring, in place on three rotating
         # rows and one interior work row.  It writes interiors only, so frozen
         # ends keep the level-0 values that all three rows start with.
@@ -325,7 +327,8 @@ def simulate(d, cfg: SimConfig, levels=None) -> Trajectory:
         for n in range(n_t):
             nxt, w = w_next[1:-1], w_curr[1:-1]
             if n == 0:   # the Taylor step, D_rr w + source in acc
-                acc = (w_curr[2:] - 2.0 * w + w_curr[:-2]) / cfg.dr ** 2 + _source(w, r2[1:-1], cfg)
+                acc = (w_curr[2:] - 2.0 * w + w_curr[:-2]) / cfg.dr ** 2
+                acc += w * _coefficient(w, a, b)
                 nxt[:] = w + dt * r2[1:-1] * u1g[1:-1] + 0.5 * dt * dt * acc
             else:
                 np.add(w_curr[2:], w_curr[:-2], out=nxt)
@@ -342,7 +345,8 @@ def simulate(d, cfg: SimConfig, levels=None) -> Trajectory:
                 blowup = BlowUpTruncation(time=t_levels[n + 1], radius=float(r[loc]))
                 n_levels = n + 1
                 break
-            record(n + 1, w_next)
+            if rows[n + 1] >= 0:
+                store[rows[n + 1]] = w_next
             w_prev, w_curr, w_next = w_curr, w_next, w_prev
     rows = rows[:n_levels]
     return Trajectory(cfg, r, times[:n_levels], store[: np.count_nonzero(rows >= 0)], u1g,

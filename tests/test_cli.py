@@ -816,8 +816,8 @@ def test_cli_simulate_returns_values_and_touches_no_file_or_stream(tmp_path, mon
 
 
 def _column_formula_csv(preset):
-    """The simulate CSV as the column writer built it: _csv_rows over
-    _format_column of each snapshot."""
+    """The simulate CSV built cell by cell with f"{v:.12g}", from a
+    pdesim.simulate run that shares no formatting code with cli."""
     from types import SimpleNamespace
 
     from exwave import nonlinearity as nl, pdesim
@@ -833,11 +833,10 @@ def _column_formula_csv(preset):
         d = SimpleNamespace(u0=zero, u1=lambda r: 0.05 * np.asarray(r, dtype=float) ** -2.5)
         extra = {}
     tr = pdesim.simulate(d, pdesim.SimConfig(r_min=1.0, r_max=6.0, dr=0.05, T=1.0, **extra))
-    r_text = cli._format_column(tr.r.tolist())
     return "t,r,u\n" + "".join(
-        cli._csv_rows([f"{tr.times[n]:.12g}"] * len(r_text), r_text,
-                      cli._format_column(tr.u_level(n).tolist()))
-        for n in _cli_simulate._snapshot_levels(len(tr.times)))
+        f"{tr.times[n]:.12g},{x:.12g},{v:.12g}\n"
+        for n in _cli_simulate._snapshot_levels(len(tr.times))
+        for x, v in zip(tr.r.tolist(), tr.u_level(n).tolist()))
 
 
 @pytest.mark.parametrize("preset", ["ground-state", "self-similar"])
@@ -846,6 +845,28 @@ def test_simulate_csv_is_the_column_formula(tmp_path, preset):
     assert run_cli(["simulate", "--preset", preset, "--rmin", "1", "--rmax", "6",
                     "--dr", "0.05", "--T", "1", "--out", str(out)]) == 0
     assert out.read_text() == _column_formula_csv(preset)
+
+
+# signed zeros, subnormals, the extremes, both sides of %g's exponent switch,
+# and values at a 12-significant-digit rounding boundary
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                1e16, 123456789012.5, 0.1 + 0.2, -1 / 3, 9.999999999995e-5,
+                999999999999.5, 1e21, -2.5e-7)
+
+
+def test_every_csv_writer_prints_edge_floats_cell_by_cell():
+    vals, rev = list(_EDGE_FLOATS), list(reversed(_EDGE_FLOATS))
+    assert cli._csv_rows(vals, rev) == "".join(
+        f"{a:.12g},{b:.12g}\n" for a, b in zip(vals, rev))
+    rows = [(k, 1.5, 1.6, *(vals[(k + j) % len(vals)] for j in range(5)))
+            for k in range(1, len(vals) + 1)]
+    header, body = cli._table_csv(rows)
+    assert header == "k,range,y_k,lambda_k,min_g,product,contribution\n"
+    assert body == "".join(f"{k},1.5-1.6," + ",".join(f"{v:.12g}" for v in cells) + "\n"
+                           for k, _, _, *cells in rows)
+    chunks = list(cli._simulate_csv(np.array(vals), [(t, np.array(rev)) for t in vals]))
+    assert chunks == ["t,r,u\n"] + [
+        "".join(f"{t:.12g},{x:.12g},{v:.12g}\n" for x, v in zip(vals, rev)) for t in vals]
 
 
 def test_radiation_csvs_are_the_per_cell_text(tmp_path):

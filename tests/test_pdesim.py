@@ -212,6 +212,27 @@ def test_self_similar_field_matches_ode():
     assert 3.0 <= errs[0] / errs[1] <= 5.0
 
 
+@pytest.mark.parametrize("T", [0.5, 0.9])
+def test_pinned_nu0_self_similar_run_converges_at_order_two(T):
+    # u = r^(-3/2) phi(t/r) at the paper's nu0, where |phi|^(4/3) reaches the
+    # linear term's 9/4: the leapfrog against the DOPRI5 profile at full
+    # nonlinear strength (the two share no code).  Pinned ends trust the grid.
+    nu = 1.86
+    prof = profiles.integrate_profile(nu)
+    d = rad.RadialData(u0=zero_fn, du0=zero_fn,
+                       u1=lambda r: nu * np.asarray(r, dtype=float) ** -2.5, decay=2.5)
+    errs = []
+    for dr in (0.02, 0.01, 0.005):
+        cfg = pdesim.SimConfig(r_min=1.0, r_max=6.0, dr=dr, T=T,
+                               boundary_values=lambda r, t: r ** -1.5 * prof.phi_at(t / r))
+        tr = pdesim.simulate(d, cfg)
+        n = tr.level(T)
+        exact = tr.r ** -1.5 * prof.phi_at(tr.times[n] / tr.r)
+        errs.append(np.max(np.abs(tr.u_level(n) / exact - 1.0)))
+    assert errs[0] < 5e-5, errs   # 3.8e-5 at T = 0.5, 2.7e-5 at T = 0.9
+    assert all(3.9 <= a / b <= 4.1 for a, b in zip(errs, errs[1:])), errs
+
+
 def _static_bump_blowup(amp):
     # large static data with no outlet blow up in finite time
     d = rad.RadialData(u0=lambda r: amp * smooth_bump((np.asarray(r) - 3.0) / 1.5),
