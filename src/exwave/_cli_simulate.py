@@ -24,12 +24,15 @@ def _parse_gspec(spec: str):
     'box:lo:hi[:amp]' (indicator)."""
     from . import radiation
 
+    bad = f"bad G-spec {spec!r}; use bump:lo:hi[:amp] or box:lo:hi[:amp]"
     parts = spec.split(":")
     kind = parts[0]
     if kind not in ("bump", "box") or len(parts) not in (3, 4):
-        raise ValueError(f"bad G-spec {spec!r}; use bump:lo:hi[:amp] or box:lo:hi[:amp]")
-    lo, hi = float(parts[1]), float(parts[2])
-    amp = float(parts[3]) if len(parts) == 4 else 1.0
+        raise ValueError(bad)
+    try:
+        lo, hi, amp = map(float, (parts + ["1"])[1:4])   # amp defaults to 1
+    except ValueError:
+        raise ValueError(bad) from None
     if hi <= lo:
         raise ValueError("G-spec needs lo < hi")
     if kind == "box":

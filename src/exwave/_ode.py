@@ -74,8 +74,6 @@ class DenseSolution:
 
     def __call__(self, t: float) -> tuple:
         """The state at t, by Horner's rule on the step that holds t."""
-        if not self.qs:  # zero-length integration: constant state
-            return self.ys[0]
         i = min(max(bisect_right(self.ts, t) - 1, 0), len(self.qs) - 1)
         h = self.ts[i + 1] - self.ts[i]
         x = (t - self.ts[i]) / h
@@ -83,10 +81,10 @@ class DenseSolution:
                      for yc, (q0, q1, q2, q3) in zip(self.ys[i], self.qs[i]))
 
 
-def bisect(f, lo, hi, f_lo, width, f_hi=None):
-    """Shrink [lo, hi], across which f changes sign (f(lo) = f_lo; f(hi) =
-    f_hi, evaluated here if not given), to at most ``width`` or to adjacent
-    floats, in at most 200 evaluations of f.
+def bisect(f, lo, hi, f_lo, width, f_hi):
+    """Shrink [lo, hi], across which f changes sign (f(lo) = f_lo, f(hi) =
+    f_hi), to at most ``width`` or to adjacent floats, in at most 200
+    evaluations of f.
 
     Points are ITP's (Oliveira & Takahashi, ACM TOMS 47(1), 2020; kappa1 =
     0.2 / (hi - lo), kappa2 = 2, n0 = 1): at most one evaluation more than
@@ -102,15 +100,11 @@ def bisect(f, lo, hi, f_lo, width, f_hi=None):
         raise ValueError(f"bisect: f({lo!r}) is NaN, so no sign brackets the root")
     if f_lo == 0.0:
         return lo, math.nextafter(lo, hi)
-    budget = 200
-    if f_hi is None:
-        f_hi = f(hi)
-        budget -= 1
     if f_hi != f_hi:
         raise ValueError(f"bisect: f({hi!r}) is NaN, so no sign brackets the root")
     h0 = 0.5 * hi - 0.5 * lo
     reach = 2.0   # half-width allowed after j steps, in units of h0: 2^(n0 - j)
-    for _ in range(budget):
+    for _ in range(200):
         h = 0.5 * hi - 0.5 * lo
         mid = lo + h
         if hi - lo <= width or mid in (lo, hi):
@@ -212,13 +206,20 @@ def _initial_step(f, t0, y0, f0, tol, max_step):
 
 def solve_dopri5(f: Callable, t0: float, t1: float, y0, tol: float,
                  max_step: float = math.inf, event: Callable | None = None) -> OdeResult:
-    """Integrate y' = f(t, y) from t0 to t1 (t1 > t0), with ``tol`` as both
-    the relative and the absolute error tolerance.  ``f`` takes a float and
-    a tuple of floats and returns a sequence of floats.
+    """Integrate y' = f(t, y) from t0 to t1, with ``tol`` as both the
+    relative and the absolute error tolerance.  ``f`` takes a float and a
+    tuple of floats and returns a sequence of floats.  ValueError unless tol
+    is finite and positive, t0 is finite and t1 exceeds it by more than the
+    step floor, so the solution holds at least one step.
 
     ``event(t, y)`` terminates the run at its first sign change, located to
     machine precision on the dense interpolant.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
+    if not (math.isfinite(t0) and t1 - t0 > 16.0 * _EPS * max(abs(t1), 1.0)):
+        raise ValueError(f"solve_dopri5 needs finite t0 < t1 beyond roundoff, "
+                         f"got t0={t0!r}, t1={t1!r}")
     y = tuple(float(v) for v in y0)
     t = float(t0)
     k1 = f(t, y)

@@ -233,7 +233,7 @@ def _cmd_verify(args) -> int:
         if report.table is None:  # the report records the failure; not fatal
             _info(f"table not written: {report.table_error}")
         else:
-            _atomic_write(args.table, _table_csv(report.table[0]))
+            _atomic_write(args.table, _table_csv(report.table))
     n_pass = sum(1 for i in report.items if i.passed)
     _info(f"{n_pass}/{len(report.items)} checks passed; overall "
           + ("PASS" if report.overall else "FAIL"))
@@ -291,8 +291,6 @@ def _cmd_radiation(args) -> int:
 def _cmd_simulate(args) -> int:
     from ._cli_simulate import run   # compiled only when simulate runs
 
-    if (args.preset is None) == (args.data is None):
-        raise ValueError("exactly one of --preset and --data is required")
     sim = run(args, None if args.data is None else _load_data(args.data))
     _emit(_simulate_csv(sim.r, sim.snapshots), args.out)
     if args.diag is not None:
@@ -344,8 +342,9 @@ def _build_parser():
     rd.set_defaults(fn=_cmd_radiation)
 
     sm = sub.add_parser("simulate", help="run the exterior finite-difference solver")
-    sm.add_argument("--preset", choices=["ground-state", "free-wave", "self-similar"])
-    sm.add_argument("--data", help="data CSV (columns r,u0,u1) instead of a preset")
+    source = sm.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", choices=["ground-state", "free-wave", "self-similar"])
+    source.add_argument("--data", help="data CSV (columns r,u0,u1) instead of a preset")
     sm.add_argument("--nu", type=float, default=0.05)
     sm.add_argument("--gspec", default="bump:-1:1:1")
     sm.add_argument("--rmin", type=float, required=True)

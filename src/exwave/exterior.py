@@ -179,11 +179,11 @@ def compute_c2(rho: float) -> float:
     if not (0.0 < rho < peak):
         raise ValueError(f"rho must lie in (0, {peak}) to meet the decreasing branch")
     hi = 2.0 * r_peak
-    while tau2_of_ground_state(hi) > rho:
+    while (f_hi := tau2_of_ground_state(hi) - rho) > 0.0:
         hi *= 2.0
         if hi > 1e18:
             raise ValueError("failed to bracket the residue radius")
     # hi < 2 c2 here, so the width stays below 4 eps c2
     lo, hi = bisect(lambda r: tau2_of_ground_state(r) - rho, r_peak, hi, peak - rho,
-                    2.0 * math.ulp(1.0) * hi)
+                    2.0 * math.ulp(1.0) * hi, f_hi)
     return 0.5 * (lo + hi)

@@ -19,8 +19,9 @@ blow-up guard; the exact max/min test runs only when that sum of squares
 exceeds the guard squared (see ``_exceeds_guard``).  Every level, level 0
 included, passes that one guard, and the run ignores overflow, so an
 overflow anywhere becomes an inf that the guard reports, never a numpy
-warning.  About 8 ns per point-step on an 8001-node row at cfl = 1 (2-vCPU
-VM, numpy 2.4).
+warning.  About 5 ns per point-step on an 8001-node row at cfl = 1: 5.0 to
+5.6 in three traced runs (``pdesim.ns_per_point_step`` of ``bench/run.py
+--trace 1``; 2-vCPU VM, Python 3.11, numpy 2.4.6).
 At cfl = 1 the d'Alembert part is w[i+1] + w[i-1] - w_prev, so it is
 transported along grid diagonals up to the rounding of the additions, and
 the -2u potential term sits in gamma.  That is what the characteristic-ray
@@ -186,22 +187,6 @@ class Trajectory:
             raise ValueError("no forward level available for a centered velocity")
         return _wt_level(self, n) / self.r ** 2
 
-    def ur_level(self, n):
-        u = self.u_level(n)
-        out = np.empty_like(u)
-        out[1:-1] = (u[2:] - u[:-2]) / (2.0 * self.cfg.dr)
-        out[0] = (u[1] - u[0]) / self.cfg.dr
-        out[-1] = (u[-1] - u[-2]) / self.cfg.dr
-        return out
-
-    def trusted_bounds(self, t: float):
-        """Radial interval whose values are unpolluted by the ends."""
-        return _trusted_bounds(self.cfg, t)
-
-    def trusted_mask(self, t: float):
-        lo, hi = self.trusted_bounds(t)
-        return (self.r >= lo - 1e-12) & (self.r <= hi + 1e-12)
-
     def discrete_residual(self, i: int, n: int) -> float:
         """Leapfrog residual at an interior stencil; zero up to roundoff."""
         cfg = self.cfg
@@ -214,6 +199,7 @@ class Trajectory:
 
 
 def _trusted_bounds(cfg, t):
+    """Radial interval whose values are unpolluted by the ends."""
     if cfg.boundary_values is not None:
         return cfg.r_min, cfg.r_max
     return cfg.r_min + t, cfg.r_max - t
@@ -392,7 +378,8 @@ def _fields(tr, t):
     n = tr.level(t)
     if n == len(tr.times) - 1 and n > 0:
         n -= 1
-    return tr.u_level(n), tr.ut_level(n), tr.ur_level(n)
+    u = tr.u_level(n)
+    return u, tr.ut_level(n), np.gradient(u, tr.cfg.dr)
 
 
 def _wt_level(tr, n):
@@ -511,7 +498,7 @@ def characteristic_integral(tr: Trajectory, R_prime: float):
         raise ValueError("trajectory does not cover the ray up to R_prime "
                          f"(needs T >= {R_prime - 1.0 + cfg.dt} and r_max > {R_prime + cfg.dr})")
     t_end = tr.times[n_ray]
-    lo, hi = tr.trusted_bounds(t_end)
+    lo, hi = _trusted_bounds(cfg, t_end)
     if tr.r[i_end] > hi + 1e-12:
         raise ValueError("ray endpoint outside the trusted region; enlarge r_max")
 

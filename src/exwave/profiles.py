@@ -127,10 +127,8 @@ class _ProfileBase:
 class SelfSimilarProfile(_ProfileBase):
     """Solved trajectory of the self-similar ODE with classification metadata."""
 
-    def __init__(self, nu, tol, sol, theta_end, category):
+    def __init__(self, nu, sol, theta_end, category):
         super().__init__(sol, theta_end)
-        self.nu = nu
-        self.tol = tol
         self.category = category
         sup = max(self.phi_nodes)   # phi_nodes[0] = 0
         if isinstance(category, Global):
@@ -150,9 +148,8 @@ class SelfSimilarProfile(_ProfileBase):
 class LinearProfile(_ProfileBase):
     """Solution of the linear comparison equation with phi(0)=0, phi'(0)=1."""
 
-    def __init__(self, tol, sol, theta_end):
+    def __init__(self, sol, theta_end):
         super().__init__(sol, theta_end)
-        self.tol = tol
         self.energy_drift = max(abs(self._energy(p, s) - 0.5)
                                 for p, s in zip(self.phi_nodes, self._phi_theta))
 
@@ -171,11 +168,6 @@ def _rhs_linear(theta, y):
     return (y[1], -2.25 * y[0])
 
 
-def _check_tol(tol):
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be finite and positive")
-
-
 def integrate_profile(nu: float, tol: float = 1e-12) -> SelfSimilarProfile:
     """Integrate the self-similar ODE from y = 0 toward y = 1.
 
@@ -185,7 +177,6 @@ def integrate_profile(nu: float, tol: float = 1e-12) -> SelfSimilarProfile:
     """
     if not (math.isfinite(nu) and nu >= 0):
         raise ValueError("nu must be finite and nonnegative (negative nu is the odd reflection)")
-    _check_tol(tol)
 
     def hit_blowup(theta, y):
         return PHI_BLOWUP - abs(y[0])
@@ -200,7 +191,7 @@ def integrate_profile(nu: float, tol: float = 1e-12) -> SelfSimilarProfile:
     else:
         phi, s = res.y
         category = Global(limit_phi=phi, limit_flux=s * abs(s))
-    return SelfSimilarProfile(nu, tol, res.sol, res.t, category)
+    return SelfSimilarProfile(nu, res.sol, res.t, category)
 
 
 def integrate_linear_profile(tol: float = 1e-12) -> LinearProfile:
@@ -208,13 +199,12 @@ def integrate_linear_profile(tol: float = 1e-12) -> LinearProfile:
 
     Must agree pointwise with the closed form (2/3) sin((3/2) arcsin y).
     """
-    _check_tol(tol)
     try:
         res = solve_dopri5(_rhs_linear, 0.0, math.pi / 2, [0.0, 1.0], tol,
                            max_step=_MAX_STEP)
     except IntegrationFailure as exc:
         raise ProfileError(f"linear profile integration failed: {exc}") from exc
-    return LinearProfile(tol, res.sol, res.t)
+    return LinearProfile(res.sol, res.t)
 
 
 def phi_star_exact(y):

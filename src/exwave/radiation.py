@@ -75,9 +75,7 @@ def _check_not_nan(*points):
 def _dyadic_radii(R):
     """+-1, +-2, +-4, ... up to R.  Cut there, a wide window of a decaying
     profile keeps panels near 0 that a single panel's nodes would miss."""
-    if not math.isfinite(R):
-        return ()   # the quadrature rejects the infinite limit
-    n = math.frexp(R)[1]   # 2^(n-1) <= R < 2^n
+    n = math.frexp(R)[1]   # 2^(n-1) <= R < 2^n; n = 0 for R = inf, so no radii
     return tuple(x for k in range(max(n, 0)) for x in (-2.0 ** k, 2.0 ** k))
 
 
@@ -112,7 +110,6 @@ class RadiationProfile:
         # declared interior knots where the profile may jump or kink; moment
         # integrals split there so every quadrature panel sees a smooth piece
         self.breakpoints = tuple(sorted(float(b) for b in breakpoints))
-        self._norm = None
         if _spline is None and smooth:
             s = linspace(support[0], support[1], _SPLINE_N)
             _spline = cubic_spline(s, [fn(x) for x in s])
@@ -250,9 +247,7 @@ class RadiationProfile:
 
     @property
     def norm_l2(self):
-        if self._norm is None:
-            self._norm = math.sqrt(self.l2_tail_sq(0.0))
-        return self._norm
+        return math.sqrt(self.l2_tail_sq(0.0))
 
     # -- symmetries ----------------------------------------------------------
 

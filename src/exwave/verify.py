@@ -93,7 +93,7 @@ ReportItem = namedtuple("ReportItem", "name computed target tolerance passed not
 
 class VerificationReport:
     """Report items in a fixed order; ``cli`` writes them and ``overall`` as
-    report.json.  ``table`` keeps the (rows, summary) of the table block, or
+    report.json.  ``table`` keeps the rows of the table block, or
     ``table_error`` why it failed; neither enters the JSON."""
 
     def __init__(self):
@@ -294,7 +294,7 @@ def run_all(tol: float = TOL, nu0: float = NU0) -> VerificationReport:
         except Exception as exc:
             report.table_error = str(exc)
             raise
-        report.table = (rows, summary)
+        report.table = rows
         footer_gap = max(abs(getattr(summary, key) - ref)
                          for key, ref in REFERENCE_FOOTER.items())
         return [_CELLS.judge(_table_cells_gap(rows)), _FOOTER.judge(footer_gap),

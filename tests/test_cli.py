@@ -425,9 +425,12 @@ def test_simulate_from_data_csv(tmp_path):
                     "--rmax", "8.5", "--dr", "0.02", "--T", "1", "--out", str(out)]) == 0
     traj = np.loadtxt(out, delimiter=",", skiprows=1)
     assert traj.shape[1] == 3
-    # both or neither source
-    assert run_cli(["simulate", "--rmin", "0.5", "--rmax", "8.5",
-                    "--dr", "0.02", "--T", "1"]) == 1
+    # neither or both sources: a usage error
+    grid = ["--rmin", "0.5", "--rmax", "8.5", "--dr", "0.02", "--T", "1"]
+    for source in ([], ["--preset", "free-wave", "--data", str(data_csv)]):
+        with pytest.raises(SystemExit) as info:
+            run_cli(["simulate", *source, *grid])
+        assert info.value.code == 2
 
 
 def test_radiation_round_trip(tmp_path, capsys):

@@ -9,7 +9,7 @@ from exwave._ode import IntegrationFailure, bisect, solve_dopri5
 
 
 def test_bisect_zero_width_stops_at_adjacent_floats():
-    lo, hi = bisect(lambda x: x - 0.3, 0.0, 1.0, -0.3, 0.0)
+    lo, hi = bisect(lambda x: x - 0.3, 0.0, 1.0, -0.3, 0.0, 0.7)
     assert lo < 0.3 <= hi
     assert np.nextafter(lo, np.inf) == hi
 
@@ -21,7 +21,7 @@ def test_bisect_budget_on_a_step_over_a_huge_bracket():
         calls.append(x)
         return -1.0 if x < 1.0 else 1.0
 
-    lo, hi = bisect(step, 0.0, 1e300, -1.0, 0.0)
+    lo, hi = bisect(step, 0.0, 1e300, -1.0, 0.0, 1.0)
     assert len(calls) <= 200
     assert lo < 1.0 <= hi
 
@@ -106,20 +106,6 @@ def test_bisect_is_superlinear_on_a_smooth_root():
     assert len(calls) <= 25 < _bisection_calls(cubic, 2.0, 3.0, cubic(2.0), 0.0) == 51
 
 
-def test_bisect_omitting_f_hi_spends_one_evaluation_of_the_budget():
-    def step(x):
-        calls.append(x)
-        return -1.0 if x < 1.0 else 1.0
-
-    calls = []
-    given = bisect(step, 0.0, 1e300, -1.0, 0.0, 1.0)
-    assert len(calls) == 200
-    calls = []
-    omitted = bisect(step, 0.0, 1e300, -1.0, 0.0)
-    assert calls[0] == 1e300 and len(calls) == 200
-    assert given[0] < 1.0 <= given[1] and omitted[0] < 1.0 <= omitted[1]
-
-
 def test_bisect_infinite_end_value_falls_back_to_the_midpoint():
     # what find_nu2 meets: quarter_period is +inf above the separatrix
     calls = []
@@ -141,10 +127,9 @@ def test_bisect_nan_at_any_evaluation_raises_naming_the_point(k):
         calls.append(x)
         return math.nan if len(calls) == k + 1 else x - 0.3
 
-    # f_hi omitted: evaluation 0 is f(hi), the later ones are the points
     with pytest.raises(ValueError, match="is NaN") as info:
-        bisect(f, 0.0, 1.0, -0.3, 1e-9)
-    assert len(calls) == k + 1 and calls[0] == 1.0   # no evaluation after the NaN
+        bisect(f, 0.0, 1.0, -0.3, 1e-9, 0.7)
+    assert len(calls) == k + 1   # no evaluation after the NaN
     assert f"f({calls[-1]!r})" in str(info.value)
 
 
@@ -158,7 +143,7 @@ def test_bisect_nan_end_value_raises_naming_the_end(f_lo, f_hi):
 @pytest.mark.parametrize("lo, hi", [(0.0, 1e300), (-1e308, 1e308)])
 def test_bisect_huge_brackets_do_not_overflow(lo, hi):
     for f in (lambda x: x - 1.0, lambda x: -1.0 if x < 1.0 else 1.0):
-        a, b = bisect(f, lo, hi, f(lo), 0.0)
+        a, b = bisect(f, lo, hi, f(lo), 0.0, f(hi))
         assert a < 1.0 <= b
 
 
@@ -174,7 +159,7 @@ def test_bisect_exact_zero_ends_at_adjacent_floats():
     calls = []
     lo, hi = bisect(lambda x: calls.append(x) or x - 0.5, 0.0, 1.0, -0.5, 0.0, 0.5)
     assert calls == [0.5] and (lo, hi) == (np.nextafter(0.5, 0.0), 0.5)
-    assert bisect(lambda x: x - 0.3, 0.3, 1.0, 0.0, 0.0) == (0.3, np.nextafter(0.3, 1.0))
+    assert bisect(lambda x: x - 0.3, 0.3, 1.0, 0.0, 0.0, 0.7) == (0.3, np.nextafter(0.3, 1.0))
     assert bisect(lambda x: x - 1.0, 0.3, 1.0, -0.7, 0.0, 0.0) == (np.nextafter(1.0, 0.0), 1.0)
 
 
