@@ -17,7 +17,8 @@ from typing import TYPE_CHECKING
 from ._ode import bisect
 from .nonlinearity import SIGMA4, ground_state
 from .quadrature import integrate_adaptive, integrate_tail
-from .radiation import _QTOL, RadiationProfile, _exterior_integral, check_radius, residues
+from .radiation import (_QTOL, RadiationProfile, _check_not_nan, _exterior_integral,
+                        check_radius, residues)
 
 if TYPE_CHECKING:
     from .radial_data import RadialData
@@ -76,6 +77,7 @@ def positive_propagator(u1, r: float, t: float, support=None) -> float:
     """
     if not (r > t >= 0):
         raise ValueError("the kernel formula requires r > t >= 0")
+    _check_not_nan(*(support or ()), name="a support end")
     if t == 0:
         return 0.0
     lo, hi = r - t, r + t
@@ -129,8 +131,12 @@ def nonlinear_profile_shift(Fsrc, s: float, *, t_support=None, r_support=None,
 
     ``Fsrc(t, r)`` takes (time, radius).  It must be compactly supported in
     both variables (``t_support``/``r_support``) or carry a declared decay
-    in t; anything else is rejected.
+    in t; anything else is rejected, as are a non-finite s and NaN ends.
     """
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s!r}")
+    _check_not_nan(*(t_support or ()), name="a t_support end")
+    _check_not_nan(*(r_support or ()), name="an r_support end")
     if t_support is None and decay is None:
         raise ValueError("source needs t_support or a declared decay exponent")
     if r_support is None and decay is None:

@@ -25,7 +25,9 @@ Two outcomes are possible: |phi| escapes to infinity at some y_plus <= 1
 are the solver's state there: phi(1) is phi at theta = pi/2 and the flux is
 phi_theta(pi/2)^2.
 
-A profile is a value: its node lists ``y_nodes``, ``phi_nodes`` and
+Both this equation and the linear comparison equation (the |phi|^(4/3) phi
+term dropped) give a :class:`SelfSimilarProfile`, built by one solve.  A
+profile is a value: its node lists ``y_nodes``, ``phi_nodes`` and
 ``dphi_nodes`` and its dense ``phi_at``; ``cli`` writes the profile CSV.
 :func:`inverse_phi` returns the first preimage of a value, the abscissa the
 verification table defines.
@@ -45,7 +47,6 @@ __all__ = [
     "BlowUp",
     "Global",
     "SelfSimilarProfile",
-    "LinearProfile",
     "ProfileError",
     "NoSolutionError",
     "integrate_profile",
@@ -92,23 +93,38 @@ class Global(namedtuple("Global", "limit_phi limit_flux")):
     __slots__ = ()
 
 
-class _ProfileBase:
-    """Shared dense-output plumbing for nonlinear and linear profiles.
+class SelfSimilarProfile:
+    """A solved profile of the nonlinear or the linear equation, classified.
 
+    Built from the slope nu, the solver's ``OdeResult`` in theta and the
+    equation's conserved energy H(phi, phi_theta), which equals nu^2/2.  A
+    run stopped by the blow-up event is a :class:`BlowUp`; a run that reaches
+    theta = pi/2 is :class:`Global`, its limits read off the final state.
     ``y_nodes``, ``phi_nodes`` and ``dphi_nodes`` are float lists of y, phi
     and phi'(y) = phi_theta / cos(theta) at the accepted steps up to
     ``_THETA_CAP``.
     """
 
-    def __init__(self, sol, theta_end):
-        self._sol = sol   # valid on [0, theta_end]
-        self.y_max = math.sin(min(theta_end, math.pi / 2))
-        n = bisect_right(sol.ts, min(theta_end, _THETA_CAP))
+    def __init__(self, nu, res, energy):
+        sol = self._sol = res.sol   # valid on [0, res.t]
+        self._energy = energy
+        self.y_max = math.sin(min(res.t, math.pi / 2))
+        n = bisect_right(sol.ts, min(res.t, _THETA_CAP))
         theta = sol.ts[:n]
         self.y_nodes = [math.sin(t) for t in theta]
         self.phi_nodes = [state[0] for state in sol.ys[:n]]
-        self._phi_theta = [state[1] for state in sol.ys[:n]]
-        self.dphi_nodes = [s / math.cos(t) for t, s in zip(theta, self._phi_theta)]
+        phi_theta = [state[1] for state in sol.ys[:n]]
+        self.dphi_nodes = [s / math.cos(t) for t, s in zip(theta, phi_theta)]
+        self.sup_phi = max(self.phi_nodes)   # phi_nodes[0] = 0
+        if res.status == "event":
+            self.category = BlowUp(y_plus=math.sin(res.t))
+        else:
+            phi, s = res.y
+            self.category = Global(limit_phi=phi, limit_flux=s * abs(s))
+            self.sup_phi = max(self.sup_phi, phi)
+        h0 = 0.5 * nu * nu   # node 0, where phi = 0, is never capped
+        self.energy_drift = max(abs(energy(p, s) - h0) for p, s in zip(self.phi_nodes, phi_theta)
+                                if abs(p) <= _DRIFT_PHI_CAP)
 
     def _state(self, y):
         if not 0.0 <= y <= self.y_max + 1e-15:
@@ -124,48 +140,34 @@ class _ProfileBase:
         return _pointwise(lambda v: self._energy(*self._state(v)), y)
 
 
-class SelfSimilarProfile(_ProfileBase):
-    """Solved trajectory of the self-similar ODE with classification metadata."""
-
-    def __init__(self, nu, sol, theta_end, category):
-        super().__init__(sol, theta_end)
-        self.category = category
-        sup = max(self.phi_nodes)   # phi_nodes[0] = 0
-        if isinstance(category, Global):
-            sup = max(sup, category.limit_phi)
-        self.sup_phi = sup
-        self.energy_drift = max(
-            (abs(self._energy(p, s) - 0.5 * nu * nu)
-             for p, s in zip(self.phi_nodes, self._phi_theta) if abs(p) <= _DRIFT_PHI_CAP),
-            default=0.0)
-
-    @staticmethod
-    def _energy(phi, dphi_t):
-        """H = phi_t^2/2 + (9/8) phi^2 - (3/10) |phi|^(10/3), equal to nu^2/2."""
-        return 0.5 * dphi_t * dphi_t + 1.125 * phi * phi - 0.3 * abs(phi) ** (10.0 / 3.0)
-
-
-class LinearProfile(_ProfileBase):
-    """Solution of the linear comparison equation with phi(0)=0, phi'(0)=1."""
-
-    def __init__(self, sol, theta_end):
-        super().__init__(sol, theta_end)
-        self.energy_drift = max(abs(self._energy(p, s) - 0.5)
-                                for p, s in zip(self.phi_nodes, self._phi_theta))
-
-    @staticmethod
-    def _energy(phi, dphi_t):
-        """H = phi_t^2/2 + (9/8) phi^2, equal to 1/2."""
-        return 0.5 * dphi_t * dphi_t + 1.125 * phi * phi
-
-
 def _rhs_nonlinear(theta, y):
     phi = y[0]
     return (y[1], -2.25 * phi + abs(phi) ** (4.0 / 3.0) * phi)
 
 
+def _energy_nonlinear(phi, dphi_t):
+    """H = phi_t^2/2 + (9/8) phi^2 - (3/10) |phi|^(10/3), equal to nu^2/2."""
+    return 0.5 * dphi_t * dphi_t + 1.125 * phi * phi - 0.3 * abs(phi) ** (10.0 / 3.0)
+
+
 def _rhs_linear(theta, y):
     return (y[1], -2.25 * y[0])
+
+
+def _energy_linear(phi, dphi_t):
+    """H = phi_t^2/2 + (9/8) phi^2, equal to 1/2."""
+    return 0.5 * dphi_t * dphi_t + 1.125 * phi * phi
+
+
+def _solve(rhs, energy, nu, tol, failure, event=None):
+    """The profile from phi(0) = 0, phi'(0) = nu toward theta = pi/2; a
+    failed solve raises :class:`ProfileError` with the text ``failure``."""
+    try:
+        res = solve_dopri5(rhs, 0.0, math.pi / 2, [0.0, nu], tol,
+                           max_step=_MAX_STEP, event=event)
+    except IntegrationFailure as exc:
+        raise ProfileError(f"{failure}: {exc}") from exc
+    return SelfSimilarProfile(nu, res, energy)
 
 
 def integrate_profile(nu: float, tol: float = 1e-12) -> SelfSimilarProfile:
@@ -181,30 +183,17 @@ def integrate_profile(nu: float, tol: float = 1e-12) -> SelfSimilarProfile:
     def hit_blowup(theta, y):
         return PHI_BLOWUP - abs(y[0])
 
-    try:
-        res = solve_dopri5(_rhs_nonlinear, 0.0, math.pi / 2, [0.0, nu], tol,
-                           max_step=_MAX_STEP, event=hit_blowup)
-    except IntegrationFailure as exc:
-        raise ProfileError(f"profile integration failed for nu={nu}: {exc}") from exc
-    if res.status == "event":
-        category = BlowUp(y_plus=math.sin(res.t))
-    else:
-        phi, s = res.y
-        category = Global(limit_phi=phi, limit_flux=s * abs(s))
-    return SelfSimilarProfile(nu, res.sol, res.t, category)
+    return _solve(_rhs_nonlinear, _energy_nonlinear, nu, tol,
+                  f"profile integration failed for nu={nu}", hit_blowup)
 
 
-def integrate_linear_profile(tol: float = 1e-12) -> LinearProfile:
+def integrate_linear_profile(tol: float = 1e-12) -> SelfSimilarProfile:
     """Integrate the linear comparison equation (nonlinear term dropped).
 
-    Must agree pointwise with the closed form (2/3) sin((3/2) arcsin y).
+    Must agree pointwise with the closed form (2/3) sin((3/2) arcsin y); its
+    :class:`Global` limits are phi(1) = sqrt(2)/3 and flux -1/2.
     """
-    try:
-        res = solve_dopri5(_rhs_linear, 0.0, math.pi / 2, [0.0, 1.0], tol,
-                           max_step=_MAX_STEP)
-    except IntegrationFailure as exc:
-        raise ProfileError(f"linear profile integration failed: {exc}") from exc
-    return LinearProfile(res.sol, res.t)
+    return _solve(_rhs_linear, _energy_linear, 1.0, tol, "linear profile integration failed")
 
 
 def phi_star_exact(y):

@@ -19,7 +19,7 @@ from typing import Callable
 
 from . import _pointwise
 from ._spline import cubic_spline, floats, times_x
-from .radiation import check_radius
+from .radiation import _check_not_nan, check_radius
 
 __all__ = ["RadialData"]
 
@@ -53,6 +53,7 @@ class RadialData:
     u1_tail: Callable | None = None
 
     def __post_init__(self):
+        _check_not_nan(*self.breakpoints, name="a breakpoint")
         if self.tail_radius is None:
             for name in ("tail_c0", "tail_c1"):
                 if getattr(self, name):

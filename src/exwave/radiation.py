@@ -53,7 +53,6 @@ __all__ = [
 
 _QTOL = 1e-11          # absolute tolerance for moment quadratures
 _SPLINE_N = 4097       # samples of fn for the spline moments of smooth profiles
-_DU0_STEP = 1e-5       # relative step of the centered-difference fallback for u0'
 
 
 def _piecewise(fn, a, b, knots, tol):
@@ -65,11 +64,12 @@ def _piecewise(fn, a, b, knots, tol):
     return sum(integrate_adaptive(fn, lo, hi, tol) for lo, hi in zip(cuts[:-1], cuts[1:]))
 
 
-def _check_not_nan(*points):
-    """ValueError for a NaN among the points, which no comparison would catch."""
+def _check_not_nan(*points, name="a profile point"):
+    """ValueError, naming the input, for a NaN among the points, which no
+    comparison would catch."""
     for x in points:
         if x != x:
-            raise ValueError(f"a profile point must not be NaN, got {x!r}")
+            raise ValueError(f"{name} must not be NaN, got {x!r}")
 
 
 def _dyadic_radii(R):
@@ -110,6 +110,7 @@ class RadiationProfile:
         # declared interior knots where the profile may jump or kink; moment
         # integrals split there so every quadrature panel sees a smooth piece
         self.breakpoints = tuple(sorted(float(b) for b in breakpoints))
+        _check_not_nan(*self.breakpoints, name="a breakpoint")
         if _spline is None and smooth:
             s = linspace(support[0], support[1], _SPLINE_N)
             _spline = cubic_spline(s, [fn(x) for x in s])
@@ -262,7 +263,10 @@ class RadiationProfile:
     def shifted(self, t0):
         """Profile of the time-translated wave u(., . + t0): s -> G(s + t0).
 
-        The asymptotic numbers map to (alpha1, alpha2 + alpha1 * t0)."""
+        The asymptotic numbers map to (alpha1, alpha2 + alpha1 * t0).
+        ValueError for a t0 that is not finite."""
+        if not math.isfinite(t0):
+            raise ValueError(f"shift t0 must be finite, got {t0!r}")
         fn = self._fn
         sup = None if self.support is None else (self.support[0] - t0, self.support[1] - t0)
         return RadiationProfile(lambda s: fn(s + t0),
@@ -386,16 +390,13 @@ def profile_from_data(d: RadialData) -> RadiationProfile:
 
     both for s > 0, with G(s) = G_even(s) + G_odd(s) and
     G(-s) = -G_even(s) + G_odd(s).  (The labels record the time parity of the
-    generating data, not the parity in s.)  When no derivative handle exists,
-    u0' falls back to centered differences.
-    Data with neither a tail_radius nor a declared decay > 2 are rejected.
+    generating data, not the parity in s.)  Data without ``du0``, or with
+    neither a tail_radius nor a declared decay > 2, are rejected.
     """
     u0, du0, u1 = d.u0, d.du0, d.u1
-    u1_tail = _u1_tail(d)
     if du0 is None:
-        def du0(r):
-            h = _DU0_STEP * max(1.0, abs(r))
-            return (u0(r + h) - u0(r - h)) / (2.0 * h)
+        raise ValueError("profile recovery needs derivative access to u0")
+    u1_tail = _u1_tail(d)
 
     def fn(s):
         if s == 0.0:   # the limit of G_odd; the data need not exist at 0

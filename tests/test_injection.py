@@ -5,6 +5,7 @@ become a different finite answer.  (``_ode.bisect`` has its own NaN tests in
 test_ode.py.)"""
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -97,3 +98,15 @@ def test_non_finite_initial_slope_is_named(k):
     rhs = _injected(profiles._rhs_nonlinear, k, lambda v: (v[0], math.nan))
     with pytest.raises(IntegrationFailure, match=r"non-finite f\(t, y\) = \(.*, nan\)"):
         solve_dopri5(rhs, 0.0, 1.0, [0.0, 1.86], 1e-12)
+
+
+@pytest.mark.parametrize("rhs, integrate, text", [
+    ("_rhs_nonlinear", lambda: profiles.integrate_profile(1.86),
+     "profile integration failed for nu=1.86: "),
+    ("_rhs_linear", profiles.integrate_linear_profile, "linear profile integration failed: "),
+], ids=["nonlinear", "linear"])
+def test_failed_profile_solve_names_its_equation(monkeypatch, rhs, integrate, text):
+    # both equations go through one solve; each keeps its own failure text
+    monkeypatch.setattr(profiles, rhs, lambda t, y: (math.nan, y[1]))
+    with pytest.raises(profiles.ProfileError, match="^" + re.escape(text) + "non-finite f"):
+        integrate()

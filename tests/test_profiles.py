@@ -123,6 +123,21 @@ def test_linear_profile_energy_at_is_its_conserved_energy():
     assert lp.energy_at(0.5) == pytest.approx(0.5, abs=1e-10)
 
 
+def test_linear_profile_is_a_global_self_similar_profile():
+    # the linear equation goes through the same solve and classification as
+    # the nonlinear one: phi_* = (2/3) sin((3/2) theta) ends at theta = pi/2
+    # with phi = sqrt(2)/3 and phi_theta = -sqrt(2)/2, so signed flux -1/2
+    lp = integrate_linear_profile()
+    assert type(lp) is profiles.SelfSimilarProfile
+    assert isinstance(lp.category, Global)
+    assert abs(lp.category.limit_phi - math.sqrt(2.0) / 3.0) < 1e-10
+    assert abs(lp.category.limit_flux + 0.5) < 1e-10
+    # sup_phi is the largest node value, just below the closed form's peak 2/3
+    assert lp.sup_phi == max(lp.phi_nodes)
+    assert 2.0 / 3.0 - 1e-4 < lp.sup_phi <= 2.0 / 3.0
+    assert lp.energy_drift < 1e-10
+
+
 def test_linear_profile_matches_closed_form():
     tol = 1e-12
     lp = integrate_linear_profile(tol)

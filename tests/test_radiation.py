@@ -241,14 +241,15 @@ def test_round_trip_smooth_profile(rng):
 
 
 def test_profile_recovery_flags_missing_derivative(rng):
+    # G_even needs u0', and recovery, like the exterior energy, takes it only
+    # from the data's du0: data without one are rejected
     G = random_smooth_profile(rng)
     d = rad.data_from_profile(G)
     d_no_deriv = rad.RadialData(u0=d.u0, du0=None, u1=d.u1, decay=d.decay,
                                 tail_radius=d.tail_radius, tail_c0=d.tail_c0,
                                 tail_c1=d.tail_c1)
-    G2 = rad.profile_from_data(d_no_deriv)
-    s = np.linspace(-1.4, 1.4, 29)
-    assert np.max(np.abs(G2.value(s) - G.value(s))) < 1e-6  # centered differences
+    with pytest.raises(ValueError, match="profile recovery needs derivative access to u0"):
+        rad.profile_from_data(d_no_deriv)
 
 
 def test_profile_recovery_rejects_undeclared_tails():

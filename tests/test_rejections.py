@@ -16,6 +16,14 @@ def _oscillator(t, y):
     return (y[1], -y[0])
 
 
+def _source(t, r):
+    return 1.0
+
+
+def _decaying():
+    return radiation.RadiationProfile(lambda s: 1.0 / (1.0 + s * s) ** 2, decay=4.0)
+
+
 _SPLINE = "a spline needs at least two strictly increasing points"
 _TOL = "tol must be finite and positive"
 _INTERVAL = "solve_dopri5 needs finite t0 < t1 beyond roundoff"
@@ -62,6 +70,33 @@ _RAISES = {
     "dopri5-t0-infinite": (lambda: solve_dopri5(_oscillator, -math.inf, 0.0, [0.0, 1.0], 1e-10),
                            ValueError, _INTERVAL),
     "profile-tol-negative": (lambda: profiles.integrate_profile(1.0, -1e-12), ValueError, _TOL),
+    # NaN interval ends and knots, which no comparison would catch
+    "propagator-nan-support-end": (lambda: exterior.positive_propagator(
+        lambda r: 1.0, 2.0, 1.0, support=(math.nan, 3.0)),
+        ValueError, "a support end must not be NaN, got nan"),
+    "born-shift-nan-t-support": (lambda: exterior.nonlinear_profile_shift(
+        _source, 0.5, t_support=(0.0, math.nan), r_support=(0.0, 2.0)),
+        ValueError, "a t_support end must not be NaN, got nan"),
+    "born-shift-nan-r-support": (lambda: exterior.nonlinear_profile_shift(
+        _source, 0.5, t_support=(0.0, 1.0), r_support=(math.nan, 2.0)),
+        ValueError, "an r_support end must not be NaN, got nan"),
+    "born-shift-nan-s": (lambda: exterior.nonlinear_profile_shift(
+        _source, math.nan, t_support=(0.0, 1.0), r_support=(0.0, 2.0)),
+        ValueError, "s must be finite"),
+    "radiation-profile-nan-breakpoint": (lambda: radiation.RadiationProfile(
+        math.exp, support=(0.0, 1.0), breakpoints=(math.nan,)),
+        ValueError, "a breakpoint must not be NaN, got nan"),
+    "radial-data-nan-breakpoint": (lambda: RadialData(
+        u0=math.exp, u1=math.exp, du0=math.exp, tail_radius=2.0, breakpoints=(math.nan,)),
+        ValueError, "a breakpoint must not be NaN, got nan"),
+    # a shift by a non-finite t0, of a decaying and of a compact profile
+    "shifted-nan-decaying": (lambda: _decaying().shifted(math.nan), ValueError,
+                             "shift t0 must be finite, got nan"),
+    "shifted-inf-decaying": (lambda: _decaying().shifted(math.inf), ValueError,
+                             "shift t0 must be finite, got inf"),
+    "shifted-nan-compact": (lambda: radiation.RadiationProfile(
+        math.exp, support=(0.0, 1.0)).shifted(math.nan), ValueError,
+        "shift t0 must be finite, got nan"),
 }
 
 
